@@ -24,11 +24,14 @@ from .ctc import (
     CtcLattice,
     LabelSequence,
     LogitMatrix,
+    NonFiniteError,
     NoValidPathError,
     TokenSpan,
     apply_label_prior,
     ctc_grad,
+    ctc_grad_batch,
     ctc_loss,
+    ctc_loss_batch,
     forced_align,
     log_softmax_rows,
     prior_ctc_grad,

@@ -102,6 +102,9 @@ def cmd_align(args) -> int:
     label_map = dataio.read_labels_jsonl(args.labels)
     n_written = 0
     errors = []
+    # a sidecar left by an earlier run would describe failures of that run
+    sidecar = Path(args.out + ".errors")
+    sidecar.unlink(missing_ok=True)
     with open(args.out, "w", encoding="utf-8") as out:
         for logits in dataio.iter_logits_jsonl(args.logits, frame_ms=args.frame_ms):
             if logits.n_vocab != len(vocab):
@@ -128,7 +131,6 @@ def cmd_align(args) -> int:
             out.write(json.dumps(record, ensure_ascii=False) + "\n")
             n_written += 1
     if errors:
-        sidecar = args.out + ".errors"
         with open(sidecar, "w", encoding="utf-8") as handle:
             for err in errors:
                 handle.write(json.dumps(err) + "\n")
@@ -157,7 +159,8 @@ def _matched_pairs(hyp, ref):
     return pairs, n_hyp, n_ref
 
 
-def cmd_metrics(args) -> int:
+def _read_hyp_ref(args) -> tuple[dict, dict]:
+    """Hypothesis and reference timings, which must cover the same utterances."""
     hyp = dataio.read_timings_jsonl(args.hyp)
     ref = dataio.read_timings_jsonl(args.ref)
     missing = sorted(set(ref) - set(hyp))
@@ -167,6 +170,11 @@ def cmd_metrics(args) -> int:
             f"utterance ids differ: missing from hyp {missing[:5]}, "
             f"unexpected in hyp {extra[:5]}"
         )
+    return hyp, ref
+
+
+def cmd_metrics(args) -> int:
+    hyp, ref = _read_hyp_ref(args)
     thresholds = _parse_thresholds(args.thresholds)
     pairs, n_hyp, n_ref = _matched_pairs(hyp, ref)
     report = timing_metrics(pairs, thresholds, n_hyp=n_hyp, n_ref=n_ref)
@@ -180,8 +188,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_gridsearch(args) -> int:
-    hyp = dataio.read_timings_jsonl(args.hyp)
-    ref = dataio.read_timings_jsonl(args.ref)
+    hyp, ref = _read_hyp_ref(args)
     lo, hi, step = _parse_range(args.range)
     best, report, curve = gridsearch_offset(hyp, ref, (lo, hi), step, args.threshold)
     dataio.write_curve_csv(args.out, curve)

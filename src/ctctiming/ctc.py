@@ -20,6 +20,14 @@ class NoValidPathError(ValueError):
     """The CTC topology admits no valid path for the given (T, labels)."""
 
 
+class NonFiniteError(ValueError):
+    """A logit matrix holds NaN or an infinity; utt_id names its utterance."""
+
+    def __init__(self, utt_id: str, frame: int, vocab: int):
+        super().__init__(f"{utt_id}: non-finite logit at frame {frame}, vocab {vocab}")
+        self.utt_id = utt_id
+
+
 @dataclass(eq=False)
 class LogitMatrix:
     """Raw (pre-softmax) frame-level classifier scores for one utterance.
@@ -133,7 +141,7 @@ def _check_finite(frames: np.ndarray, utt_id: str = "<input>") -> None:
     if not np.isfinite(frames).all():
         bad = np.argwhere(~np.isfinite(np.asarray(frames)))
         t, v = bad[0]
-        raise ValueError(f"{utt_id}: non-finite logit at frame {t}, vocab {v}")
+        raise NonFiniteError(utt_id, int(t), int(v))
 
 
 def logsumexp(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -184,39 +192,123 @@ def _check_path_exists(n_frames: int, labels: LabelSequence) -> None:
         )
 
 
-def _emissions(log_probs: np.ndarray, syms: np.ndarray) -> np.ndarray:
-    """State-indexed emission log-probs, shape S x T."""
-    return log_probs[:, syms].T
+def _lattices(
+    emits: list[np.ndarray], skips: list[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Forward and backward lattices of a batch from one padded recursion.
 
+    emits[i] holds utterance i's state emissions, shape T_i x S_i; skips[i]
+    its skip legality. Each utterance fills two rows of a (T_max, 2B, S_max)
+    batch: itself, and a copy reversed in both states and time, whose forward
+    recursion is the backward one. Padding is -inf and only ever feeds padded
+    cells (higher states, later frames), so every real cell is computed by
+    the same operations as an unpadded single-utterance recursion. Returns
+    one (alpha, beta) pair of S_i x T_i arrays per utterance, copied out so
+    that a kept result does not hold on to the whole batch.
+    """
+    n_utts = len(emits)
+    n_frames = max(e.shape[0] for e in emits)
+    n_states = max(e.shape[1] for e in emits)
+    emit = np.full((n_frames, 2 * n_utts, n_states), NEG_INF)
+    # additive skip mask: 0 where s-2 -> s is legal, -inf elsewhere
+    jump_mask = np.full((2 * n_utts, n_states), NEG_INF)
+    for i, (e, skip) in enumerate(zip(emits, skips)):
+        t_i, s_i = e.shape
+        emit[:t_i, i, :s_i] = e
+        emit[:t_i, n_utts + i, :s_i] = e[::-1, ::-1]
+        # reversed row r = S-1-s takes the backward s+2 -> s term, legal when skip[s+2]
+        jump_mask[i, :s_i][skip] = 0.0
+        jump_mask[n_utts + i, :s_i][np.concatenate((skip[2:], [False, False]))[::-1]] = 0.0
 
-def _forward(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
-    n_states, n_frames = emit.shape
-    alpha = np.full((n_states, n_frames), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    alpha[1, 0] = emit[1, 0]
+    # two leading -inf columns turn the s-1 and s-2 predecessors into views
+    lattice = np.full((n_frames, 2 * n_utts, n_states + 2), NEG_INF)
+    lattice[0, :, 2:4] = emit[0, :, :2]
+    jump = np.empty((2 * n_utts, n_states))
     for t in range(1, n_frames):
-        prev = alpha[:, t - 1]
-        acc = np.logaddexp(prev, np.concatenate(([NEG_INF], prev[:-1])))
-        from_skip = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
-        acc = np.logaddexp(acc, np.where(skip, from_skip, NEG_INF))
-        alpha[:, t] = acc + emit[:, t]
-    return alpha
+        prev, cur = lattice[t - 1], lattice[t, :, 2:]
+        np.logaddexp(prev[:, 2:], prev[:, 1:-1], out=cur)
+        np.add(prev[:, :-2], jump_mask, out=jump)
+        np.logaddexp(cur, jump, out=cur)
+        cur += emit[t]
+
+    out = []
+    for i, e in enumerate(emits):
+        t_i, s_i = e.shape
+        alpha = np.ascontiguousarray(lattice[:t_i, i, 2 : 2 + s_i].T)
+        beta = np.ascontiguousarray(lattice[:t_i, n_utts + i, 2 : 2 + s_i][::-1, ::-1].T)
+        out.append((alpha, beta))
+    return out
 
 
-def _backward(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
-    n_states, n_frames = emit.shape
-    beta = np.full((n_states, n_frames), NEG_INF)
-    beta[-1, -1] = emit[-1, -1]
-    beta[-2, -1] = emit[-2, -1]
-    # skip legality is indexed by the target state s+2
-    skip_fwd = np.concatenate((skip[2:], [False, False]))
-    for t in range(n_frames - 2, -1, -1):
-        nxt = beta[:, t + 1]
-        acc = np.logaddexp(nxt, np.concatenate((nxt[1:], [NEG_INF])))
-        to_skip = np.concatenate((nxt[2:], [NEG_INF, NEG_INF]))
-        acc = np.logaddexp(acc, np.where(skip_fwd, to_skip, NEG_INF))
-        beta[:, t] = acc + emit[:, t]
-    return beta
+def ctc_loss_batch(
+    log_probs: list[np.ndarray], labels: list[LabelSequence]
+) -> list[tuple[float, CtcLattice] | NoValidPathError]:
+    """CTC negative log-likelihoods of a batch of utterances.
+
+    Runs one padded forward-backward recursion over the whole batch. Each
+    entry is (loss, lattice) as from ctc_loss, or the NoValidPathError of an
+    utterance that has no valid path; the other utterances are unaffected.
+    """
+    results: list = [None] * len(log_probs)
+    todo = []
+    for i, (lp, lab) in enumerate(zip(log_probs, labels, strict=True)):
+        lp = np.asarray(lp, dtype=np.float64)
+        n_frames, n_vocab = lp.shape
+        if max(lab.tokens) >= n_vocab:
+            raise ValueError(f"label id {max(lab.tokens)} out of range for V={n_vocab}")
+        try:
+            _check_path_exists(n_frames, lab)
+        except NoValidPathError as err:
+            results[i] = err
+            continue
+        syms = _state_symbols(lab)
+        todo.append((i, lp[:, syms], _skip_allowed(syms)))
+    if todo:
+        lattices = _lattices([e for _, e, _ in todo], [skip for _, _, skip in todo])
+        for (i, _, _), (alpha, beta) in zip(todo, lattices):
+            log_like = float(np.logaddexp(alpha[-1, -1], alpha[-2, -1]))
+            if np.isfinite(log_like):
+                results[i] = (-log_like, CtcLattice(alpha, beta, log_like))
+            else:
+                results[i] = NoValidPathError("no valid path: zero total path probability")
+    return results
+
+
+def ctc_grad_batch(
+    logits: list[LogitMatrix], labels: list[LabelSequence], gamma_train: float = 0.0
+) -> list[tuple[float, np.ndarray] | NoValidPathError]:
+    """CTC losses and gradients w.r.t. raw logits for a batch of utterances.
+
+    With gamma_train != 0 the loss is taken on label-prior-adjusted logits
+    and the gradient chains through the per-label mean (see prior_ctc_grad).
+    Entries are (loss, grad) or the utterance's NoValidPathError.
+    """
+    if gamma_train:
+        logits = [apply_label_prior(x, gamma_train) for x in logits]
+    log_probs = [log_softmax_rows(x) for x in logits]
+    results = ctc_loss_batch(log_probs, labels)
+    for i, (lp, lab, result) in enumerate(zip(log_probs, labels, results, strict=True)):
+        if isinstance(result, NoValidPathError):
+            continue
+        loss, lattice = result
+        # grad[t, v] = softmax(logits)[t, v] - occupancy(v, t); rows sum to zero
+        syms = _state_symbols(lab)
+        joint = lattice.log_alpha + lattice.log_beta - lp[:, syms].T
+        state_post = np.exp(joint - lattice.log_likelihood)
+        occ = np.zeros_like(lp)
+        np.add.at(occ.T, syms, state_post)
+        g = np.exp(lp) - occ
+        if gamma_train:
+            g = g - (gamma_train / lp.shape[0]) * g.sum(axis=0, keepdims=True)
+        results[i] = (loss, g)
+    return results
+
+
+def _single(results: list):
+    """The entry of a batch of one, its NoValidPathError raised."""
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
 
 
 def ctc_loss(log_probs: np.ndarray, labels: LabelSequence) -> tuple[float, CtcLattice]:
@@ -225,21 +317,7 @@ def ctc_loss(log_probs: np.ndarray, labels: LabelSequence) -> tuple[float, CtcLa
     Returns the loss together with the full forward/backward lattice so that
     occupancy posteriors can be derived without recomputation.
     """
-    log_probs = np.asarray(log_probs, dtype=np.float64)
-    n_frames, n_vocab = log_probs.shape
-    if max(labels.tokens) >= n_vocab:
-        raise ValueError(f"label id {max(labels.tokens)} out of range for V={n_vocab}")
-    _check_path_exists(n_frames, labels)
-
-    syms = _state_symbols(labels)
-    skip = _skip_allowed(syms)
-    emit = _emissions(log_probs, syms)
-    alpha = _forward(emit, skip)
-    beta = _backward(emit, skip)
-    log_like = float(np.logaddexp(alpha[-1, -1], alpha[-2, -1]))
-    if not np.isfinite(log_like):
-        raise NoValidPathError("no valid path: zero total path probability")
-    return -log_like, CtcLattice(alpha, beta, log_like)
+    return _single(ctc_loss_batch([log_probs], [labels]))
 
 
 def ctc_grad(logits: LogitMatrix, labels: LabelSequence) -> tuple[float, np.ndarray]:
@@ -247,15 +325,7 @@ def ctc_grad(logits: LogitMatrix, labels: LabelSequence) -> tuple[float, np.ndar
 
     grad[t, v] = softmax(logits)[t, v] - occupancy(v, t); rows sum to zero.
     """
-    log_probs = log_softmax_rows(logits)
-    loss, lattice = ctc_loss(log_probs, labels)
-    syms = _state_symbols(labels)
-    emit = _emissions(log_probs, syms)
-    joint = lattice.log_alpha + lattice.log_beta - emit
-    state_post = np.exp(joint - lattice.log_likelihood)
-    occ = np.zeros_like(log_probs)
-    np.add.at(occ.T, syms, state_post)
-    return loss, np.exp(log_probs) - occ
+    return _single(ctc_grad_batch([logits], [labels]))
 
 
 def apply_label_prior(logits: LogitMatrix, gamma: float) -> LogitMatrix:
@@ -279,10 +349,7 @@ def prior_ctc_grad(
     dL/dO[t, v] = g[t, v] - (gamma/T) * sum_t' g[t', v], where g is the
     gradient w.r.t. the adjusted logits.
     """
-    adjusted = apply_label_prior(logits, gamma_train)
-    loss, g = ctc_grad(adjusted, labels)
-    n_frames = logits.n_frames
-    return loss, g - (gamma_train / n_frames) * g.sum(axis=0, keepdims=True)
+    return _single(ctc_grad_batch([logits], [labels], gamma_train))
 
 
 def forced_align(log_probs: np.ndarray, labels: LabelSequence) -> AlignmentPath:
@@ -300,7 +367,7 @@ def forced_align(log_probs: np.ndarray, labels: LabelSequence) -> AlignmentPath:
 
     syms = _state_symbols(labels)
     skip = _skip_allowed(syms)
-    emit = _emissions(log_probs, syms)
+    emit = log_probs[:, syms].T
     n_states = len(syms)
 
     score = np.full((n_states, n_frames), NEG_INF)

@@ -32,12 +32,12 @@ from .boundary import (
 from .ctc import (
     LabelSequence,
     LogitMatrix,
+    NonFiniteError,
     NoValidPathError,
     apply_label_prior,
-    ctc_grad,
+    ctc_grad_batch,
     forced_align,
     log_softmax_rows,
-    prior_ctc_grad,
     token_spans,
 )
 from .metrics import (
@@ -363,31 +363,35 @@ def _sgd_epochs(
     stage: str,
     log_records: list[EpochStats],
 ) -> None:
+    """Minibatch SGD. loss_and_grad maps a batch's logits and utterances to
+    one (loss, dlogits) or NoValidPathError per utterance; utterances with
+    no valid path are skipped (warned about once) and the rest of the batch
+    still updates the model."""
     skipped: set[str] = set()
     for epoch in range(config.epochs):
         order = rng.permutation(len(corpus))
         losses = []
         for b, lo in enumerate(range(0, len(order), config.batch_size)):
             batch = [corpus[i] for i in order[lo : lo + config.batch_size]]
+            try:
+                forwards = [
+                    model_forward(clf, model_inputs(utt, config.fuse_features), utt.utt_id)
+                    for utt in batch
+                ]
+                results = loss_and_grad([logits for logits, _ in forwards], batch)
+            except NonFiniteError as err:
+                raise TrainingDivergedError(
+                    f"diverged on {err.utt_id} (epoch {epoch}, batch {b}): {err}"
+                ) from err
             grads = None
             n_used = 0
-            for utt in batch:
-                try:
-                    logits, cache = model_forward(
-                        clf, model_inputs(utt, config.fuse_features), utt.utt_id
-                    )
-                    loss, dlogits = loss_and_grad(logits, utt)
-                except NoValidPathError as err:
+            for utt, (_, cache), result in zip(batch, forwards, results):
+                if isinstance(result, NoValidPathError):
                     if utt.utt_id not in skipped:
-                        log.warning("skipping %s: %s", utt.utt_id, err)
+                        log.warning("skipping %s: %s", utt.utt_id, result)
                         skipped.add(utt.utt_id)
                     continue
-                except ValueError as err:
-                    if "non-finite" in str(err):
-                        raise TrainingDivergedError(
-                            f"diverged on {utt.utt_id} (epoch {epoch}, batch {b}): {err}"
-                        ) from err
-                    raise
+                loss, dlogits = result
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss on {utt.utt_id} (epoch {epoch}, batch {b})"
@@ -462,24 +466,25 @@ def train(
     clf = Classifier.init(input_dim, config.hidden, n_classes, config.seed)
     records: list[EpochStats] = []
 
-    if config.method in ("peaky", "npc", "pfr"):
-        def loss_and_grad(logits: LogitMatrix, utt: SynthUtterance):
-            if config.method == "peaky":
-                return ctc_grad(logits, utt.labels)
-            if config.method == "npc":
-                return prior_ctc_grad(logits, utt.labels, config.gamma_train)
-            ctc_part = prior_ctc_grad(logits, utt.labels, config.gamma_train)
-            pfr_part = pfr_loss_grad(logits, config.pfr)
-            return combined_loss(ctc_part, pfr_part, None, config.pfr)
+    # peaky, npc, pfr and the first cetc stage train on the CTC loss
+    gamma = config.gamma_train if config.method in ("npc", "pfr") else 0.0
 
+    def loss_and_grad(logits: list[LogitMatrix], utts: list[SynthUtterance]):
+        results = ctc_grad_batch(logits, [utt.labels for utt in utts], gamma)
+        if config.method != "pfr":
+            return results
+        return [
+            r if isinstance(r, NoValidPathError)
+            else combined_loss(r, pfr_loss_grad(x, config.pfr), None, config.pfr)
+            for x, r in zip(logits, results)
+        ]
+
+    if config.method != "cetc":
         _sgd_epochs(clf, corpus, loss_and_grad, config, rng, config.method, records)
         return clf, records
 
-    # cetc: stage 1 is plain CTC, stage 2 retrains on guided targets
-    def stage1_loss(logits: LogitMatrix, utt: SynthUtterance):
-        return ctc_grad(logits, utt.labels)
-
-    _sgd_epochs(clf, corpus, stage1_loss, config, rng, "cetc-stage1", records)
+    # cetc: stage 2 retrains a fresh classifier on guided targets
+    _sgd_epochs(clf, corpus, loss_and_grad, config, rng, "cetc-stage1", records)
 
     targets = cetc_targets(clf, corpus, config.cetc, n_classes, config.fuse_features)
     if not targets:
@@ -487,10 +492,12 @@ def train(
 
     clf2 = Classifier.init(input_dim, config.hidden, n_classes, config.seed + 1)
 
-    def stage2_loss(logits: LogitMatrix, utt: SynthUtterance):
-        if utt.utt_id not in targets:
-            raise NoValidPathError(f"{utt.utt_id} has no guided targets")
-        return guided_ce_grad(logits, targets[utt.utt_id])
+    def stage2_loss(logits: list[LogitMatrix], utts: list[SynthUtterance]):
+        return [
+            guided_ce_grad(x, targets[utt.utt_id]) if utt.utt_id in targets
+            else NoValidPathError(f"{utt.utt_id} has no guided targets")
+            for x, utt in zip(logits, utts)
+        ]
 
     _sgd_epochs(clf2, corpus, stage2_loss, config, rng, "cetc-stage2", records)
     return clf2, records

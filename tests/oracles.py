@@ -44,6 +44,46 @@ def brute_force_ctc_loss(log_probs: np.ndarray, labels: tuple[int, ...]) -> floa
     return float(-(np.log(np.exp(scores - hi).sum()) + hi))
 
 
+def cellwise_lattices(
+    log_probs: np.ndarray, labels: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward CTC lattices of one utterance, one cell at a time.
+
+    Both are (2U+1) x T and include the emission at their own frame. Each
+    cell combines its predecessors as logaddexp(stay, step), then the skip
+    term, so its value is reproducible to the last bit.
+    """
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    n_frames = log_probs.shape[0]
+    syms = [0] * (2 * len(labels) + 1)
+    syms[1::2] = list(labels)
+    n_states = len(syms)
+    emit = log_probs[:, syms].T
+    neg_inf = np.float64(-np.inf)
+
+    def skip_ok(src: int, dst: int) -> bool:
+        return dst % 2 == 1 and src >= 0 and syms[dst] != syms[src]
+
+    alpha = np.full((n_states, n_frames), neg_inf)
+    alpha[:2, 0] = emit[:2, 0]
+    for t in range(1, n_frames):
+        for s in range(n_states):
+            acc = np.logaddexp(alpha[s, t - 1], alpha[s - 1, t - 1] if s >= 1 else neg_inf)
+            acc = np.logaddexp(acc, alpha[s - 2, t - 1] if skip_ok(s - 2, s) else neg_inf)
+            alpha[s, t] = acc + emit[s, t]
+
+    beta = np.full((n_states, n_frames), neg_inf)
+    beta[-2:, -1] = emit[-2:, -1]
+    for t in range(n_frames - 2, -1, -1):
+        for s in range(n_states):
+            nxt = beta[:, t + 1]
+            acc = np.logaddexp(nxt[s], nxt[s + 1] if s + 1 < n_states else neg_inf)
+            jump = s + 2 < n_states and skip_ok(s, s + 2)
+            acc = np.logaddexp(acc, nxt[s + 2] if jump else neg_inf)
+            beta[s, t] = acc + emit[s, t]
+    return alpha, beta
+
+
 def enumerate_valid_paths(n_frames: int, n_vocab: int, labels: tuple[int, ...]) -> np.ndarray:
     """All token paths collapsing to labels, one row per path."""
     valid = paths_by_collapse(n_frames, n_vocab).get(tuple(labels))

@@ -117,6 +117,23 @@ class TestAlign:
         assert "u1" in errors and "no valid path" in errors
         assert set(dataio.read_timings_jsonl(tmp_path / "hyp.jsonl")) == {"u2"}
 
+    def test_clean_rerun_removes_stale_sidecar(self, tmp_path):
+        write_fixture(tmp_path)
+        argv = [
+            "align", "--logits", str(tmp_path / "logits.jsonl"),
+            "--labels", str(tmp_path / "partial.jsonl"),
+            "--vocab", str(tmp_path / "vocab.txt"),
+            "--gamma-inf", "0.0", "--out", str(tmp_path / "hyp.jsonl"),
+        ]
+        labels = dataio.read_labels_jsonl(tmp_path / "labels.jsonl")
+        dataio.write_labels_jsonl(tmp_path / "partial.jsonl", [("u2", *labels["u2"])])
+        assert main(argv) == 0
+        assert "u1" in (tmp_path / "hyp.jsonl.errors").read_text()
+        argv[argv.index(str(tmp_path / "partial.jsonl"))] = str(tmp_path / "labels.jsonl")
+        assert main(argv) == 0
+        assert not (tmp_path / "hyp.jsonl.errors").exists()
+        assert set(dataio.read_timings_jsonl(tmp_path / "hyp.jsonl")) == {"u1", "u2"}
+
     def test_vocab_width_mismatch_exit_2(self, tmp_path):
         write_fixture(tmp_path)
         dataio.write_vocab(tmp_path / "vocab.txt", ["t1", "t2", "t3"])
@@ -182,6 +199,19 @@ class TestGridsearchCommand:
                    "--out", str(tmp_path / "curve.csv")])
         assert rc == 0
         assert "best_offset_ms 0" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("hyp_ids", [("u1",), ("u1", "u2", "u3")])
+    def test_id_mismatch_exit_2(self, tmp_path, capsys, hyp_ids):
+        words = [WordTiming("a", 100.0, 300.0)]
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"u1": words, "u2": words})
+        dataio.write_timings_jsonl(tmp_path / "hyp.jsonl", {u: words for u in hyp_ids})
+        rc = main(["gridsearch", "--hyp", str(tmp_path / "hyp.jsonl"),
+                   "--ref", str(tmp_path / "ref.jsonl"),
+                   "--out", str(tmp_path / "curve.csv")])
+        assert rc == 2
+        assert "utterance ids differ" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
 
 
 class TestAnalyzePeaks:

@@ -7,10 +7,13 @@ from ctctiming.ctc import (
     AlignmentPath,
     LabelSequence,
     LogitMatrix,
+    NonFiniteError,
     NoValidPathError,
     apply_label_prior,
     ctc_grad,
+    ctc_grad_batch,
     ctc_loss,
+    ctc_loss_batch,
     forced_align,
     log_softmax_rows,
     logsumexp,
@@ -21,6 +24,7 @@ from ctctiming.ctc import (
 
 from oracles import (
     brute_force_ctc_loss,
+    cellwise_lattices,
     central_difference_grad,
     enumerate_valid_paths,
     grad_relative_error,
@@ -72,6 +76,14 @@ class TestLogSoftmax:
         mat[2, 1] = np.nan
         with pytest.raises(ValueError, match="frame 2"):
             log_softmax_rows(mat)
+
+    def test_nonfinite_error_is_typed(self):
+        mat = np.zeros((3, 2))
+        mat[1, 0] = np.inf
+        with pytest.raises(NonFiniteError, match="frame 1, vocab 0") as info:
+            LogitMatrix("u7", mat, 10.0)
+        assert info.value.utt_id == "u7"
+        assert isinstance(info.value, ValueError)
 
 
 class TestLogsumexp:
@@ -142,6 +154,95 @@ class TestCtcLoss:
             logits, labels = random_instance(rng)
             loss, _ = ctc_loss(log_softmax_rows(logits), labels)
             assert loss >= -1e-12
+
+
+def mixed_batch(rng, n_random=5):
+    """Padded-batch edge cases plus random utterances, as (logits, labels).
+
+    Holds a single-frame utterance, repeats with exactly T = U + repeats
+    frames, and the longest label sequence and the longest T in different
+    utterances; vocabulary sizes differ too.
+    """
+    batch = [
+        (rng.normal(size=(1, 3)), LabelSequence((1,))),
+        (rng.normal(size=(6, 4)), LabelSequence((2, 2, 3, 3))),
+        (rng.normal(size=(9, 6)), LabelSequence((1, 2, 3, 4, 5, 1))),
+        (rng.normal(size=(14, 5)), LabelSequence((4,))),
+    ]
+    batch += [random_instance(rng, t_max=10, v_max=5, u_max=4) for _ in range(n_random)]
+    return [batch[i] for i in rng.permutation(len(batch))]
+
+
+class TestCtcBatch:
+    def test_lattices_loss_match_one_at_a_time(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            batch = mixed_batch(rng)
+            log_probs = [log_softmax_rows(x) for x, _ in batch]
+            results = ctc_loss_batch(log_probs, [labels for _, labels in batch])
+            for lp, (_, labels), (loss, lattice) in zip(log_probs, batch, results):
+                single_loss, single = ctc_loss(lp, labels)
+                assert loss == single_loss
+                assert np.array_equal(lattice.log_alpha, single.log_alpha)
+                assert np.array_equal(lattice.log_beta, single.log_beta)
+                assert lattice.log_alpha.shape == (2 * len(labels) + 1, len(lp))
+
+    def test_lattices_match_cellwise_recursion(self):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            batch = mixed_batch(rng)
+            log_probs = [log_softmax_rows(x) for x, _ in batch]
+            results = ctc_loss_batch(log_probs, [labels for _, labels in batch])
+            for lp, (_, labels), (_, lattice) in zip(log_probs, batch, results):
+                alpha, beta = cellwise_lattices(lp, labels.tokens)
+                assert np.array_equal(lattice.log_alpha, alpha)
+                assert np.array_equal(lattice.log_beta, beta)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_grads_match_one_at_a_time(self, gamma):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            batch = mixed_batch(rng)
+            logits = [LogitMatrix(f"u{i}", x, 10.0) for i, (x, _) in enumerate(batch)]
+            labels = [lab for _, lab in batch]
+            results = ctc_grad_batch(logits, labels, gamma)
+            for lg, lab, (loss, grad) in zip(logits, labels, results):
+                single = prior_ctc_grad(lg, lab, gamma) if gamma else ctc_grad(lg, lab)
+                assert loss == single[0]
+                assert np.array_equal(grad, single[1])
+
+    def test_losses_match_brute_force(self):
+        rng = np.random.default_rng(24)
+        for _ in range(30):
+            batch = [random_instance(rng) for _ in range(int(rng.integers(1, 6)))]
+            log_probs = [log_softmax_rows(x) for x, _ in batch]
+            results = ctc_loss_batch(log_probs, [labels for _, labels in batch])
+            for lp, (_, labels), (loss, _) in zip(log_probs, batch, results):
+                assert abs(loss - brute_force_ctc_loss(lp, labels.tokens)) <= 1e-6
+
+    def test_no_valid_path_isolated(self):
+        rng = np.random.default_rng(25)
+        batch = [(log_softmax_rows(x), labels) for x, labels in mixed_batch(rng)]
+        batch.insert(2, (log_softmax_rows(rng.normal(size=(2, 3))), LabelSequence((1, 1))))
+        # long enough, but all mass on blank: every path has probability zero
+        all_blank = np.full((3, 4), -np.inf)
+        all_blank[:, 0] = 0.0
+        batch.insert(4, (all_blank, LabelSequence((3,))))
+        results = ctc_loss_batch([lp for lp, _ in batch], [labels for _, labels in batch])
+        assert isinstance(results[2], NoValidPathError) and "U + repeats" in str(results[2])
+        assert isinstance(results[4], NoValidPathError) and "zero total" in str(results[4])
+        for i, ((lp, labels), result) in enumerate(zip(batch, results)):
+            if i not in (2, 4):
+                assert result[0] == ctc_loss(lp, labels)[0]
+
+    def test_empty_batch(self):
+        assert ctc_loss_batch([], []) == []
+        assert ctc_grad_batch([], []) == []
+
+    def test_label_out_of_range_raises(self):
+        uniform = np.log(np.full((4, 3), 1 / 3))
+        with pytest.raises(ValueError, match="out of range"):
+            ctc_loss_batch([uniform, uniform], [LabelSequence((1,)), LabelSequence((3,))])
 
 
 class TestCtcGrad:

@@ -8,6 +8,7 @@ from ctctiming.pfr import PfrParams
 from ctctiming.synth import (
     Classifier,
     CorpusSpec,
+    SynthUtterance,
     TrainConfig,
     TrainingDivergedError,
     corpus_blank_occupancy,
@@ -254,6 +255,35 @@ class TestTrain:
         corpus = generate_corpus(small_spec())
         config = TrainConfig(method="peaky", epochs=60, learning_rate=1e160, batch_size=4, seed=1)
         with pytest.raises(TrainingDivergedError, match="batch"):
+            train(config, corpus)
+
+    @pytest.mark.parametrize("method", ["peaky", "npc", "pfr"])
+    def test_unalignable_utterance_skipped_rest_of_batch_updates(self, method, caplog):
+        corpus = generate_corpus(small_spec(n_utts=5))
+        u = max(corpus, key=lambda utt: len(utt.labels))
+        # fewer frames than labels: no valid path
+        n = len(u.labels) - 1
+        bad = SynthUtterance("bad", u.features_lo[:n], u.features_hi[:n],
+                             u.labels, u.word_map, u.ref_timings)
+        config = TrainConfig(method=method, epochs=4, learning_rate=0.05, batch_size=16,
+                             seed=3, pfr=PfrParams(lambda_pfr=1.0) if method == "pfr" else None)
+        with caplog.at_level("WARNING", logger="ctctiming.synth"):
+            clf, records = train(config, corpus[:2] + [bad] + corpus[2:], n_classes=5)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1 and messages[0].startswith("skipping bad: no valid path")
+        # one batch per epoch: the update is the one the other utterances give
+        clean, clean_records = train(config, corpus, n_classes=5)
+        for name, value in clf.params().items():
+            assert np.allclose(value, clean.params()[name], rtol=1e-9, atol=1e-12), name
+        assert not np.allclose(clf.w3, Classifier.init(clf.input_dim, 64, 5, 3).w3)
+        assert [r.mean_loss for r in records] == pytest.approx(
+            [r.mean_loss for r in clean_records], rel=1e-9)
+
+    def test_nonfinite_input_reports_utterance_epoch_batch(self):
+        corpus = generate_corpus(small_spec())
+        corpus[3].features_hi[2, 0] = np.nan
+        config = TrainConfig(method="npc", epochs=2, batch_size=2, seed=1)
+        with pytest.raises(TrainingDivergedError, match=r"synth-0003 \(epoch 0, batch \d\)"):
             train(config, corpus)
 
     def test_empty_corpus_rejected(self):
