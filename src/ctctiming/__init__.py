@@ -45,6 +45,7 @@ from .metrics import (
     blank_occupancy,
     edit_align,
     edit_distance,
+    match_words,
     peak_histogram,
     timing_metrics,
 )

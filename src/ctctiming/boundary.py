@@ -233,7 +233,7 @@ def gridsearch_offset(
     metrics clamp shifted starts at 0, matching how offsets are applied when
     writing timing files.
     """
-    from .metrics import MatchedPair, edit_align, timing_metrics
+    from .metrics import MatchedPair, match_words, timing_metrics
 
     lo, hi = range_ms
     if lo > hi:
@@ -241,21 +241,15 @@ def gridsearch_offset(
     if step_ms <= 0:
         raise ValueError(f"step must be positive, got {step_ms}")
 
-    matched: list[tuple[WordTiming, WordTiming]] = []
-    n_hyp = n_ref = 0
-    for utt in sorted(set(pred) & set(ref)):
-        hyp_words, ref_words = pred[utt], ref[utt]
-        n_hyp += len(hyp_words)
-        n_ref += len(ref_words)
-        for hid, rid in edit_align([w.word for w in hyp_words], [w.word for w in ref_words]):
-            matched.append((hyp_words[hid], ref_words[rid]))
+    common = sorted(set(pred) & set(ref))
+    matched, n_hyp, n_ref = match_words(pred, {utt: ref[utt] for utt in common})
     if not matched:
         raise ValueError("nothing to score: no matched word pairs")
 
-    hyp_start = np.array([h.start_ms for h, _ in matched])
-    hyp_end = np.array([h.end_ms for h, _ in matched])
-    ref_start = np.array([r.start_ms for _, r in matched])
-    ref_end = np.array([r.end_ms for _, r in matched])
+    hyp_start = np.array([p.hyp.start_ms for p in matched])
+    hyp_end = np.array([p.hyp.end_ms for p in matched])
+    ref_start = np.array([p.ref.start_ms for p in matched])
+    ref_end = np.array([p.ref.end_ms for p in matched])
 
     offsets = lo + step_ms * np.arange(int(np.floor((hi - lo) / step_ms + 1e-9)) + 1)
     curve = []
@@ -275,7 +269,7 @@ def gridsearch_offset(
             WordTiming(h.word, max(h.start_ms + best_offset, 0.0), max(h.end_ms + best_offset, 0.0)),
             r,
         )
-        for h, r in matched
+        for h, r in ((p.hyp, p.ref) for p in matched)
     ]
     report = timing_metrics(pairs, [threshold_ms], n_hyp=n_hyp, n_ref=n_ref)
     return best_offset, report, curve

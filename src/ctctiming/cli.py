@@ -26,7 +26,7 @@ from .ctc import (
     token_spans,
 )
 from .dataio import DataFormatError
-from .metrics import MatchedPair, edit_align, peak_histogram, timing_metrics
+from .metrics import edit_align, match_words, peak_histogram, timing_metrics
 from .pfr import PfrParams
 from .synth import (
     CorpusSpec,
@@ -105,36 +105,48 @@ def cmd_align(args) -> int:
     # a sidecar left by an earlier run would describe failures of that run
     sidecar = Path(args.out + ".errors")
     sidecar.unlink(missing_ok=True)
-    with open(args.out, "w", encoding="utf-8") as out:
-        for logits in dataio.iter_logits_jsonl(args.logits, frame_ms=args.frame_ms):
-            if logits.n_vocab != len(vocab):
-                raise DataFormatError(
-                    f"{args.logits}: {logits.utt_id} has width {logits.n_vocab}, "
-                    f"vocab has {len(vocab)} entries"
-                )
-            entry = label_map.get(logits.utt_id)
-            if entry is None:
-                errors.append({"utt": logits.utt_id, "error": "no labels for utterance"})
-                continue
-            labels, word_map = entry
-            try:
-                words = _align_utterance(logits, labels, word_map, args.gamma_inf, args.offset_ms)
-            except NoValidPathError as err:
-                errors.append({"utt": logits.utt_id, "error": str(err)})
-                continue
-            record = {
-                "utt": logits.utt_id,
-                "words": [
-                    {"w": w.word, "start_ms": w.start_ms, "end_ms": w.end_ms} for w in words
-                ],
-            }
-            out.write(json.dumps(record, ensure_ascii=False) + "\n")
-            n_written += 1
-    if errors:
-        with open(sidecar, "w", encoding="utf-8") as handle:
-            for err in errors:
-                handle.write(json.dumps(err) + "\n")
-        print(f"{len(errors)} utterance(s) failed; see {sidecar}", file=sys.stderr)
+    # --out is replaced only by a complete run; an abort leaves it as it was
+    partial = Path(args.out + ".tmp")
+    out = open(partial, "w", encoding="utf-8")
+    try:
+        with out:
+            for logits in dataio.iter_logits_jsonl(args.logits, frame_ms=args.frame_ms):
+                if logits.n_vocab != len(vocab):
+                    raise DataFormatError(
+                        f"{args.logits}: {logits.utt_id} has width {logits.n_vocab}, "
+                        f"vocab has {len(vocab)} entries"
+                    )
+                entry = label_map.get(logits.utt_id)
+                if entry is None:
+                    errors.append({"utt": logits.utt_id, "error": "no labels for utterance"})
+                    continue
+                labels, word_map = entry
+                try:
+                    words = _align_utterance(
+                        logits, labels, word_map, args.gamma_inf, args.offset_ms
+                    )
+                except NoValidPathError as err:
+                    errors.append({"utt": logits.utt_id, "error": str(err)})
+                    continue
+                record = {
+                    "utt": logits.utt_id,
+                    "words": [
+                        {"w": w.word, "start_ms": w.start_ms, "end_ms": w.end_ms} for w in words
+                    ],
+                }
+                out.write(json.dumps(record, ensure_ascii=False) + "\n")
+                n_written += 1
+        partial.replace(args.out)
+    except (ValueError, OSError) as err:
+        errors.append({"utt": None, "error": f"aborted: {err}"})
+        raise
+    finally:
+        partial.unlink(missing_ok=True)
+        if errors:
+            with open(sidecar, "w", encoding="utf-8") as handle:
+                for err in errors:
+                    handle.write(json.dumps(err) + "\n")
+            print(f"{len(errors)} failure(s); see {sidecar}", file=sys.stderr)
     print(f"wrote {n_written} utterances to {args.out}")
     return 0
 
@@ -145,18 +157,6 @@ def _summary_row(report, threshold: float) -> str:
         f"%WS<{threshold:g} {report.pct_ws[threshold]:.2f}  "
         f"%WE<{threshold:g} {report.pct_we[threshold]:.2f}  offset 0"
     )
-
-
-def _matched_pairs(hyp, ref):
-    pairs = []
-    n_hyp = n_ref = 0
-    for utt in sorted(ref):
-        hyp_words, ref_words = hyp[utt], ref[utt]
-        n_hyp += len(hyp_words)
-        n_ref += len(ref_words)
-        for hid, rid in edit_align([w.word for w in hyp_words], [w.word for w in ref_words]):
-            pairs.append(MatchedPair(hyp_words[hid], ref_words[rid]))
-    return pairs, n_hyp, n_ref
 
 
 def _read_hyp_ref(args) -> tuple[dict, dict]:
@@ -176,7 +176,7 @@ def _read_hyp_ref(args) -> tuple[dict, dict]:
 def cmd_metrics(args) -> int:
     hyp, ref = _read_hyp_ref(args)
     thresholds = _parse_thresholds(args.thresholds)
-    pairs, n_hyp, n_ref = _matched_pairs(hyp, ref)
+    pairs, n_hyp, n_ref = match_words(hyp, dict(sorted(ref.items())))
     report = timing_metrics(pairs, thresholds, n_hyp=n_hyp, n_ref=n_ref)
     if args.out:
         dataio.write_metrics_json(args.out, report, timestamp=not args.no_timestamp)

@@ -46,14 +46,26 @@ def _require(record: dict, keys: tuple[str, ...], path, lineno) -> None:
         raise DataFormatError(f"{path}:{lineno}: missing keys {missing}")
 
 
+def _unique_id(seen: dict[str, int], utt: str, path, lineno) -> str:
+    """Note utt's line in seen; a second record with the same id is an error."""
+    first = seen.setdefault(utt, lineno)
+    if first != lineno:
+        raise DataFormatError(
+            f"{path}:{lineno}: duplicate utterance id {utt!r} (first on line {first})"
+        )
+    return utt
+
+
 def iter_logits_jsonl(path: str | Path, frame_ms: float | None = None) -> Iterator[LogitMatrix]:
     """Stream {"utt", "frame_ms", "frames"} records as LogitMatrix values."""
+    lines: dict[str, int] = {}
     for lineno, line in _lines(path):
         record = _parse(path, lineno, line)
         _require(record, ("utt", "frame_ms", "frames"), path, lineno)
+        utt = _unique_id(lines, str(record["utt"]), path, lineno)
         try:
             yield LogitMatrix(
-                str(record["utt"]),
+                utt,
                 np.asarray(record["frames"], dtype=np.float64),
                 float(frame_ms if frame_ms is not None else record["frame_ms"]),
             )
@@ -75,9 +87,11 @@ def write_logits_jsonl(path: str | Path, mats: Iterable[LogitMatrix]) -> None:
 def read_labels_jsonl(path: str | Path) -> dict[str, tuple[LabelSequence, WordMap]]:
     """{"utt", "pieces", "words": [{"w", "first", "last"}]} records."""
     out: dict[str, tuple[LabelSequence, WordMap]] = {}
+    lines: dict[str, int] = {}
     for lineno, line in _lines(path):
         record = _parse(path, lineno, line)
         _require(record, ("utt", "pieces", "words"), path, lineno)
+        utt = _unique_id(lines, str(record["utt"]), path, lineno)
         try:
             labels = LabelSequence(tuple(int(p) for p in record["pieces"]))
             word_map = WordMap(
@@ -89,7 +103,7 @@ def read_labels_jsonl(path: str | Path) -> dict[str, tuple[LabelSequence, WordMa
                 )
         except (ValueError, KeyError, TypeError) as err:
             raise DataFormatError(f"{path}:{lineno}: {err}") from err
-        out[str(record["utt"])] = (labels, word_map)
+        out[utt] = (labels, word_map)
     return out
 
 
@@ -109,11 +123,13 @@ def write_labels_jsonl(
 def read_timings_jsonl(path: str | Path) -> dict[str, list[WordTiming]]:
     """{"utt", "words": [{"w", "start_ms", "end_ms"}]} records."""
     out: dict[str, list[WordTiming]] = {}
+    lines: dict[str, int] = {}
     for lineno, line in _lines(path):
         record = _parse(path, lineno, line)
         _require(record, ("utt", "words"), path, lineno)
+        utt = _unique_id(lines, str(record["utt"]), path, lineno)
         try:
-            out[str(record["utt"])] = [
+            out[utt] = [
                 WordTiming(w["w"], float(w["start_ms"]), float(w["end_ms"]))
                 for w in record["words"]
             ]

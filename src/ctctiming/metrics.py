@@ -72,26 +72,44 @@ class PeakHistogram:
     n_skipped: int
 
 
+def _edit_table(
+    hyp_words: list[str], ref_words: list[str]
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """Unit-cost edit-distance table, (n+1) x (m+1), and the word ids.
+
+    Words equal after NFC normalization share an integer id. Row i is one
+    numpy pass: base[j] takes the diagonal (match or substitution) and the
+    vertical (hyp word unmatched) terms from row i-1, and the horizontal
+    term dist[i, j-1] + 1 chains along the row, so dist[i, j] is j plus the
+    running minimum of base[k] - k over k <= j.
+    """
+    ids: dict[str, int] = {}
+    hyp = [ids.setdefault(_norm(w), len(ids)) for w in hyp_words]
+    ref = [ids.setdefault(_norm(w), len(ids)) for w in ref_words]
+    ref_ids = np.array(ref, dtype=np.int64)
+    cols = np.arange(len(ref) + 1, dtype=np.int64)
+    dist = np.empty((len(hyp) + 1, len(ref) + 1), dtype=np.int64)
+    dist[0] = cols
+    base = np.empty_like(cols)
+    for i, word in enumerate(hyp, start=1):
+        prev = dist[i - 1]
+        base[0] = i
+        np.minimum(prev[:-1] + (ref_ids != word), prev[1:] + 1, out=base[1:])
+        dist[i] = cols + np.minimum.accumulate(base - cols)
+    return dist, hyp, ref
+
+
 def edit_align(hyp_words: list[str], ref_words: list[str]) -> list[tuple[int, int]]:
     """Minimum-edit-distance alignment; returns only the equal-text slots.
 
-    Unit costs. The backtrace prefers match > substitution > deletion >
+    Unit costs; the table is filled one hypothesis word at a time by
+    `_edit_table`. The backtrace prefers match > substitution > deletion >
     insertion, so the result is deterministic. Word texts are compared after
     Unicode NFC normalization, byte-exact, no case folding.
     """
-    hyp = [_norm(w) for w in hyp_words]
-    ref = [_norm(w) for w in ref_words]
-    n, m = len(hyp), len(ref)
-    dist = np.zeros((n + 1, m + 1), dtype=np.int64)
-    dist[:, 0] = np.arange(n + 1)
-    dist[0, :] = np.arange(m + 1)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            sub = dist[i - 1, j - 1] + (0 if hyp[i - 1] == ref[j - 1] else 1)
-            dist[i, j] = min(sub, dist[i, j - 1] + 1, dist[i - 1, j] + 1)
-
+    dist, hyp, ref = _edit_table(hyp_words, ref_words)
     matches = []
-    i, j = n, m
+    i, j = len(hyp), len(ref)
     while i > 0 and j > 0:
         if hyp[i - 1] == ref[j - 1] and dist[i, j] == dist[i - 1, j - 1]:
             matches.append((i - 1, j - 1))
@@ -108,16 +126,28 @@ def edit_align(hyp_words: list[str], ref_words: list[str]) -> list[tuple[int, in
 
 def edit_distance(hyp_words: list[str], ref_words: list[str]) -> int:
     """Levenshtein distance under the same normalization as edit_align."""
-    hyp = [_norm(w) for w in hyp_words]
-    ref = [_norm(w) for w in ref_words]
-    prev = np.arange(len(ref) + 1)
-    for i, w in enumerate(hyp, start=1):
-        cur = np.empty_like(prev)
-        cur[0] = i
-        for j, r in enumerate(ref, start=1):
-            cur[j] = min(prev[j - 1] + (w != r), prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
-    return int(prev[-1])
+    return int(_edit_table(hyp_words, ref_words)[0][-1, -1])
+
+
+def match_words(
+    hyp: dict[str, list[WordTiming]], ref: dict[str, list[WordTiming]]
+) -> tuple[list[MatchedPair], int, int]:
+    """Equal-text word pairs of every reference utterance, in `ref` order.
+
+    Returns (pairs, n_hyp, n_ref). An utterance missing from `hyp` adds its
+    reference words to n_ref and nothing else.
+    """
+    pairs: list[MatchedPair] = []
+    n_hyp = n_ref = 0
+    for utt, ref_words in ref.items():
+        n_ref += len(ref_words)
+        hyp_words = hyp.get(utt)
+        if hyp_words is None:
+            continue
+        n_hyp += len(hyp_words)
+        for hid, rid in edit_align([w.word for w in hyp_words], [w.word for w in ref_words]):
+            pairs.append(MatchedPair(hyp_words[hid], ref_words[rid]))
+    return pairs, n_hyp, n_ref
 
 
 def timing_metrics(

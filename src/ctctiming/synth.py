@@ -41,10 +41,9 @@ from .ctc import (
     token_spans,
 )
 from .metrics import (
-    MatchedPair,
     MetricsReport,
     blank_occupancy,
-    edit_align,
+    match_words,
     peak_histogram,
     timing_metrics,
 )
@@ -543,17 +542,7 @@ def evaluate(
 ) -> MetricsReport:
     """Score forced-alignment timings against the corpus ground truth."""
     pred = predict_timings(clf, corpus, gamma_inf, offset_ms)
-    pairs: list[MatchedPair] = []
-    n_hyp = n_ref = 0
-    for utt in corpus:
-        refs = utt.ref_timings
-        n_ref += len(refs)
-        hyp = pred.get(utt.utt_id)
-        if hyp is None:
-            continue
-        n_hyp += len(hyp)
-        for hid, rid in edit_align([w.word for w in hyp], [w.word for w in refs]):
-            pairs.append(MatchedPair(hyp[hid], refs[rid]))
+    pairs, n_hyp, n_ref = match_words(pred, reference_timings(corpus))
     return timing_metrics(pairs, list(thresholds_ms), n_hyp=n_hyp, n_ref=n_ref)
 
 

@@ -7,6 +7,7 @@ a plain DP for edit distance. None of it shares code with the package.
 from __future__ import annotations
 
 import itertools
+import unicodedata
 from functools import lru_cache
 
 import numpy as np
@@ -146,6 +147,41 @@ def levenshtein_cost(a: list[str], b: list[str]) -> int:
             cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
         prev = cur
     return prev[len(b)]
+
+
+def edit_align_cellwise(hyp_words: list[str], ref_words: list[str]) -> list[tuple[int, int]]:
+    """Minimum-edit-distance alignment filled one cell at a time; returns
+    only the equal-text slots.
+
+    The reference for the package's row-wise table: unit costs, backtrace
+    preferring match > substitution > deletion > insertion, words compared
+    after NFC.
+    """
+    hyp = [unicodedata.normalize("NFC", w) for w in hyp_words]
+    ref = [unicodedata.normalize("NFC", w) for w in ref_words]
+    n, m = len(hyp), len(ref)
+    dist = np.zeros((n + 1, m + 1), dtype=np.int64)
+    dist[:, 0] = np.arange(n + 1)
+    dist[0, :] = np.arange(m + 1)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            sub = dist[i - 1, j - 1] + (0 if hyp[i - 1] == ref[j - 1] else 1)
+            dist[i, j] = min(sub, dist[i, j - 1] + 1, dist[i - 1, j] + 1)
+
+    matches = []
+    i, j = n, m
+    while i > 0 and j > 0:
+        if hyp[i - 1] == ref[j - 1] and dist[i, j] == dist[i - 1, j - 1]:
+            matches.append((i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif dist[i, j] == dist[i - 1, j - 1] + 1:
+            i, j = i - 1, j - 1
+        elif dist[i, j] == dist[i, j - 1] + 1:  # deletion: ref word unmatched
+            j -= 1
+        else:  # insertion: hyp word unmatched
+            i -= 1
+    matches.reverse()
+    return matches
 
 
 def sample_valid_path(

@@ -244,6 +244,13 @@ class TestGridsearchOffset:
             scores = dict(curve)
             assert max(scores.values()) >= scores[0.0]
 
+    def test_scores_only_shared_utterances(self):
+        ref = {"u1": make_timings(list("ab"), [100, 300]),
+               "u2": make_timings(list("cde"), [100, 300, 500])}
+        pred = {"u1": make_timings(list("ab"), [100, 300]), "u3": make_timings(["x"], [10])}
+        _, report, _ = gridsearch_offset(pred, ref, (-10, 10), 10.0, 80.0)
+        assert (report.n_matched, report.n_hyp, report.n_ref) == (2, 2, 2)
+
     def test_nothing_to_score(self):
         with pytest.raises(ValueError, match="nothing to score"):
             gridsearch_offset(

@@ -134,6 +134,31 @@ class TestAlign:
         assert not (tmp_path / "hyp.jsonl.errors").exists()
         assert set(dataio.read_timings_jsonl(tmp_path / "hyp.jsonl")) == {"u1", "u2"}
 
+    def test_abort_keeps_previous_output(self, tmp_path):
+        write_fixture(tmp_path)
+        out = tmp_path / "hyp.jsonl"
+        out.write_text("previous run\n")
+        labels = dataio.read_labels_jsonl(tmp_path / "labels.jsonl")
+        dataio.write_labels_jsonl(tmp_path / "partial.jsonl", [("u2", *labels["u2"])])
+        mats = list(dataio.iter_logits_jsonl(tmp_path / "logits.jsonl"))
+        mats.append(LogitMatrix("u3", np.zeros((4, 4)), FRAME_MS))  # wrong width
+        dataio.write_logits_jsonl(tmp_path / "logits.jsonl", mats)
+        rc = main([
+            "align", "--logits", str(tmp_path / "logits.jsonl"),
+            "--labels", str(tmp_path / "partial.jsonl"),
+            "--vocab", str(tmp_path / "vocab.txt"),
+            "--gamma-inf", "0.0", "--out", str(out),
+        ])
+        assert rc == 2
+        assert out.read_text() == "previous run\n"
+        errors = [json.loads(line) for line in (tmp_path / "hyp.jsonl.errors").open()]
+        assert errors[0] == {"utt": "u1", "error": "no labels for utterance"}
+        assert errors[1]["utt"] is None and "u3 has width 4" in errors[1]["error"]
+        assert len(errors) == 2
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("hyp")) == [
+            "hyp.jsonl", "hyp.jsonl.errors"
+        ]
+
     def test_vocab_width_mismatch_exit_2(self, tmp_path):
         write_fixture(tmp_path)
         dataio.write_vocab(tmp_path / "vocab.txt", ["t1", "t2", "t3"])
@@ -169,6 +194,18 @@ class TestMetricsCommand:
         assert report["ave_st_delta_ms"] == 100.0
         assert report["pct_ws"]["80.0"] == 0.0
         assert report["pct_ws"]["200.0"] == 100.0
+
+    def test_duplicate_hyp_utterance_exit_2(self, tmp_path, capsys):
+        words = [WordTiming("a", 100.0, 200.0)]
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": words})
+        line = (tmp_path / "ref.jsonl").read_text()
+        (tmp_path / "hyp.jsonl").write_text(line + line)
+        rc = main(["metrics", "--hyp", str(tmp_path / "hyp.jsonl"),
+                   "--ref", str(tmp_path / "ref.jsonl"),
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "duplicate utterance id 'a'" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestGridsearchCommand:

@@ -51,6 +51,14 @@ class TestLogitsJsonl:
             list(dataio.iter_logits_jsonl(path))
 
 
+    def test_duplicate_utterance_rejected(self, tmp_path):
+        path = tmp_path / "logits.jsonl"
+        mat = LogitMatrix("a", np.zeros((2, 3)), 10.0)
+        dataio.write_logits_jsonl(path, [mat, LogitMatrix("b", np.zeros((2, 3)), 10.0), mat])
+        with pytest.raises(DataFormatError, match=r"logits.jsonl:3: duplicate .*'a'.* line 1"):
+            list(dataio.iter_logits_jsonl(path))
+
+
 class TestLabelsJsonl:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "labels.jsonl"
@@ -71,6 +79,14 @@ class TestLabelsJsonl:
         with pytest.raises(DataFormatError):
             dataio.read_labels_jsonl(path)
 
+    def test_duplicate_utterance_rejected(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        record = {"utt": "a", "pieces": [1], "words": [{"w": "x", "first": 0, "last": 0}]}
+        other = dict(record, utt="b")
+        path.write_text("\n".join(json.dumps(r) for r in (record, other, record)) + "\n")
+        with pytest.raises(DataFormatError, match=r"labels.jsonl:3: duplicate .*'a'.* line 1"):
+            dataio.read_labels_jsonl(path)
+
 
 class TestTimingsJsonl:
     def test_roundtrip(self, tmp_path):
@@ -84,6 +100,14 @@ class TestTimingsJsonl:
         record = {"utt": "u", "words": [{"w": "a", "start_ms": 50.0, "end_ms": 10.0}]}
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(DataFormatError, match=":1"):
+            dataio.read_timings_jsonl(path)
+
+    def test_duplicate_utterance_rejected(self, tmp_path):
+        path = tmp_path / "timings.jsonl"
+        first = {"utt": "a", "words": [{"w": "x", "start_ms": 0.0, "end_ms": 10.0}]}
+        second = {"utt": "a", "words": [{"w": "y", "start_ms": 0.0, "end_ms": 10.0}]}
+        path.write_text(json.dumps(first) + "\n\n" + json.dumps(second) + "\n")
+        with pytest.raises(DataFormatError, match=r"timings.jsonl:3: duplicate .*'a'.* line 1"):
             dataio.read_timings_jsonl(path)
 
 

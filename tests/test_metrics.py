@@ -1,3 +1,5 @@
+import unicodedata
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,12 @@ from ctctiming.metrics import (
     blank_occupancy,
     edit_align,
     edit_distance,
+    match_words,
     peak_histogram,
     timing_metrics,
 )
 
-from oracles import levenshtein_cost
+from oracles import edit_align_cellwise, levenshtein_cost
 
 
 def timing(word, start, end):
@@ -25,6 +28,49 @@ def pair(word, h_start, h_end, r_start, r_end):
 def random_words(rng, max_len=10, vocab=("the", "cat", "sat", "on", "mat", "dog")):
     n = int(rng.integers(0, max_len + 1))
     return [vocab[i] for i in rng.integers(0, len(vocab), size=n)]
+
+
+# each entry is one word type; words with two spellings are the same text in
+# NFC-composed and decomposed form
+SPELLINGS = [("a",), ("b",), ("c",), ("d",), ("caf\u00e9", "cafe\u0301"),
+             ("\u00c5", "A\u030a"), ("e",)]
+
+
+def respell(rng, types):
+    return [SPELLINGS[t][int(rng.integers(0, len(SPELLINGS[t])))] for t in types]
+
+
+def tie_dense_cases(n_cases=2400, seed=45):
+    """Seeded short word lists over 1-6 types, ties everywhere.
+
+    Lengths run 0-14; every tenth case compares a list with itself in fresh
+    spellings, and empty lists appear on either side.
+    """
+    rng = np.random.default_rng(seed)
+    cases = [([], []), ([], ["a"]), (["a"], []), (["caf\u00e9"], ["cafe\u0301"])]
+    for k in range(n_cases):
+        pool = rng.choice(len(SPELLINGS), size=int(rng.integers(1, 7)), replace=False)
+        hyp_types = rng.choice(pool, size=int(rng.integers(0, 15)))
+        ref_types = hyp_types if k % 10 == 0 else rng.choice(pool, size=int(rng.integers(0, 15)))
+        cases.append((respell(rng, hyp_types), respell(rng, ref_types)))
+    return cases
+
+
+def planted_edit_document(n_words=420, n_types=40, seed=46):
+    """A long reference and a hypothesis with one planted edit in every ten
+    words, cycling substitution, insertion and deletion."""
+    rng = np.random.default_rng(seed)
+    ref = [f"w{t}" for t in rng.integers(0, n_types, size=n_words)]
+    hyp = list(ref)
+    for k, pos in enumerate(range(n_words - 5, 0, -10)):
+        kind = k % 3
+        if kind == 0:
+            hyp[pos] = f"w{int(rng.integers(0, n_types))}"
+        elif kind == 1:
+            hyp.insert(pos, f"w{int(rng.integers(0, n_types))}")
+        else:
+            del hyp[pos]
+    return hyp, ref
 
 
 class TestEditAlign:
@@ -59,16 +105,47 @@ class TestEditAlign:
             # alignment indices strictly increase on both sides
             assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(matches, matches[1:]))
 
+    def test_matches_cellwise_oracle(self):
+        cases = tie_dense_cases()
+        assert len(cases) >= 2000
+        for hyp, ref in cases:
+            assert edit_align(hyp, ref) == edit_align_cellwise(hyp, ref), (hyp, ref)
+
+    def test_planted_edit_document_matches_cellwise_oracle(self):
+        hyp, ref = planted_edit_document()
+        assert len(ref) == 420 and len(hyp) == 420
+        assert edit_align(hyp, ref) == edit_align_cellwise(hyp, ref)
+        assert edit_distance(hyp, ref) == levenshtein_cost(hyp, ref)
+
     def test_cost_matches_oracle(self):
         rng = np.random.default_rng(41)
         for _ in range(1000):
             hyp, ref = random_words(rng), random_words(rng)
             assert edit_distance(hyp, ref) == levenshtein_cost(hyp, ref)
+        for hyp, ref in tie_dense_cases():
+            nfc_hyp, nfc_ref = ([unicodedata.normalize("NFC", w) for w in ws] for ws in (hyp, ref))
+            assert edit_distance(hyp, ref) == levenshtein_cost(nfc_hyp, nfc_ref), (hyp, ref)
 
     def test_nfc_normalization(self):
         composed = "café"
         decomposed = "café"
         assert edit_align([composed], [decomposed]) == [(0, 0)]
+
+
+class TestMatchWords:
+    def test_pairs_and_counts_follow_ref(self):
+        ref = {"u2": [timing("a", 0, 10), timing("b", 10, 20)],
+               "u1": [timing("c", 0, 10)],
+               "u3": [timing("d", 0, 5)]}
+        hyp = {"u1": [timing("c", 1, 11), timing("x", 11, 12)],
+               "u2": [timing("b", 12, 22)],
+               "u4": [timing("e", 0, 1)]}
+        pairs, n_hyp, n_ref = match_words(hyp, ref)
+        assert [(p.hyp, p.ref) for p in pairs] == [
+            (hyp["u2"][0], ref["u2"][1]), (hyp["u1"][0], ref["u1"][0])
+        ]
+        # u3 has no hypothesis: its reference words still count; u4 has no reference
+        assert n_hyp == 3 and n_ref == 4
 
 
 class TestTimingMetrics:
