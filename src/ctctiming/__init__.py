@@ -27,6 +27,7 @@ from .ctc import (
     NonFiniteError,
     NoValidPathError,
     TokenSpan,
+    align_spans,
     apply_label_prior,
     ctc_grad,
     ctc_grad_batch,
@@ -47,6 +48,7 @@ from .metrics import (
     edit_distance,
     match_words,
     peak_histogram,
+    peak_items,
     timing_metrics,
 )
 from .pfr import PfrParams, combined_loss, pfr_loss_grad

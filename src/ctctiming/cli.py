@@ -13,20 +13,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import dataio
-from .boundary import CetcParams, WordTiming, gridsearch_offset, words_from_spans
-from .ctc import (
-    LogitMatrix,
-    NoValidPathError,
-    apply_label_prior,
-    forced_align,
-    log_softmax_rows,
-    token_spans,
-)
+from .boundary import CetcParams, gridsearch_offset, words_from_spans
+from .ctc import LogitMatrix, NoValidPathError, align_spans
 from .dataio import DataFormatError
-from .metrics import edit_align, match_words, peak_histogram, timing_metrics
+from .metrics import match_words, peak_histogram, peak_items, timing_metrics
 from .pfr import PfrParams
 from .synth import (
     CorpusSpec,
@@ -35,8 +26,8 @@ from .synth import (
     TrainingDivergedError,
     evaluate,
     generate_corpus,
+    inputs_for,
     model_forward,
-    model_inputs,
     pfr_corpus_spec,
     predict_timings,
     reference_timings,
@@ -87,14 +78,16 @@ def _parse_int_range(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _align_utterance(logits, labels, word_map, gamma_inf, offset_ms):
-    adjusted = apply_label_prior(logits, gamma_inf)
-    log_probs = log_softmax_rows(adjusted)
-    path = forced_align(log_probs, labels)
-    spans = token_spans(path, np.exp(log_probs))
-    return words_from_spans(
-        spans, word_map, logits.frame_ms, offset_ms, n_frames=logits.n_frames
-    )
+def _write_errors(out: str, errors: list[dict]) -> None:
+    """Replace the <out>.errors sidecar with one {utt, error} record per
+    failure; a run without failures leaves none."""
+    sidecar = Path(out + ".errors")
+    sidecar.unlink(missing_ok=True)
+    if errors:
+        with open(sidecar, "w", encoding="utf-8") as handle:
+            for err in errors:
+                handle.write(json.dumps(err) + "\n")
+        print(f"{len(errors)} failure(s); see {sidecar}", file=sys.stderr)
 
 
 def cmd_align(args) -> int:
@@ -102,9 +95,6 @@ def cmd_align(args) -> int:
     label_map = dataio.read_labels_jsonl(args.labels)
     n_written = 0
     errors = []
-    # a sidecar left by an earlier run would describe failures of that run
-    sidecar = Path(args.out + ".errors")
-    sidecar.unlink(missing_ok=True)
     # --out is replaced only by a complete run; an abort leaves it as it was
     partial = Path(args.out + ".tmp")
     out = open(partial, "w", encoding="utf-8")
@@ -122,12 +112,13 @@ def cmd_align(args) -> int:
                     continue
                 labels, word_map = entry
                 try:
-                    words = _align_utterance(
-                        logits, labels, word_map, args.gamma_inf, args.offset_ms
-                    )
+                    spans = align_spans(logits, labels, args.gamma_inf)
                 except NoValidPathError as err:
                     errors.append({"utt": logits.utt_id, "error": str(err)})
                     continue
+                words = words_from_spans(
+                    spans, word_map, logits.frame_ms, args.offset_ms, n_frames=logits.n_frames
+                )
                 record = {
                     "utt": logits.utt_id,
                     "words": [
@@ -142,11 +133,7 @@ def cmd_align(args) -> int:
         raise
     finally:
         partial.unlink(missing_ok=True)
-        if errors:
-            with open(sidecar, "w", encoding="utf-8") as handle:
-                for err in errors:
-                    handle.write(json.dumps(err) + "\n")
-            print(f"{len(errors)} failure(s); see {sidecar}", file=sys.stderr)
+        _write_errors(args.out, errors)
     print(f"wrote {n_written} utterances to {args.out}")
     return 0
 
@@ -206,27 +193,25 @@ def cmd_analyze_peaks(args) -> int:
         raise UsageError("--bins must be >= 1")
     label_map = dataio.read_labels_jsonl(args.labels)
     ref = dataio.read_timings_jsonl(args.ref)
-    items: list[tuple[float, WordTiming]] = []
+    items = []
+    errors = []
     for logits in dataio.iter_logits_jsonl(args.logits, frame_ms=args.frame_ms):
         entry = label_map.get(logits.utt_id)
         refs = ref.get(logits.utt_id)
         if entry is None or refs is None:
+            missing = "labels" if entry is None else "reference timings"
+            errors.append({"utt": logits.utt_id, "error": f"no {missing} for utterance"})
             continue
         labels, word_map = entry
-        adjusted = apply_label_prior(logits, args.gamma_inf)
-        log_probs = log_softmax_rows(adjusted)
         try:
-            path = forced_align(log_probs, labels)
-        except NoValidPathError:
+            spans = align_spans(logits, labels, args.gamma_inf)
+        except NoValidPathError as err:
+            errors.append({"utt": logits.utt_id, "error": str(err)})
             continue
-        spans = token_spans(path, np.exp(log_probs))
-        texts = word_map.texts()
-        for wid, rid in edit_align(texts, [w.word for w in refs]):
-            _, first, last = word_map.words[wid]
-            for u in range(first, last + 1):
-                items.append((spans[u].peak_frame * logits.frame_ms, refs[rid]))
+        items.extend(peak_items(spans, word_map, refs, logits.frame_ms))
     hist = peak_histogram(items, args.bins, (args.range_lo, args.range_hi))
     dataio.write_histogram_csv(args.out, hist.counts, hist.bin_edges)
+    _write_errors(args.out, errors)
     mean = "nan" if hist.mean_rel_pos is None else f"{hist.mean_rel_pos:.6g}"
     print(f"mean_rel_pos {mean}  scored {hist.n_scored}  skipped {hist.n_skipped}")
     return 0
@@ -251,11 +236,11 @@ def _corpus_spec_from_args(args) -> CorpusSpec:
 
 
 CONFIG_KEYS = {
-    "method": str, "gamma_train": float, "gamma_inf": float,
+    "method": str, "gamma_train": float,
     "fuse_features": lambda v: bool(v) if isinstance(v, bool) else v in ("1", "true", "True"),
     "hidden": int, "epochs": int, "batch_size": int, "learning_rate": float,
     "seed": int, "alpha_left": float, "alpha_right": float, "beta": float,
-    "mu": int, "tau": float, "lambda_pfr": float, "lambda_ce": float,
+    "mu": int, "tau": float, "lambda_pfr": float,
 }
 
 
@@ -295,7 +280,7 @@ def _train_config_from_args(args) -> TrainConfig:
         alpha_right=values.pop("alpha_right", 0.7),
         beta=values.pop("beta", 0.5),
     )
-    pfr_keys = {k: values.pop(k) for k in ("lambda_pfr", "mu", "tau", "lambda_ce") if k in values}
+    pfr_keys = {k: values.pop(k) for k in ("lambda_pfr", "mu", "tau") if k in values}
     pfr = None
     if method == "pfr" or "lambda_pfr" in pfr_keys:
         if "lambda_pfr" not in pfr_keys:
@@ -374,13 +359,7 @@ def cmd_synth_eval(args) -> int:
     if args.report:
         dataio.write_metrics_json(args.report, report, timestamp=not args.no_timestamp)
     if args.dump_logits:
-        mats = []
-        for utt in corpus:
-            logits, _ = model_forward(
-                clf, model_inputs(utt, clf.input_dim == 2 * utt.features_lo.shape[1]),
-                utt.utt_id,
-            )
-            mats.append(logits)
+        mats = [model_forward(clf, inputs_for(clf, utt), utt.utt_id)[0] for utt in corpus]
         dataio.write_logits_jsonl(args.dump_logits, mats)
     if args.dump_hyp:
         dataio.write_timings_jsonl(
@@ -480,7 +459,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--config", default=None, help="JSON or key=value config file")
         sp.add_argument("--method", choices=["peaky", "npc", "cetc", "pfr"], default=None)
         sp.add_argument("--gamma-train", dest="gamma_train", type=float, default=None)
-        sp.add_argument("--gamma-inf", dest="gamma_inf", type=float, default=None)
         sp.add_argument("--fuse-features", dest="fuse_features", action="store_const",
                         const=True, default=None)
         sp.add_argument("--hidden", type=int, default=None)
@@ -494,7 +472,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--mu", type=int, default=None)
         sp.add_argument("--tau", type=float, default=None)
         sp.add_argument("--lambda-pfr", dest="lambda_pfr", type=float, default=None)
-        sp.add_argument("--lambda-ce", dest="lambda_ce", type=float, default=None)
 
     p = ssub.add_parser("gen", help="generate a corpus directory")
     corpus_flags(p)

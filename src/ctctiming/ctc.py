@@ -421,3 +421,15 @@ def token_spans(path: AlignmentPath, posteriors: np.ndarray) -> list[TokenSpan]:
         peak = start + int(np.argmax(posteriors[start : end + 1, token]))
         spans.append(TokenSpan(u, start, end, peak))
     return spans
+
+
+def align_spans(logits: LogitMatrix, labels: LabelSequence, gamma_inf: float) -> list[TokenSpan]:
+    """Token spans of the Viterbi path under label-prior-adjusted posteriors.
+
+    The one alignment chain: apply_label_prior, log_softmax_rows,
+    forced_align, then token_spans with the adjusted posteriors picking the
+    peaks. gamma_inf=0 aligns the plain posteriors. Raises NoValidPathError
+    as forced_align does.
+    """
+    log_probs = log_softmax_rows(apply_label_prior(logits, gamma_inf))
+    return token_spans(forced_align(log_probs, labels), np.exp(log_probs))

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ctc import BLANK_ID
-from .boundary import WordTiming
+from .ctc import BLANK_ID, TokenSpan
+from .boundary import WordMap, WordTiming
 
 
 def _norm(word: str) -> str:
@@ -181,6 +181,24 @@ def timing_metrics(
     report.mean_ref_duration_ms = float(np.mean([p.ref.duration_ms for p in pairs]))
     report.mean_hyp_duration_ms = float(np.mean([p.hyp.duration_ms for p in pairs]))
     return report
+
+
+def peak_items(
+    spans: list[TokenSpan], word_map: WordMap, ref_words: list[WordTiming], frame_ms: float
+) -> list[tuple[float, WordTiming]]:
+    """(peak_ms, reference word) for every piece of every matched word.
+
+    The word map's words are paired with the reference words by edit_align,
+    so a reference transcript that differs from the aligned one scores only
+    its equal-text words; on the aligned transcript itself the pairing is the
+    identity.
+    """
+    items = []
+    for wid, rid in edit_align(word_map.texts(), [w.word for w in ref_words]):
+        _, first, last = word_map.words[wid]
+        for span in spans[first : last + 1]:
+            items.append((span.peak_frame * frame_ms, ref_words[rid]))
+    return items
 
 
 def peak_histogram(

@@ -22,22 +22,18 @@ class PfrParams:
     """Shift/temperature/weights for the peak regularizer.
 
     mu is the teacher frame offset (-1 delays peaks, +1 advances them),
-    tau the softmax temperature, lambda_pfr the regularizer weight and
-    lambda_ce the mixing weight of an optional external CE loss.
+    tau the softmax temperature and lambda_pfr the regularizer weight.
     """
 
     lambda_pfr: float
     mu: int = -1
     tau: float = 10.0
-    lambda_ce: float = 0.95
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.lambda_pfr < 0:
             raise ValueError(f"lambda_pfr must be >= 0, got {self.lambda_pfr}")
-        if not (0.0 <= self.lambda_ce <= 1.0):
-            raise ValueError(f"lambda_ce must lie in [0, 1], got {self.lambda_ce}")
 
 
 def pfr_loss_grad(logits: LogitMatrix, params: PfrParams) -> tuple[float, np.ndarray]:
@@ -71,28 +67,12 @@ def pfr_loss_grad(logits: LogitMatrix, params: PfrParams) -> tuple[float, np.nda
 
 
 def combined_loss(
-    ctc: tuple[float, np.ndarray],
-    pfr: tuple[float, np.ndarray],
-    ce: tuple[float, np.ndarray] | None,
-    params: PfrParams,
+    ctc: tuple[float, np.ndarray], pfr: tuple[float, np.ndarray], params: PfrParams
 ) -> tuple[float, np.ndarray]:
-    """Mix CTC, peak-regularizer and optional CE terms.
-
-    With CE present: lambda_ce*L_ce + (1-lambda_ce)*(L_ctc + lambda_pfr*L_pfr).
-    Without it the CE weight contributes nothing and the loss reduces to
-    L_ctc + lambda_pfr*L_pfr.
-    """
+    """Mix the CTC and peak-regularizer terms: L_ctc + lambda_pfr * L_pfr."""
     ctc_loss, ctc_grad = ctc
     pfr_loss, pfr_grad = pfr
     if ctc_grad.shape != pfr_grad.shape:
         raise ValueError(f"gradient shapes disagree: {ctc_grad.shape} vs {pfr_grad.shape}")
     lam = params.lambda_pfr
-    base_loss = ctc_loss + lam * pfr_loss
-    base_grad = ctc_grad + lam * pfr_grad
-    if ce is None:
-        return base_loss, base_grad
-    ce_loss, ce_grad = ce
-    if ce_grad.shape != ctc_grad.shape:
-        raise ValueError(f"gradient shapes disagree: {ctc_grad.shape} vs {ce_grad.shape}")
-    w = params.lambda_ce
-    return w * ce_loss + (1.0 - w) * base_loss, w * ce_grad + (1.0 - w) * base_grad
+    return ctc_loss + lam * pfr_loss, ctc_grad + lam * pfr_grad

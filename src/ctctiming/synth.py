@@ -34,17 +34,17 @@ from .ctc import (
     LogitMatrix,
     NonFiniteError,
     NoValidPathError,
-    apply_label_prior,
+    TokenSpan,
+    align_spans,
     ctc_grad_batch,
-    forced_align,
     log_softmax_rows,
-    token_spans,
 )
 from .metrics import (
     MetricsReport,
     blank_occupancy,
     match_words,
     peak_histogram,
+    peak_items,
     timing_metrics,
 )
 from .pfr import PfrParams, combined_loss, pfr_loss_grad
@@ -297,7 +297,6 @@ class TrainConfig:
 
     method: str
     gamma_train: float = 0.25
-    gamma_inf: float = 1.0
     cetc: CetcParams = field(default_factory=CetcParams)
     pfr: PfrParams | None = None
     fuse_features: bool = False
@@ -333,7 +332,8 @@ def model_inputs(utt: SynthUtterance, fuse_features: bool) -> np.ndarray:
     return utt.features_hi
 
 
-def _inputs_for(clf: Classifier, utt: SynthUtterance) -> np.ndarray:
+def inputs_for(clf: Classifier, utt: SynthUtterance) -> np.ndarray:
+    """The model_inputs a classifier takes, told apart by its input width."""
     d = utt.features_lo.shape[1]
     if clf.input_dim == d:
         return utt.features_hi
@@ -348,7 +348,7 @@ def corpus_blank_occupancy(clf: Classifier, corpus: list[SynthUtterance]) -> flo
     """Mean fraction of blank-dominant frames under the plain posteriors."""
     values = []
     for utt in corpus:
-        logits, _ = model_forward(clf, _inputs_for(clf, utt), utt.utt_id)
+        logits, _ = model_forward(clf, inputs_for(clf, utt), utt.utt_id)
         values.append(blank_occupancy(np.exp(log_softmax_rows(logits))))
     return float(np.mean(values))
 
@@ -374,8 +374,7 @@ def _sgd_epochs(
             batch = [corpus[i] for i in order[lo : lo + config.batch_size]]
             try:
                 forwards = [
-                    model_forward(clf, model_inputs(utt, config.fuse_features), utt.utt_id)
-                    for utt in batch
+                    model_forward(clf, inputs_for(clf, utt), utt.utt_id) for utt in batch
                 ]
                 results = loss_and_grad([logits for logits, _ in forwards], batch)
             except NonFiniteError as err:
@@ -417,27 +416,45 @@ def _sgd_epochs(
         )
 
 
+def _align_corpus(
+    clf: Classifier, corpus: list[SynthUtterance], gamma_inf: float
+) -> dict[SynthUtterance, list[TokenSpan]]:
+    """Token spans of every utterance with a valid path, in corpus order.
+
+    Utterances with no valid path are skipped with one warning each.
+    """
+    aligned = {}
+    for utt in corpus:
+        logits, _ = model_forward(clf, inputs_for(clf, utt), utt.utt_id)
+        try:
+            aligned[utt] = align_spans(logits, utt.labels, gamma_inf)
+        except NoValidPathError as err:
+            log.warning("skipping %s: %s", utt.utt_id, err)
+    return aligned
+
+
+def _word_timings(aligned: dict, offset_ms: float = 0.0) -> dict[str, list[WordTiming]]:
+    return {
+        utt.utt_id: words_from_spans(spans, utt.word_map, FRAME_MS, offset_ms, utt.n_frames)
+        for utt, spans in aligned.items()
+    }
+
+
+def _peak_items(aligned: dict) -> list[tuple[float, WordTiming]]:
+    return [item for utt, spans in aligned.items()
+            for item in peak_items(spans, utt.word_map, utt.ref_timings, FRAME_MS)]
+
+
 def cetc_targets(
-    clf: Classifier,
-    corpus: list[SynthUtterance],
-    params: CetcParams,
-    n_classes: int,
-    fuse_features: bool = False,
+    clf: Classifier, corpus: list[SynthUtterance], params: CetcParams, n_classes: int
 ) -> dict[str, GuidedTargets]:
-    """Guided targets from a trained classifier's forced-aligned peaks.
+    """Guided targets from the peaks of a trained classifier's plain
+    (prior-free) forced alignment.
 
     Utterances with no valid alignment path are skipped with a warning.
     """
     targets: dict[str, GuidedTargets] = {}
-    for utt in corpus:
-        logits, _ = model_forward(clf, model_inputs(utt, fuse_features), utt.utt_id)
-        log_probs = log_softmax_rows(logits)
-        try:
-            path = forced_align(log_probs, utt.labels)
-        except NoValidPathError as err:
-            log.warning("cetc targets: skipping %s: %s", utt.utt_id, err)
-            continue
-        spans = token_spans(path, np.exp(log_probs))
+    for utt, spans in _align_corpus(clf, corpus, 0.0).items():
         peaks = [s.peak_frame for s in spans]
         bounds = cetc_boundaries(peaks, utt.n_frames, params)
         targets[utt.utt_id] = cetc_guided_targets(
@@ -474,7 +491,7 @@ def train(
             return results
         return [
             r if isinstance(r, NoValidPathError)
-            else combined_loss(r, pfr_loss_grad(x, config.pfr), None, config.pfr)
+            else combined_loss(r, pfr_loss_grad(x, config.pfr), config.pfr)
             for x, r in zip(logits, results)
         ]
 
@@ -485,7 +502,7 @@ def train(
     # cetc: stage 2 retrains a fresh classifier on guided targets
     _sgd_epochs(clf, corpus, loss_and_grad, config, rng, "cetc-stage1", records)
 
-    targets = cetc_targets(clf, corpus, config.cetc, n_classes, config.fuse_features)
+    targets = cetc_targets(clf, corpus, config.cetc, n_classes)
     if not targets:
         raise TrainingDivergedError("cetc: no utterance produced guided targets")
 
@@ -512,21 +529,7 @@ def predict_timings(
 
     Utterances with no valid path are skipped with a warning and omitted.
     """
-    out: dict[str, list[WordTiming]] = {}
-    for utt in corpus:
-        logits, _ = model_forward(clf, _inputs_for(clf, utt), utt.utt_id)
-        adjusted = apply_label_prior(logits, gamma_inf)
-        log_probs = log_softmax_rows(adjusted)
-        try:
-            path = forced_align(log_probs, utt.labels)
-        except NoValidPathError as err:
-            log.warning("skipping %s: %s", utt.utt_id, err)
-            continue
-        spans = token_spans(path, np.exp(log_probs))
-        out[utt.utt_id] = words_from_spans(
-            spans, utt.word_map, FRAME_MS, offset_ms, n_frames=utt.n_frames
-        )
-    return out
+    return _word_timings(_align_corpus(clf, corpus, gamma_inf), offset_ms)
 
 
 def reference_timings(corpus: list[SynthUtterance]) -> dict[str, list[WordTiming]]:
@@ -570,12 +573,16 @@ def _sweep_scores(
     gamma_inf: float,
     thresholds: tuple[float, ...],
 ) -> dict:
-    report = evaluate(clf, heldout, gamma_inf, thresholds_ms=thresholds)
-    pred = predict_timings(clf, corpus, gamma_inf)
+    """One alignment of the corpus gives the held-out report (heldout is a
+    subset of corpus), the offset search and the peak histogram."""
+    aligned = _align_corpus(clf, corpus, gamma_inf)
+    pred = _word_timings(aligned)
+    pairs, n_hyp, n_ref = match_words(pred, reference_timings(heldout))
+    report = timing_metrics(pairs, list(thresholds), n_hyp=n_hyp, n_ref=n_ref)
     offset, _, _ = gridsearch_offset(
         pred, reference_timings(corpus), OFFSET_RANGE, OFFSET_STEP, OFFSET_THRESHOLD
     )
-    hist = peak_histogram(peak_reference_items(clf, corpus, gamma_inf), 10, (-1.0, 2.0))
+    hist = peak_histogram(_peak_items(aligned), 10, (-1.0, 2.0))
     row = {
         "ave_st_ms": report.ave_st_delta_ms,
         "ave_ed_ms": report.ave_ed_delta_ms,
@@ -641,8 +648,7 @@ def sweep_pfr(
     rows = []
     for lam in lambdas:
         config = TrainConfig(
-            method="pfr", gamma_train=gamma_train, gamma_inf=gamma_inf,
-            pfr=PfrParams(lambda_pfr=lam, mu=mu, tau=tau), seed=seed,
+            method="pfr", gamma_train=gamma_train, pfr=PfrParams(lambda_pfr=lam, mu=mu, tau=tau), seed=seed,
             epochs=epochs, learning_rate=learning_rate, batch_size=batch_size,
         )
         clf, records = train(config, train_split, n_classes=spec.vocab_size + 1)
@@ -656,17 +662,4 @@ def peak_reference_items(
     clf: Classifier, corpus: list[SynthUtterance], gamma_inf: float
 ) -> list[tuple[float, WordTiming]]:
     """(peak_ms, reference word) pairs for every piece of every aligned word."""
-    items: list[tuple[float, WordTiming]] = []
-    for utt in corpus:
-        logits, _ = model_forward(clf, _inputs_for(clf, utt), utt.utt_id)
-        adjusted = apply_label_prior(logits, gamma_inf)
-        log_probs = log_softmax_rows(adjusted)
-        try:
-            path = forced_align(log_probs, utt.labels)
-        except NoValidPathError:
-            continue
-        spans = token_spans(path, np.exp(log_probs))
-        for (word, first, last), ref in zip(utt.word_map.words, utt.ref_timings):
-            for u in range(first, last + 1):
-                items.append((spans[u].peak_frame * FRAME_MS, ref))
-    return items
+    return _peak_items(_align_corpus(clf, corpus, gamma_inf))

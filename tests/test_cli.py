@@ -5,10 +5,11 @@ import pytest
 
 from ctctiming import dataio
 from ctctiming.boundary import WordTiming
-from ctctiming.cli import main
+from ctctiming.cli import CONFIG_KEYS, main
 from ctctiming.ctc import LabelSequence, LogitMatrix
 from ctctiming.boundary import WordMap
-from ctctiming.synth import FRAME_MS
+from ctctiming.metrics import peak_histogram
+from ctctiming.synth import FRAME_MS, CorpusSpec, generate_corpus, peak_reference_items
 
 
 def write_fixture(tmp_path):
@@ -265,6 +266,35 @@ class TestAnalyzePeaks:
         lines = (tmp_path / "hist.csv").read_text().splitlines()
         assert lines[0] == "bin_lo,bin_hi,count" and len(lines) == 7
 
+    @pytest.mark.parametrize("drop", ["labels", "ref", "path"])
+    def test_dropped_utterance_goes_to_sidecar(self, tmp_path, capsys, drop):
+        ref = write_fixture(tmp_path)
+        if drop == "labels":
+            labels = dataio.read_labels_jsonl(tmp_path / "labels.jsonl")
+            dataio.write_labels_jsonl(tmp_path / "labels.jsonl", [("u2", *labels["u2"])])
+        elif drop == "ref":
+            dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"u2": ref["u2"]})
+        else:  # fewer frames than labels: no valid path
+            mats = list(dataio.iter_logits_jsonl(tmp_path / "logits.jsonl"))
+            mats[0] = LogitMatrix("u1", mats[0].frames[:1], FRAME_MS)
+            dataio.write_logits_jsonl(tmp_path / "logits.jsonl", mats)
+        argv = ["analyze-peaks", "--logits", str(tmp_path / "logits.jsonl"),
+                "--labels", str(tmp_path / "labels.jsonl"),
+                "--ref", str(tmp_path / "ref.jsonl"),
+                "--gamma-inf", "0.0", "--out", str(tmp_path / "hist.csv")]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert "scored 2  skipped 0" in out
+        sidecar = tmp_path / "hist.csv.errors"
+        assert f"1 failure(s); see {sidecar}" in err
+        records = [json.loads(line) for line in sidecar.read_text().splitlines()]
+        assert [r["utt"] for r in records] == ["u1"]
+        want = {"labels": "no labels", "ref": "no reference", "path": "no valid path"}[drop]
+        assert want in records[0]["error"]
+        write_fixture(tmp_path)  # a clean rerun removes the sidecar
+        assert main(argv) == 0
+        assert not sidecar.exists()
+
     def test_bins_validation_exit_1(self, tmp_path):
         write_fixture(tmp_path)
         rc = main(["analyze-peaks", "--logits", str(tmp_path / "logits.jsonl"),
@@ -344,6 +374,36 @@ class TestSynthCommands:
         composed = json.loads((tmp_path / "composed.json").read_text())
         assert direct == composed
 
+    def test_analyze_peaks_composition_matches_library(self, tmp_path, capsys):
+        """analyze-peaks over dumped logits equals the library peak histogram."""
+        corpus_dir = tmp_path / "corpus"
+        main(["synth", "gen", "--n-utts", "8", "--out-dir", str(corpus_dir)])
+        config = tmp_path / "train.cfg"
+        config.write_text("method=npc\nepochs=30\nseed=7\n")
+        main(["synth", "train", "--corpus-dir", str(corpus_dir),
+              "--config", str(config), "--model-out", str(tmp_path / "m.npz")])
+        main(["synth", "eval", "--corpus-dir", str(corpus_dir),
+              "--model", str(tmp_path / "m.npz"),
+              "--dump-logits", str(tmp_path / "logits.jsonl")])
+        capsys.readouterr()
+
+        rc = main(["analyze-peaks", "--logits", str(tmp_path / "logits.jsonl"),
+                   "--labels", str(corpus_dir / "labels.jsonl"),
+                   "--ref", str(corpus_dir / "ref_timings.jsonl"),
+                   "--gamma-inf", "1.0", "--out", str(tmp_path / "hist.csv")])
+        assert rc == 0
+        clf = dataio.load_classifier(tmp_path / "m.npz")
+        corpus = generate_corpus(CorpusSpec(n_utts=8))
+        hist = peak_histogram(peak_reference_items(clf, corpus, 1.0), 10, (-1.0, 2.0))
+        assert hist.n_scored > 0
+        assert capsys.readouterr().out == (
+            f"mean_rel_pos {hist.mean_rel_pos:.6g}  "
+            f"scored {hist.n_scored}  skipped {hist.n_skipped}\n"
+        )
+        counts = [int(line.split(",")[2])
+                  for line in (tmp_path / "hist.csv").read_text().splitlines()[1:]]
+        assert counts == hist.counts.tolist()
+
     def test_align_metrics_idempotent_bytes(self, tmp_path):
         write_fixture(tmp_path)
         outputs = []
@@ -380,3 +440,60 @@ class TestSynthCommands:
         header = a.decode().splitlines()[0]
         assert header.startswith("gamma_train,gamma_inf")
         assert len(a.decode().splitlines()) == 11
+
+
+# key -> (method the key applies to, a value off the base run's)
+OFF_DEFAULT = {
+    "method": ("peaky", "npc"),
+    "gamma_train": ("npc", 0.75),
+    "fuse_features": ("peaky", True),
+    "hidden": ("peaky", 16),
+    "epochs": ("peaky", 3),
+    "batch_size": ("peaky", 2),
+    "learning_rate": ("peaky", 0.05),
+    "seed": ("peaky", 8),
+    "alpha_left": ("cetc", 0.6),
+    "alpha_right": ("cetc", 0.2),
+    "beta": ("cetc", 0.9),
+    "mu": ("pfr", 1),
+    "tau": ("pfr", 3.0),
+    "lambda_pfr": ("pfr", 2.0),
+}
+
+
+class TestConfigKeys:
+    @pytest.fixture(scope="class")
+    def corpus_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("corpus")
+        assert main(["synth", "gen", "--n-utts", "6", "--out-dir", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def trained_params(corpus_dir, tmp_path, config, tag):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(config))
+        model = tmp_path / f"{tag}.npz"
+        assert main(["synth", "train", "--corpus-dir", str(corpus_dir),
+                     "--config", str(path), "--model-out", str(model)]) == 0
+        return dataio.load_classifier(model).params()
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_every_key_changes_training(self, corpus_dir, tmp_path, key):
+        """No setting is accepted and then ignored."""
+        assert key in OFF_DEFAULT, f"no off-default value for config key {key!r}"
+        method, value = OFF_DEFAULT[key]
+        base = {"method": method, "epochs": 2}
+        if method == "pfr":
+            base["lambda_pfr"] = 1.0
+        a = self.trained_params(corpus_dir, tmp_path, base, "base")
+        b = self.trained_params(corpus_dir, tmp_path, {**base, key: value}, "moved")
+        assert any(a[k].shape != b[k].shape or not np.array_equal(a[k], b[k]) for k in a), key
+
+    @pytest.mark.parametrize("key", ["gamma_inf", "lambda_ce"])
+    def test_removed_keys_rejected(self, corpus_dir, tmp_path, capsys, key):
+        config = tmp_path / "train.cfg"
+        config.write_text(f"method=pfr\nlambda_pfr=1.0\n{key}=0.5\n")
+        rc = main(["synth", "train", "--corpus-dir", str(corpus_dir),
+                   "--config", str(config), "--model-out", str(tmp_path / "m.npz")])
+        assert rc == 2
+        assert "unknown config keys" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from ctctiming.ctc import (
     LogitMatrix,
     NonFiniteError,
     NoValidPathError,
+    align_spans,
     apply_label_prior,
     ctc_grad,
     ctc_grad_batch,
@@ -462,3 +463,39 @@ class TestTokenSpans:
             spans = token_spans(path, np.exp(log_probs))
             for a, b in zip(spans, spans[1:]):
                 assert a.end_frame < b.start_frame
+
+
+def explicit_chain(logits, labels, gamma):
+    """The four calls align_spans stands for, written out."""
+    log_probs = log_softmax_rows(apply_label_prior(logits, gamma))
+    return token_spans(forced_align(log_probs, labels), np.exp(log_probs))
+
+
+class TestAlignSpans:
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_equals_explicit_chain(self, gamma):
+        rng = np.random.default_rng(19)
+        for i in range(200):
+            frames, labels = random_instance(rng, t_max=9, v_max=4, u_max=4)
+            logits = LogitMatrix(f"u{i}", frames, 10.0)
+            assert align_spans(logits, labels, gamma) == explicit_chain(logits, labels, gamma)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_repeats_at_minimum_length(self, gamma):
+        # T = U + repeats: every label frame and every mandatory blank is forced
+        rng = np.random.default_rng(20)
+        for tokens in [(1, 1), (2, 2, 2), (1, 2, 2, 1, 1), (3, 1, 1)]:
+            labels = LabelSequence(tokens)
+            n_frames = len(labels) + labels.n_repeats
+            logits = LogitMatrix("u", rng.normal(size=(n_frames, 4)), 10.0)
+            spans = align_spans(logits, labels, gamma)
+            assert spans == explicit_chain(logits, labels, gamma)
+            assert all(s.start_frame == s.end_frame == s.peak_frame for s in spans)
+            assert all(a.end_frame < b.start_frame for a, b in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_too_short_raises(self, gamma):
+        labels = LabelSequence((1, 2, 2))
+        logits = LogitMatrix("u", np.zeros((len(labels) + labels.n_repeats - 1, 3)), 10.0)
+        with pytest.raises(NoValidPathError):
+            align_spans(logits, labels, gamma)

@@ -9,8 +9,8 @@ from ctctiming.pfr import PfrParams, combined_loss, pfr_loss_grad
 from oracles import central_difference_grad, frozen_teacher_kd_loss, grad_relative_error
 
 
-def params(lam=1.0, mu=-1, tau=1.0, lam_ce=0.95):
-    return PfrParams(lambda_pfr=lam, mu=mu, tau=tau, lambda_ce=lam_ce)
+def params(lam=1.0, mu=-1, tau=1.0):
+    return PfrParams(lambda_pfr=lam, mu=mu, tau=tau)
 
 
 class TestPfrLoss:
@@ -68,12 +68,10 @@ class TestPfrLoss:
             PfrParams(lambda_pfr=1.0, tau=0.0)
         with pytest.raises(ValueError):
             PfrParams(lambda_pfr=-0.1)
-        with pytest.raises(ValueError):
-            PfrParams(lambda_pfr=1.0, lambda_ce=1.5)
 
     def test_defaults(self):
         p = PfrParams(lambda_pfr=1.5)
-        assert (p.mu, p.tau, p.lambda_ce) == (-1, 10.0, 0.95)
+        assert (p.mu, p.tau) == (-1, 10.0)
 
 
 class TestPfrGradient:
@@ -107,33 +105,25 @@ class TestCombinedLoss:
     def test_pfr_weight_zero_reduces_to_ctc(self):
         ctc = (2.5, np.ones((3, 2)))
         pfr = (9.0, np.full((3, 2), 4.0))
-        loss, grad = combined_loss(ctc, pfr, None, params(lam=0.0))
+        loss, grad = combined_loss(ctc, pfr, params(lam=0.0))
         assert loss == 2.5 and np.array_equal(grad, ctc[1])
 
     def test_ce_absent_weighting(self):
         ctc = (2.0, np.ones((2, 2)))
         pfr = (3.0, np.full((2, 2), 2.0))
-        loss, grad = combined_loss(ctc, pfr, None, params(lam=1.5))
+        loss, grad = combined_loss(ctc, pfr, params(lam=1.5))
         assert loss == pytest.approx(2.0 + 1.5 * 3.0)
         assert np.allclose(grad, 1.0 + 1.5 * 2.0)
-
-    def test_ce_present_weighting(self):
-        ctc = (2.0, np.ones((2, 2)))
-        pfr = (3.0, np.full((2, 2), 2.0))
-        ce = (10.0, np.full((2, 2), -1.0))
-        loss, grad = combined_loss(ctc, pfr, ce, params(lam=1.5, lam_ce=0.95))
-        assert loss == pytest.approx(0.95 * 10.0 + 0.05 * (2.0 + 4.5))
-        assert np.allclose(grad, 0.95 * -1.0 + 0.05 * (1.0 + 3.0))
 
     def test_linearity_in_lambda(self):
         rng = np.random.default_rng(36)
         ctc = (1.3, rng.normal(size=(3, 3)))
         pfr = (0.7, rng.normal(size=(3, 3)))
-        l1, g1 = combined_loss(ctc, pfr, None, params(lam=1.0))
-        l2, g2 = combined_loss(ctc, pfr, None, params(lam=2.0))
+        l1, g1 = combined_loss(ctc, pfr, params(lam=1.0))
+        l2, g2 = combined_loss(ctc, pfr, params(lam=2.0))
         assert l2 - ctc[0] == pytest.approx(2.0 * (l1 - ctc[0]))
         assert np.allclose(g2 - ctc[1], 2.0 * (g1 - ctc[1]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            combined_loss((1.0, np.zeros((2, 2))), (1.0, np.zeros((3, 2))), None, params())
+            combined_loss((1.0, np.zeros((2, 2))), (1.0, np.zeros((3, 2))), params())

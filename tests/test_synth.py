@@ -243,7 +243,7 @@ class TestTrain:
 
     def test_gamma_defaults(self):
         config = TrainConfig(method="npc")
-        assert (config.gamma_train, config.gamma_inf) == (0.25, 1.0)
+        assert config.gamma_train == 0.25
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -386,3 +386,34 @@ class TestCetcTargets:
             utt = by_id[utt_id]
             for token in set(utt.labels.tokens):
                 assert gt.targets[:, token].max() == pytest.approx(1.0)
+
+    def test_fused_training_targets_come_from_fused_inputs(self, monkeypatch):
+        from ctctiming import synth
+        from ctctiming.boundary import cetc_boundaries, cetc_guided_targets
+        from ctctiming.ctc import align_spans
+
+        corpus = generate_corpus(small_spec(n_utts=6))
+        seen = []
+        real = synth.cetc_targets
+
+        def spy(clf, utts, params, n_classes):
+            targets = real(clf, utts, params, n_classes)
+            seen.append((clf, targets))
+            return targets
+
+        monkeypatch.setattr(synth, "cetc_targets", spy)
+        config = TrainConfig(method="cetc", fuse_features=True, epochs=3, batch_size=8, seed=2)
+        clf, records = train(config, corpus, n_classes=5)
+        fused_dim = 2 * corpus[0].features_lo.shape[1]
+        assert clf.input_dim == fused_dim
+        assert {r.stage for r in records} == {"cetc-stage1", "cetc-stage2"}
+        [(stage1, targets)] = seen
+        assert stage1.input_dim == fused_dim and set(targets) == {u.utt_id for u in corpus}
+        for utt in corpus:
+            logits, _ = model_forward(stage1, model_inputs(utt, fuse_features=True), utt.utt_id)
+            peaks = [s.peak_frame for s in align_spans(logits, utt.labels, 0.0)]
+            bounds = cetc_boundaries(peaks, utt.n_frames, config.cetc)
+            want = cetc_guided_targets(
+                utt.labels, peaks, bounds, config.cetc.beta, utt.n_frames, 5
+            )
+            assert np.array_equal(targets[utt.utt_id].targets, want.targets)
