@@ -36,7 +36,6 @@ from .ctc import (
     forced_align,
     log_softmax_rows,
     prior_ctc_grad,
-    softmax_rows,
     token_spans,
 )
 from .metrics import (

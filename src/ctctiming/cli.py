@@ -20,10 +20,12 @@ from .dataio import DataFormatError
 from .metrics import match_words, peak_histogram, peak_items, timing_metrics
 from .pfr import PfrParams
 from .synth import (
+    FRAME_MS,
     CorpusSpec,
     SynthUtterance,
     TrainConfig,
     TrainingDivergedError,
+    corpus_blank_occupancy,
     evaluate,
     generate_corpus,
     inputs_for,
@@ -34,6 +36,7 @@ from .synth import (
     split_corpus,
     sweep_gamma,
     sweep_pfr,
+    token_text,
     train,
 )
 
@@ -243,6 +246,13 @@ CONFIG_KEYS = {
     "mu": int, "tau": float, "lambda_pfr": float,
 }
 
+# settings that only some methods read; the rest apply to every method
+METHOD_KEYS = {
+    "gamma_train": ("npc", "pfr"),
+    "alpha_left": ("cetc",), "alpha_right": ("cetc",), "beta": ("cetc",),
+    "lambda_pfr": ("pfr",), "mu": ("pfr",), "tau": ("pfr",),
+}
+
 
 def _read_config_file(path: str) -> dict:
     text = Path(path).read_text(encoding="utf-8").strip()
@@ -275,14 +285,16 @@ def _train_config_from_args(args) -> TrainConfig:
     method = values.pop("method", None)
     if method is None:
         raise UsageError("--method is required (peaky|npc|cetc|pfr)")
-    cetc = CetcParams(
-        alpha_left=values.pop("alpha_left", 0.2),
-        alpha_right=values.pop("alpha_right", 0.7),
-        beta=values.pop("beta", 0.5),
-    )
+    for key, methods in METHOD_KEYS.items():
+        if key in values and method not in methods:
+            raise UsageError(
+                f"{key} does not apply to method {method!r} (only to {', '.join(methods)})"
+            )
+    cetc = CetcParams(**{k: values.pop(k) for k in ("alpha_left", "alpha_right", "beta")
+                         if k in values})
     pfr_keys = {k: values.pop(k) for k in ("lambda_pfr", "mu", "tau") if k in values}
     pfr = None
-    if method == "pfr" or "lambda_pfr" in pfr_keys:
+    if method == "pfr":
         if "lambda_pfr" not in pfr_keys:
             raise UsageError("method 'pfr' requires --lambda-pfr")
         pfr = PfrParams(**pfr_keys)
@@ -293,18 +305,16 @@ def _write_corpus(corpus: list[SynthUtterance], out_dir: Path, vocab_size: int) 
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_logits_jsonl(
         out_dir / "features_lo.jsonl",
-        (LogitMatrix(u.utt_id, u.features_lo, 10.0) for u in corpus),
+        (LogitMatrix(u.utt_id, u.features_lo, FRAME_MS) for u in corpus),
     )
     dataio.write_logits_jsonl(
         out_dir / "features_hi.jsonl",
-        (LogitMatrix(u.utt_id, u.features_hi, 10.0) for u in corpus),
+        (LogitMatrix(u.utt_id, u.features_hi, FRAME_MS) for u in corpus),
     )
     dataio.write_labels_jsonl(
         out_dir / "labels.jsonl", ((u.utt_id, u.labels, u.word_map) for u in corpus)
     )
     dataio.write_timings_jsonl(out_dir / "ref_timings.jsonl", reference_timings(corpus))
-    from .synth import token_text
-
     dataio.write_vocab(out_dir / "vocab.txt", (token_text(i) for i in range(1, vocab_size + 1)))
 
 
@@ -341,10 +351,9 @@ def cmd_synth_train(args) -> int:
         corpus, _ = split_corpus(corpus, args.holdout_every)
     clf, records = train(config, corpus)
     dataio.save_classifier(args.model_out, clf)
-    last = records[-1]
     print(
-        f"trained {config.method}: final loss {last.mean_loss:.4f}, "
-        f"blank occupancy {last.blank_occupancy:.3f}; model at {args.model_out}"
+        f"trained {config.method}: final loss {records[-1].mean_loss:.4f}, "
+        f"blank occupancy {corpus_blank_occupancy(clf, corpus):.3f}; model at {args.model_out}"
     )
     return 0
 

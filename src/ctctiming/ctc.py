@@ -106,19 +106,6 @@ class AlignmentPath:
     states: np.ndarray
     labels: LabelSequence
 
-    def emitted(self) -> np.ndarray:
-        """Per-frame emitted token ids (blank included)."""
-        syms = _state_symbols(self.labels)
-        return syms[self.states]
-
-    def collapse(self) -> tuple[int, ...]:
-        """Apply the CTC collapse: drop consecutive repeats, then blanks."""
-        emitted = self.emitted()
-        keep = np.ones(len(emitted), dtype=bool)
-        keep[1:] = emitted[1:] != emitted[:-1]
-        deduped = emitted[keep]
-        return tuple(int(t) for t in deduped[deduped != BLANK_ID])
-
 
 @dataclass(frozen=True)
 class TokenSpan:
@@ -144,29 +131,12 @@ def _check_finite(frames: np.ndarray, utt_id: str = "<input>") -> None:
         raise NonFiniteError(utt_id, int(t), int(v))
 
 
-def logsumexp(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """Numerically stable log(sum(exp(values))); all-(-inf) reduces to -inf."""
-    values = np.asarray(values, dtype=np.float64)
-    hi = np.max(values, axis=axis, keepdims=True)
-    hi = np.where(np.isfinite(hi), hi, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(values - hi), axis=axis)) + np.squeeze(hi, axis=axis)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def log_softmax_rows(logits: LogitMatrix | np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of a T x V score matrix."""
     frames = logits.frames if isinstance(logits, LogitMatrix) else np.asarray(logits, dtype=np.float64)
     _check_finite(frames, logits.utt_id if isinstance(logits, LogitMatrix) else "<input>")
     shifted = frames - frames.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def softmax_rows(logits: LogitMatrix | np.ndarray) -> np.ndarray:
-    """Row-wise softmax; rows sum to 1."""
-    return np.exp(log_softmax_rows(logits))
 
 
 def _state_symbols(labels: LabelSequence) -> np.ndarray:
@@ -397,12 +367,6 @@ def forced_align(log_probs: np.ndarray, labels: LabelSequence) -> AlignmentPath:
         state = back[state, t]
         states[t - 1] = state
     return AlignmentPath(states, labels)
-
-
-def path_score(log_probs: np.ndarray, path: AlignmentPath) -> float:
-    """Sum of per-frame emission log-probs along a path."""
-    emitted = path.emitted()
-    return float(np.asarray(log_probs)[np.arange(len(emitted)), emitted].sum())
 
 
 def token_spans(path: AlignmentPath, posteriors: np.ndarray) -> list[TokenSpan]:

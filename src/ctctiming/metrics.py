@@ -17,16 +17,14 @@ def _norm(word: str) -> str:
 
 @dataclass(frozen=True)
 class MatchedPair:
-    """Hypothesis/reference word pair from an equal-text alignment slot."""
+    """Hypothesis/reference word pair from an equal-text alignment slot.
+
+    The two words are equal after NFC by construction: match_words builds
+    pairs only from edit_align's equal-text slots.
+    """
 
     hyp: WordTiming
     ref: WordTiming
-
-    def __post_init__(self):
-        if _norm(self.hyp.word) != _norm(self.ref.word):
-            raise ValueError(
-                f"matched pair must share text, got {self.hyp.word!r} vs {self.ref.word!r}"
-            )
 
 
 @dataclass

@@ -322,7 +322,6 @@ class EpochStats:
     stage: str
     epoch: int
     mean_loss: float
-    blank_occupancy: float
 
 
 def model_inputs(utt: SynthUtterance, fuse_features: bool) -> np.ndarray:
@@ -411,8 +410,7 @@ def _sgd_epochs(
                         f"non-finite parameters after epoch {epoch}, batch {b}"
                     )
         log_records.append(
-            EpochStats(stage, epoch, float(np.mean(losses)) if losses else float("nan"),
-                       corpus_blank_occupancy(clf, corpus))
+            EpochStats(stage, epoch, float(np.mean(losses)) if losses else float("nan"))
         )
 
 
@@ -618,10 +616,10 @@ def sweep_gamma(
             learning_rate=learning_rate, batch_size=batch_size,
             fuse_features=fuse_features,
         )
-        clf, records = train(config, train_split, n_classes=spec.vocab_size + 1)
+        clf, _ = train(config, train_split, n_classes=spec.vocab_size + 1)
+        occupancy = corpus_blank_occupancy(clf, train_split)
         for g_inf in gammas_inf:
-            row = {"gamma_train": g_train, "gamma_inf": g_inf,
-                   "blank_occupancy": records[-1].blank_occupancy}
+            row = {"gamma_train": g_train, "gamma_inf": g_inf, "blank_occupancy": occupancy}
             row.update(_sweep_scores(clf, corpus, heldout, g_inf, thresholds))
             rows.append(row)
     return rows
@@ -651,8 +649,8 @@ def sweep_pfr(
             method="pfr", gamma_train=gamma_train, pfr=PfrParams(lambda_pfr=lam, mu=mu, tau=tau), seed=seed,
             epochs=epochs, learning_rate=learning_rate, batch_size=batch_size,
         )
-        clf, records = train(config, train_split, n_classes=spec.vocab_size + 1)
-        row = {"lambda_pfr": lam, "blank_occupancy": records[-1].blank_occupancy}
+        clf, _ = train(config, train_split, n_classes=spec.vocab_size + 1)
+        row = {"lambda_pfr": lam, "blank_occupancy": corpus_blank_occupancy(clf, train_split)}
         row.update(_sweep_scores(clf, corpus, heldout, gamma_inf, thresholds))
         rows.append(row)
     return rows

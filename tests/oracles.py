@@ -24,6 +24,28 @@ def collapse(path: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(t for t in out if t != 0)
 
 
+def emitted(path) -> tuple[int, ...]:
+    """Per-frame token ids of an alignment path (blank included): even
+    states emit blank, odd state 2u+1 emits path.labels.tokens[u]."""
+    tokens = path.labels.tokens
+    return tuple(0 if s % 2 == 0 else tokens[(s - 1) // 2] for s in path.states)
+
+
+def path_score(log_probs: np.ndarray, path) -> float:
+    """Sum of per-frame emission log-probs along an alignment path."""
+    tokens = emitted(path)
+    return float(np.asarray(log_probs)[np.arange(len(tokens)), tokens].sum())
+
+
+def logsumexp(values: np.ndarray) -> float:
+    """log(sum(exp(values))) shifted by the maximum; all -inf gives -inf."""
+    values = np.asarray(values, dtype=np.float64)
+    hi = values.max()
+    if not np.isfinite(hi):
+        return float(hi)
+    return float(np.log(np.exp(values - hi).sum()) + hi)
+
+
 @lru_cache(maxsize=None)
 def paths_by_collapse(n_frames: int, n_vocab: int) -> dict[tuple[int, ...], np.ndarray]:
     """Group every length-T sequence over [0, V) by its collapsed form."""
@@ -115,7 +137,8 @@ def grad_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(diff / scale)
 
 
-def _log_softmax(rows: np.ndarray) -> np.ndarray:
+def log_softmax(rows: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a T x V score matrix."""
     shifted = rows - rows.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
@@ -125,8 +148,8 @@ def frozen_teacher_kd_loss(
 ) -> float:
     """Summed KL(teacher(t+mu) || student(t)) with the teacher read from
     fixed logits; reference for stop-gradient checks."""
-    log_p = _log_softmax(np.asarray(frames) / tau)
-    log_q = _log_softmax(np.asarray(teacher_frames) / tau)
+    log_p = log_softmax(np.asarray(frames) / tau)
+    log_q = log_softmax(np.asarray(teacher_frames) / tau)
     q = np.exp(log_q)
     total = 0.0
     n_frames = frames.shape[0]

@@ -17,7 +17,6 @@ from ctctiming.ctc import (
     ctc_loss,
     forced_align,
     log_softmax_rows,
-    path_score,
     prior_ctc_grad,
 )
 from ctctiming.boundary import GuidedTargets, guided_ce_grad
@@ -43,9 +42,12 @@ from ctctiming.dataio import sweep_rows_to_csv
 from oracles import (
     brute_force_ctc_loss,
     central_difference_grad,
+    collapse,
+    emitted,
     frozen_teacher_kd_loss,
     grad_relative_error,
     levenshtein_cost,
+    path_score,
     sample_valid_path,
 )
 from test_ctc import random_instance
@@ -194,7 +196,7 @@ def test_criterion_3_forced_alignment_validity():
         logits, labels = random_instance(rng)
         log_probs = log_softmax_rows(logits)
         path = forced_align(log_probs, labels)
-        n_collapse_ok += path.collapse() == labels.tokens
+        n_collapse_ok += collapse(emitted(path)) == labels.tokens
         best = path_score(log_probs, path)
         ok = True
         for _ in range(100):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ from ctctiming.cli import CONFIG_KEYS, main
 from ctctiming.ctc import LabelSequence, LogitMatrix
 from ctctiming.boundary import WordMap
 from ctctiming.metrics import peak_histogram
-from ctctiming.synth import FRAME_MS, CorpusSpec, generate_corpus, peak_reference_items
+from ctctiming.synth import (
+    FRAME_MS,
+    CorpusSpec,
+    corpus_blank_occupancy,
+    generate_corpus,
+    peak_reference_items,
+    split_corpus,
+)
 
 
 def write_fixture(tmp_path):
@@ -339,6 +347,22 @@ class TestSynthCommands:
                    "--model-out", str(tmp_path / "m.npz")])
         assert rc == 0
 
+    def test_train_line_reports_final_model_occupancy(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        main(["synth", "gen", "--n-utts", "6", "--out-dir", str(corpus_dir)])
+        capsys.readouterr()
+        model = tmp_path / "m.npz"
+        rc = main(["synth", "train", "--corpus-dir", str(corpus_dir), "--method", "npc",
+                   "--epochs", "2", "--holdout-every", "3", "--model-out", str(model)])
+        assert rc == 0
+        train_split, _ = split_corpus(generate_corpus(CorpusSpec(n_utts=6)), 3)
+        occupancy = corpus_blank_occupancy(dataio.load_classifier(model), train_split)
+        assert re.fullmatch(
+            rf"trained npc: final loss \d+\.\d{{4}}, blank occupancy {re.escape(f'{occupancy:.3f}')}; "
+            rf"model at {re.escape(str(model))}\n",
+            capsys.readouterr().out,
+        )
+
     def test_missing_method_exit_1(self, tmp_path):
         corpus_dir = tmp_path / "corpus"
         main(["synth", "gen", "--n-utts", "6", "--out-dir", str(corpus_dir)])
@@ -461,6 +485,19 @@ OFF_DEFAULT = {
 }
 
 
+# key -> a method that does not read it, and a value to pass
+INAPPLICABLE = [
+    ("gamma_train", "peaky", 0.9),
+    ("gamma_train", "cetc", 0.9),
+    ("alpha_left", "npc", 0.9),
+    ("alpha_right", "peaky", 0.2),
+    ("beta", "pfr", 0.9),
+    ("lambda_pfr", "npc", 2.0),
+    ("mu", "npc", 1),
+    ("tau", "cetc", 3.0),
+]
+
+
 class TestConfigKeys:
     @pytest.fixture(scope="class")
     def corpus_dir(self, tmp_path_factory):
@@ -497,3 +534,26 @@ class TestConfigKeys:
                    "--config", str(config), "--model-out", str(tmp_path / "m.npz")])
         assert rc == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, method, value", INAPPLICABLE)
+    def test_inapplicable_key_rejected(self, corpus_dir, tmp_path, capsys,
+                                       key, method, value, source):
+        """A setting the chosen method does not read is a usage error."""
+        settings = {"method": method, "epochs": 2}
+        if method == "pfr":
+            settings["lambda_pfr"] = 1.0
+        flags = []
+        if source == "config":
+            settings[key] = value
+        else:
+            flags = [f"--{key.replace('_', '-')}", str(value)]
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps(settings))
+        model = tmp_path / "m.npz"
+        rc = main(["synth", "train", "--corpus-dir", str(corpus_dir), "--config", str(config),
+                   "--model-out", str(model), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert key in err and repr(method) in err
+        assert not model.exists()

@@ -204,10 +204,6 @@ class TestTimingMetrics:
         assert report.mean_hyp_duration_ms == pytest.approx(125.0)
         assert report.mean_ref_duration_ms == pytest.approx(100.0)
 
-    def test_mismatched_text_rejected(self):
-        with pytest.raises(ValueError):
-            MatchedPair(timing("a", 0, 1), timing("b", 0, 1))
-
 
 class TestPeakHistogram:
     def test_peak_at_word_start(self):

@@ -237,6 +237,22 @@ class TestTrain:
         assert np.array_equal(clf_a.w3, clf_b.w3)
         assert [r.mean_loss for r in rec_a] == [r.mean_loss for r in rec_b]
 
+    def test_forward_once_per_utterance_per_epoch(self, monkeypatch):
+        """Training runs the model forward only for its own updates."""
+        from ctctiming import synth
+
+        calls = []
+        real = synth.model_forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "model_forward", counting)
+        corpus = generate_corpus(small_spec())
+        train(TrainConfig(method="npc", epochs=3, batch_size=4, seed=1), corpus)
+        assert len(calls) == 3 * len(corpus)
+
     def test_pfr_requires_params(self):
         with pytest.raises(ValueError):
             TrainConfig(method="pfr")
@@ -366,6 +382,36 @@ class TestEvaluate:
         assert shifted.pct_ws == base.pct_ws
         assert shifted.pct_we == base.pct_we
         assert shifted.ave_st_delta_ms == pytest.approx(base.ave_st_delta_ms)
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("kind", ["gamma", "pfr"])
+    def test_occupancy_is_the_returned_model_on_its_training_split(self, monkeypatch, kind):
+        from ctctiming import synth
+
+        trained = []
+        real = synth.train
+
+        def observe(config, corpus, n_classes=None):
+            clf, records = real(config, corpus, n_classes)
+            trained.append((clf, corpus))
+            return clf, records
+
+        monkeypatch.setattr(synth, "train", observe)
+        spec = small_spec(n_utts=10)
+        if kind == "gamma":
+            rows = synth.sweep_gamma(spec, gammas_train=(0.0, 0.5), epochs=3, batch_size=8)
+            per_training = 2  # one row per gamma_inf
+        else:
+            rows = synth.sweep_pfr(spec, lambdas=(0.0, 1.0), epochs=3, batch_size=8)
+            per_training = 1
+        train_split, _ = split_corpus(generate_corpus(spec))
+        assert len(trained) == 2 and len(rows) == 2 * per_training
+        for i, (clf, corpus) in enumerate(trained):
+            assert [u.utt_id for u in corpus] == [u.utt_id for u in train_split]
+            want = corpus_blank_occupancy(clf, train_split)
+            for row in rows[i * per_training : (i + 1) * per_training]:
+                assert row["blank_occupancy"] == want
 
 
 class TestCetcTargets:
