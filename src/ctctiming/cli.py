@@ -26,7 +26,6 @@ from .synth import (
     TrainConfig,
     TrainingDivergedError,
     corpus_blank_occupancy,
-    evaluate,
     generate_corpus,
     inputs_for,
     model_forward,
@@ -142,6 +141,8 @@ def cmd_align(args) -> int:
 
 
 def _summary_row(report, threshold: float) -> str:
+    if not report.n_matched:
+        return "no matched words"
     return (
         f"ST {report.ave_st_delta_ms:.2f}  ED {report.ave_ed_delta_ms:.2f}  "
         f"%WS<{threshold:g} {report.pct_ws[threshold]:.2f}  "
@@ -170,10 +171,7 @@ def cmd_metrics(args) -> int:
     report = timing_metrics(pairs, thresholds, n_hyp=n_hyp, n_ref=n_ref)
     if args.out:
         dataio.write_metrics_json(args.out, report, timestamp=not args.no_timestamp)
-    if report.n_matched:
-        print(_summary_row(report, thresholds[0]))
-    else:
-        print("no matched words")
+    print(_summary_row(report, thresholds[0]))
     return 0
 
 
@@ -344,11 +342,18 @@ def cmd_synth_gen(args) -> int:
     return 0
 
 
+def _holdout_split(corpus: list[SynthUtterance], holdout_every: int):
+    """(training, evaluation) utterances; holdout_every 0 uses all for both."""
+    if holdout_every < 0:
+        raise UsageError(f"--holdout-every must be >= 0, got {holdout_every}")
+    if not holdout_every:
+        return corpus, corpus
+    return split_corpus(corpus, holdout_every)
+
+
 def cmd_synth_train(args) -> int:
-    corpus = _read_corpus(args.corpus_dir)
+    corpus, _ = _holdout_split(_read_corpus(args.corpus_dir), args.holdout_every)
     config = _train_config_from_args(args)
-    if args.holdout_every:
-        corpus, _ = split_corpus(corpus, args.holdout_every)
     clf, records = train(config, corpus)
     dataio.save_classifier(args.model_out, clf)
     print(
@@ -359,23 +364,22 @@ def cmd_synth_train(args) -> int:
 
 
 def cmd_synth_eval(args) -> int:
-    corpus = _read_corpus(args.corpus_dir)
-    if args.holdout_every:
-        _, corpus = split_corpus(corpus, args.holdout_every)
+    _, corpus = _holdout_split(_read_corpus(args.corpus_dir), args.holdout_every)
     clf = dataio.load_classifier(args.model)
     thresholds = _parse_thresholds(args.thresholds)
-    report = evaluate(clf, corpus, args.gamma_inf, args.offset_ms, tuple(thresholds))
+    hyp = predict_timings(clf, corpus, args.gamma_inf, args.offset_ms)
+    ref = reference_timings(corpus)
+    pairs, n_hyp, n_ref = match_words(hyp, ref)
+    report = timing_metrics(pairs, thresholds, n_hyp=n_hyp, n_ref=n_ref)
     if args.report:
         dataio.write_metrics_json(args.report, report, timestamp=not args.no_timestamp)
     if args.dump_logits:
         mats = [model_forward(clf, inputs_for(clf, utt), utt.utt_id)[0] for utt in corpus]
         dataio.write_logits_jsonl(args.dump_logits, mats)
     if args.dump_hyp:
-        dataio.write_timings_jsonl(
-            args.dump_hyp, predict_timings(clf, corpus, args.gamma_inf, args.offset_ms)
-        )
+        dataio.write_timings_jsonl(args.dump_hyp, hyp)
     if args.dump_ref:
-        dataio.write_timings_jsonl(args.dump_ref, reference_timings(corpus))
+        dataio.write_timings_jsonl(args.dump_ref, ref)
     print(_summary_row(report, thresholds[0]))
     return 0
 

@@ -4,6 +4,9 @@ All lattice computations run over the standard blank-interleaved topology:
 a label sequence of length U expands to S = 2U+1 states, even states emit
 blank (id 0) and odd state 2u+1 emits the u-th label. Probabilities are
 kept in natural-log domain throughout; impossible cells hold -inf.
+
+One padded recursion fills every lattice: summed, it gives the loss's
+forward and backward lattices; maximised, the Viterbi scores.
 """
 from __future__ import annotations
 
@@ -146,11 +149,11 @@ def _state_symbols(labels: LabelSequence) -> np.ndarray:
     return syms
 
 
-def _skip_allowed(syms: np.ndarray) -> np.ndarray:
-    """skip[s] is True when the s-2 -> s transition is legal (distinct labels)."""
-    skip = np.zeros(len(syms), dtype=bool)
-    skip[3::2] = syms[3::2] != syms[1:-2:2]
-    return skip
+def _skip_mask(syms: np.ndarray) -> np.ndarray:
+    """Additive mask: 0 where s-2 -> s is legal (distinct labels), else -inf."""
+    mask = np.full(len(syms), NEG_INF)
+    mask[3::2][syms[3::2] != syms[1:-2:2]] = 0.0
+    return mask
 
 
 def _check_path_exists(n_frames: int, labels: LabelSequence) -> None:
@@ -162,13 +165,33 @@ def _check_path_exists(n_frames: int, labels: LabelSequence) -> None:
         )
 
 
+def _recursion(emit: np.ndarray, jump_mask: np.ndarray, combine) -> np.ndarray:
+    """(T, R, S + 2) lattice of (T, R, S) padded emissions and (R, S) skip masks.
+
+    Each cell is combine(combine(stay, step), skip) + emit: np.logaddexp sums
+    over paths, np.maximum keeps the best. Two leading -inf columns turn the
+    s-1 and s-2 predecessors into views, so state s sits in column s + 2.
+    """
+    n_frames, n_rows, n_states = emit.shape
+    lattice = np.full((n_frames, n_rows, n_states + 2), NEG_INF)
+    lattice[0, :, 2:4] = emit[0, :, :2]
+    jump = np.empty((n_rows, n_states))
+    for t in range(1, n_frames):
+        prev, cur = lattice[t - 1], lattice[t, :, 2:]
+        combine(prev[:, 2:], prev[:, 1:-1], out=cur)
+        np.add(prev[:, :-2], jump_mask, out=jump)
+        combine(cur, jump, out=cur)
+        cur += emit[t]
+    return lattice
+
+
 def _lattices(
-    emits: list[np.ndarray], skips: list[np.ndarray]
+    emits: list[np.ndarray], masks: list[np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Forward and backward lattices of a batch from one padded recursion.
 
-    emits[i] holds utterance i's state emissions, shape T_i x S_i; skips[i]
-    its skip legality. Each utterance fills two rows of a (T_max, 2B, S_max)
+    emits[i] holds utterance i's state emissions, shape T_i x S_i; masks[i]
+    its skip mask. Each utterance fills two rows of a (T_max, 2B, S_max)
     batch: itself, and a copy reversed in both states and time, whose forward
     recursion is the backward one. Padding is -inf and only ever feeds padded
     cells (higher states, later frames), so every real cell is computed by
@@ -180,27 +203,16 @@ def _lattices(
     n_frames = max(e.shape[0] for e in emits)
     n_states = max(e.shape[1] for e in emits)
     emit = np.full((n_frames, 2 * n_utts, n_states), NEG_INF)
-    # additive skip mask: 0 where s-2 -> s is legal, -inf elsewhere
     jump_mask = np.full((2 * n_utts, n_states), NEG_INF)
-    for i, (e, skip) in enumerate(zip(emits, skips)):
+    for i, (e, mask) in enumerate(zip(emits, masks)):
         t_i, s_i = e.shape
         emit[:t_i, i, :s_i] = e
         emit[:t_i, n_utts + i, :s_i] = e[::-1, ::-1]
-        # reversed row r = S-1-s takes the backward s+2 -> s term, legal when skip[s+2]
-        jump_mask[i, :s_i][skip] = 0.0
-        jump_mask[n_utts + i, :s_i][np.concatenate((skip[2:], [False, False]))[::-1]] = 0.0
+        jump_mask[i, :s_i] = mask
+        # reversed row r = S-1-s takes the backward s+2 -> s term, legal when mask[s+2] is 0
+        jump_mask[n_utts + i, 2:s_i] = mask[:1:-1]
 
-    # two leading -inf columns turn the s-1 and s-2 predecessors into views
-    lattice = np.full((n_frames, 2 * n_utts, n_states + 2), NEG_INF)
-    lattice[0, :, 2:4] = emit[0, :, :2]
-    jump = np.empty((2 * n_utts, n_states))
-    for t in range(1, n_frames):
-        prev, cur = lattice[t - 1], lattice[t, :, 2:]
-        np.logaddexp(prev[:, 2:], prev[:, 1:-1], out=cur)
-        np.add(prev[:, :-2], jump_mask, out=jump)
-        np.logaddexp(cur, jump, out=cur)
-        cur += emit[t]
-
+    lattice = _recursion(emit, jump_mask, np.logaddexp)
     out = []
     for i, e in enumerate(emits):
         t_i, s_i = e.shape
@@ -232,9 +244,9 @@ def ctc_loss_batch(
             results[i] = err
             continue
         syms = _state_symbols(lab)
-        todo.append((i, lp[:, syms], _skip_allowed(syms)))
+        todo.append((i, lp[:, syms], _skip_mask(syms)))
     if todo:
-        lattices = _lattices([e for _, e, _ in todo], [skip for _, _, skip in todo])
+        lattices = _lattices([e for _, e, _ in todo], [mask for _, _, mask in todo])
         for (i, _, _), (alpha, beta) in zip(todo, lattices):
             log_like = float(np.logaddexp(alpha[-1, -1], alpha[-2, -1]))
             if np.isfinite(log_like):
@@ -325,9 +337,9 @@ def prior_ctc_grad(
 def forced_align(log_probs: np.ndarray, labels: LabelSequence) -> AlignmentPath:
     """Viterbi search for the most probable valid CTC path.
 
-    Score ties are broken toward advancing into the next token as early as
-    possible: the backtrace prefers the higher predecessor state, and the
-    final frame prefers the trailing blank over the last label state.
+    Ties are resolved at backtrace, from the score lattice, toward entering
+    the next token as early as possible: each step takes the first maximum of
+    (stay, step, skip), and the final frame prefers the trailing blank.
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
     n_frames, n_vocab = log_probs.shape
@@ -336,35 +348,18 @@ def forced_align(log_probs: np.ndarray, labels: LabelSequence) -> AlignmentPath:
     _check_path_exists(n_frames, labels)
 
     syms = _state_symbols(labels)
-    skip = _skip_allowed(syms)
-    emit = log_probs[:, syms].T
-    n_states = len(syms)
+    mask = _skip_mask(syms)
+    score = _recursion(log_probs[:, None, syms], mask[None], np.maximum)[:, 0]
 
-    score = np.full((n_states, n_frames), NEG_INF)
-    back = np.zeros((n_states, n_frames), dtype=np.int64)
-    score[0, 0] = emit[0, 0]
-    score[1, 0] = emit[1, 0]
-    back[:, 0] = np.arange(n_states)
-    for t in range(1, n_frames):
-        prev = score[:, t - 1]
-        stay = prev
-        step = np.concatenate(([NEG_INF], prev[:-1]))
-        jump = np.where(skip, np.concatenate(([NEG_INF, NEG_INF], prev[:-2])), NEG_INF)
-        # >= keeps the higher predecessor on ties (earliest advancement)
-        best = np.where(stay >= step, stay, step)
-        pred = np.where(stay >= step, np.arange(n_states), np.arange(n_states) - 1)
-        pred = np.where(best >= jump, pred, np.arange(n_states) - 2)
-        best = np.where(best >= jump, best, jump)
-        score[:, t] = best + emit[:, t]
-        back[:, t] = pred
-
-    if not (np.isfinite(score[-1, -1]) or np.isfinite(score[-2, -1])):
+    if not (np.isfinite(score[-1, -1]) or np.isfinite(score[-1, -2])):
         raise NoValidPathError("no valid path: final states unreachable")
-    state = n_states - 1 if score[-1, -1] >= score[-2, -1] else n_states - 2
+    state = len(syms) - 1 if score[-1, -1] >= score[-1, -2] else len(syms) - 2
     states = np.empty(n_frames, dtype=np.int64)
     states[-1] = state
     for t in range(n_frames - 1, 0, -1):
-        state = back[state, t]
+        prev = score[t - 1]
+        candidates = (prev[state + 2], prev[state + 1], prev[state] + mask[state])
+        state -= candidates.index(max(candidates))
         states[t - 1] = state
     return AlignmentPath(states, labels)
 

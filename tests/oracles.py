@@ -248,3 +248,50 @@ def sample_valid_path(
         state = int(options[rng.integers(0, len(options))])
         path.append(state)
     return np.asarray(path, dtype=np.int64)
+
+
+def forced_align_backpointers(log_probs: np.ndarray, labels: tuple[int, ...]) -> np.ndarray:
+    """Viterbi states of the most probable valid CTC path, from a stored
+    backpointer table.
+
+    Each cell records its predecessor as the recursion runs: stay wins ties
+    with step, and that winner wins ties with skip; the final frame prefers
+    the trailing blank. The reference for a backtrace that recomputes
+    predecessors from the score lattice instead.
+    """
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    n_frames = log_probs.shape[0]
+    syms = np.zeros(2 * len(labels) + 1, dtype=np.int64)
+    syms[1::2] = labels
+    skip = np.zeros(len(syms), dtype=bool)
+    skip[3::2] = syms[3::2] != syms[1:-2:2]
+    emit = log_probs[:, syms].T
+    n_states = len(syms)
+    neg_inf = float("-inf")
+
+    score = np.full((n_states, n_frames), neg_inf)
+    back = np.zeros((n_states, n_frames), dtype=np.int64)
+    score[0, 0] = emit[0, 0]
+    score[1, 0] = emit[1, 0]
+    back[:, 0] = np.arange(n_states)
+    for t in range(1, n_frames):
+        prev = score[:, t - 1]
+        stay = prev
+        step = np.concatenate(([neg_inf], prev[:-1]))
+        jump = np.where(skip, np.concatenate(([neg_inf, neg_inf], prev[:-2])), neg_inf)
+        best = np.where(stay >= step, stay, step)
+        pred = np.where(stay >= step, np.arange(n_states), np.arange(n_states) - 1)
+        pred = np.where(best >= jump, pred, np.arange(n_states) - 2)
+        best = np.where(best >= jump, best, jump)
+        score[:, t] = best + emit[:, t]
+        back[:, t] = pred
+
+    if not (np.isfinite(score[-1, -1]) or np.isfinite(score[-2, -1])):
+        raise ValueError("no valid path: final states unreachable")
+    state = n_states - 1 if score[-1, -1] >= score[-2, -1] else n_states - 2
+    states = np.empty(n_frames, dtype=np.int64)
+    states[-1] = state
+    for t in range(n_frames - 1, 0, -1):
+        state = back[state, t]
+        states[t - 1] = state
+    return states

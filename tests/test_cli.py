@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from ctctiming import dataio
+from ctctiming import dataio, synth
 from ctctiming.boundary import WordTiming
 from ctctiming.cli import CONFIG_KEYS, main
 from ctctiming.ctc import LabelSequence, LogitMatrix
@@ -464,6 +464,53 @@ class TestSynthCommands:
         header = a.decode().splitlines()[0]
         assert header.startswith("gamma_train,gamma_inf")
         assert len(a.decode().splitlines()) == 11
+
+
+class TestHoldout:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        """A 6-utterance corpus directory and a model trained on all of it."""
+        out = tmp_path_factory.mktemp("holdout")
+        corpus_dir = out / "corpus"
+        assert main(["synth", "gen", "--n-utts", "6", "--out-dir", str(corpus_dir)]) == 0
+        model = out / "m.npz"
+        assert main(["synth", "train", "--corpus-dir", str(corpus_dir), "--method", "npc",
+                     "--epochs", "2", "--model-out", str(model)]) == 0
+        return corpus_dir, model
+
+    def test_eval_with_nothing_held_out(self, trained, tmp_path, capsys):
+        corpus_dir, model = trained
+        capsys.readouterr()
+        rc = main(["synth", "eval", "--corpus-dir", str(corpus_dir), "--model", str(model),
+                   "--holdout-every", "100", "--report", str(tmp_path / "r.json")])
+        assert rc == 0
+        assert capsys.readouterr().out == "no matched words\n"
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert (report["n_matched"], report["n_ref"]) == (0, 0)
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_negative_holdout_exit_1(self, trained, tmp_path, capsys, command):
+        corpus_dir, model = trained
+        capsys.readouterr()
+        flags = (["--method", "npc", "--epochs", "1", "--model-out", str(tmp_path / "out.npz")]
+                 if command == "train" else ["--model", str(model)])
+        rc = main(["synth", command, "--corpus-dir", str(corpus_dir),
+                   "--holdout-every", "-2", *flags])
+        assert rc == 1
+        assert "--holdout-every" in capsys.readouterr().err
+        assert not (tmp_path / "out.npz").exists()
+
+    def test_eval_aligns_each_utterance_once(self, trained, tmp_path, monkeypatch):
+        corpus_dir, model = trained
+        calls = []
+        real = synth.align_spans
+        monkeypatch.setattr(synth, "align_spans", lambda *a: calls.append(a) or real(*a))
+        rc = main(["synth", "eval", "--corpus-dir", str(corpus_dir), "--model", str(model),
+                   "--holdout-every", "2", "--dump-hyp", str(tmp_path / "hyp.jsonl")])
+        assert rc == 0
+        _, held = split_corpus(generate_corpus(CorpusSpec(n_utts=6)), 2)
+        assert len(calls) == len(held)
+        assert set(dataio.read_timings_jsonl(tmp_path / "hyp.jsonl")) == {u.utt_id for u in held}
 
 
 # key -> (method the key applies to, a value off the base run's)

@@ -28,6 +28,7 @@ from oracles import (
     collapse,
     emitted,
     enumerate_valid_paths,
+    forced_align_backpointers,
     grad_relative_error,
     logsumexp,
     path_score,
@@ -409,6 +410,51 @@ class TestForcedAlign:
     def test_no_valid_path(self):
         with pytest.raises(NoValidPathError):
             forced_align(np.log(np.full((1, 3), 1 / 3)), LabelSequence((1, 2)))
+
+    def test_matches_backpointer_oracle(self):
+        """Backtrace from the score lattice equals a stored backpointer table,
+        tie for tie, and both reject the same instances."""
+        rng = np.random.default_rng(17)
+        n_valid = n_invalid = 0
+        for i in range(15_500):
+            n_vocab = int(rng.integers(2, 6))
+            n_labels = int(rng.integers(1, 6))
+            if i % 3 == 0:  # runs of repeated labels
+                runs = rng.integers(1, 3, size=n_labels)
+                tokens = np.repeat(rng.integers(1, n_vocab, size=n_labels), runs)
+            else:
+                tokens = rng.integers(1, n_vocab, size=n_labels)
+            labels = LabelSequence(tokens)
+            needed = len(labels) + labels.n_repeats
+            choice = i % 6
+            if choice == 0:
+                n_frames = 1
+            elif choice == 1:
+                n_frames = needed
+            elif choice == 2:
+                n_frames = max(needed - 1, 1)
+            else:
+                n_frames = int(rng.integers(needed, needed + 8))
+            shape = (n_frames, n_vocab)
+            kind = i % 4
+            if kind < 2:  # dense ties; a zero count makes a -inf cell
+                counts = rng.integers(0 if i % 7 == 0 else 1, 3, size=shape)
+                with np.errstate(divide="ignore"):
+                    log_probs = np.log(counts.astype(float))
+            elif kind == 2:
+                log_probs = np.round(rng.normal(size=shape))
+            else:
+                log_probs = log_softmax_rows(rng.normal(size=shape))
+            try:
+                expected = forced_align_backpointers(log_probs, labels.tokens)
+            except ValueError:
+                with pytest.raises(NoValidPathError):
+                    forced_align(log_probs, labels)
+                n_invalid += 1
+                continue
+            assert np.array_equal(forced_align(log_probs, labels).states, expected), i
+            n_valid += 1
+        assert n_valid >= 10_000 and n_invalid >= 1_000
 
 
 class TestPerFrameConstantInvariance:

@@ -9,7 +9,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ctctiming import ctc, dataio, metrics
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -49,3 +52,29 @@ def test_install_then_uninstall_restores_every_attribute(tracing):
         assert set(now) == set(attrs), module.__name__
         changed = [attr for attr, value in attrs.items() if now[attr] is not value]
         assert not changed, (module.__name__, changed)
+
+
+def test_work_counters_read_the_call_arguments(tracing, tmp_path):
+    """Each counted name, called once through an installed tracer, adds the
+    work its counter promises: S*T lattice cells, n*m edit cells, file bytes."""
+    log_probs = np.log(np.full((5, 4), 0.25))
+    labels = ctc.LabelSequence((1, 2, 2))
+    logits = tmp_path / "logits.jsonl"
+    dataio.write_logits_jsonl(logits, [ctc.LogitMatrix("u1", np.zeros((3, 4)), 10.0)])
+    calls = {
+        "ctc.ctc_loss": (lambda: ctc.ctc_loss(log_probs, labels), 7 * 5),
+        "ctc.forced_align": (lambda: ctc.forced_align(log_probs, labels), 7 * 5),
+        "metrics.edit_align": (lambda: metrics.edit_align(["a", "b"], ["a", "c", "b"]), 2 * 3),
+        "dataio.iter_logits_jsonl": (
+            lambda: list(dataio.iter_logits_jsonl(logits)), logits.stat().st_size
+        ),
+    }
+    assert set(calls) == {name for name, counter in tracing.TRACED.items() if counter}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for call, _ in calls.values():
+            call()
+    finally:
+        tracer.uninstall()
+    assert dict(tracer.work) == {name: work for name, (_, work) in calls.items()}
