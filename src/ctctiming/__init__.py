@@ -57,7 +57,6 @@ from .synth import (
     SynthUtterance,
     TrainConfig,
     TrainingDivergedError,
-    evaluate,
     generate_corpus,
     model_backward,
     model_forward,

@@ -56,6 +56,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _flag_type(parse):
+    """An argparse type= that reports parse's ValueError as a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from err
+    return convert
+
+
+@_flag_type
 def _parse_range(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -66,6 +77,7 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
+@_flag_type
 def _parse_thresholds(text: str) -> list[float]:
     values = [float(p) for p in text.split(",") if p.strip()]
     if not values:
@@ -73,6 +85,7 @@ def _parse_thresholds(text: str) -> list[float]:
     return values
 
 
+@_flag_type
 def _parse_int_range(text: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -166,18 +179,17 @@ def _read_hyp_ref(args) -> tuple[dict, dict]:
 
 def cmd_metrics(args) -> int:
     hyp, ref = _read_hyp_ref(args)
-    thresholds = _parse_thresholds(args.thresholds)
     pairs, n_hyp, n_ref = match_words(hyp, dict(sorted(ref.items())))
-    report = timing_metrics(pairs, thresholds, n_hyp=n_hyp, n_ref=n_ref)
+    report = timing_metrics(pairs, args.thresholds, n_hyp=n_hyp, n_ref=n_ref)
     if args.out:
         dataio.write_metrics_json(args.out, report, timestamp=not args.no_timestamp)
-    print(_summary_row(report, thresholds[0]))
+    print(_summary_row(report, args.thresholds[0]))
     return 0
 
 
 def cmd_gridsearch(args) -> int:
     hyp, ref = _read_hyp_ref(args)
-    lo, hi, step = _parse_range(args.range)
+    lo, hi, step = args.range
     best, report, curve = gridsearch_offset(hyp, ref, (lo, hi), step, args.threshold)
     dataio.write_curve_csv(args.out, curve)
     if args.report:
@@ -221,18 +233,11 @@ def cmd_analyze_peaks(args) -> int:
 def _corpus_spec_from_args(args) -> CorpusSpec:
     base = pfr_corpus_spec() if getattr(args, "preset", None) == "pfr" else CorpusSpec()
     overrides = {}
-    for field, flag in [
-        ("n_utts", "n_utts"), ("vocab_size", "vocab_size"),
-        ("feature_dim", "feature_dim"), ("noise_sigma", "noise_sigma"),
-        ("context_window", "context_window"), ("seed", "corpus_seed"),
-    ]:
+    for flag in ("n_utts", "vocab_size", "pieces_per_word", "words_per_utt", "span_frames",
+                 "gap_frames", "feature_dim", "noise_sigma", "context_window", "corpus_seed"):
         value = getattr(args, flag, None)
         if value is not None:
-            overrides[field] = value
-    for field in ("pieces_per_word", "words_per_utt", "span_frames", "gap_frames"):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = _parse_int_range(value)
+            overrides["seed" if flag == "corpus_seed" else flag] = value
     return replace(base, **overrides)
 
 
@@ -366,11 +371,10 @@ def cmd_synth_train(args) -> int:
 def cmd_synth_eval(args) -> int:
     _, corpus = _holdout_split(_read_corpus(args.corpus_dir), args.holdout_every)
     clf = dataio.load_classifier(args.model)
-    thresholds = _parse_thresholds(args.thresholds)
     hyp = predict_timings(clf, corpus, args.gamma_inf, args.offset_ms)
     ref = reference_timings(corpus)
     pairs, n_hyp, n_ref = match_words(hyp, ref)
-    report = timing_metrics(pairs, thresholds, n_hyp=n_hyp, n_ref=n_ref)
+    report = timing_metrics(pairs, args.thresholds, n_hyp=n_hyp, n_ref=n_ref)
     if args.report:
         dataio.write_metrics_json(args.report, report, timestamp=not args.no_timestamp)
     if args.dump_logits:
@@ -380,7 +384,7 @@ def cmd_synth_eval(args) -> int:
         dataio.write_timings_jsonl(args.dump_hyp, hyp)
     if args.dump_ref:
         dataio.write_timings_jsonl(args.dump_ref, ref)
-    print(_summary_row(report, thresholds[0]))
+    print(_summary_row(report, args.thresholds[0]))
     return 0
 
 
@@ -424,7 +428,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("metrics", help="score hypothesis timings against a reference")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--thresholds", default="80,200", help="comma-separated ms thresholds")
+    p.add_argument("--thresholds", type=_parse_thresholds, default="80,200",
+                   help="comma-separated ms thresholds")
     p.add_argument("--out", default=None, help="metrics report JSON")
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_metrics)
@@ -432,7 +437,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gridsearch", help="search the constant offset maximizing accuracy")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--range", default="-200:200:10", help="LO:HI:STEP in ms")
+    p.add_argument("--range", type=_parse_range, default="-200:200:10", help="LO:HI:STEP in ms")
     p.add_argument("--threshold", type=float, default=80.0)
     p.add_argument("--out", required=True, help="offset,score curve CSV")
     p.add_argument("--report", default=None, help="metrics JSON at the best offset")
@@ -458,11 +463,8 @@ def build_parser() -> _Parser:
         sp.add_argument("--preset", choices=["default", "pfr"], default=None)
         sp.add_argument("--n-utts", dest="n_utts", type=int, default=None)
         sp.add_argument("--vocab-size", dest="vocab_size", type=int, default=None)
-        sp.add_argument("--pieces-per-word", dest="pieces_per_word", default=None,
-                        help="LO:HI")
-        sp.add_argument("--words-per-utt", dest="words_per_utt", default=None, help="LO:HI")
-        sp.add_argument("--span-frames", dest="span_frames", default=None, help="LO:HI")
-        sp.add_argument("--gap-frames", dest="gap_frames", default=None, help="LO:HI")
+        for flag in ("--pieces-per-word", "--words-per-utt", "--span-frames", "--gap-frames"):
+            sp.add_argument(flag, type=_parse_int_range, default=None, help="LO:HI")
         sp.add_argument("--feature-dim", dest="feature_dim", type=int, default=None)
         sp.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
         sp.add_argument("--context-window", dest="context_window", type=int, default=None)
@@ -504,7 +506,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--gamma-inf", dest="gamma_inf", type=float, default=1.0)
     p.add_argument("--offset-ms", dest="offset_ms", type=float, default=0.0)
-    p.add_argument("--thresholds", default="20,80")
+    p.add_argument("--thresholds", type=_parse_thresholds, default="20,80")
     p.add_argument("--holdout-every", type=int, default=0,
                    help="evaluate only every N-th utterance")
     p.add_argument("--report", default=None)
@@ -531,15 +533,12 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except (DataFormatError, FileNotFoundError) as err:
+    except (ValueError, FileNotFoundError) as err:  # DataFormatError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return DATA_ERROR
     except TrainingDivergedError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return DATA_ERROR
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -30,47 +30,45 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
-def _parse(path: str | Path, lineno: int, line: str) -> dict:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise DataFormatError(f"{path}:{lineno}: malformed JSON ({err.msg})") from err
-    if not isinstance(record, dict):
-        raise DataFormatError(f"{path}:{lineno}: expected a JSON object")
-    return record
+def _records(path: str | Path, keys: tuple[str, ...], build) -> Iterator[tuple[str, Any]]:
+    """(utt, build(utt, record)) for each JSON object line that has keys.
 
-
-def _require(record: dict, keys: tuple[str, ...], path, lineno) -> None:
-    missing = [k for k in keys if k not in record]
-    if missing:
-        raise DataFormatError(f"{path}:{lineno}: missing keys {missing}")
-
-
-def _unique_id(seen: dict[str, int], utt: str, path, lineno) -> str:
-    """Note utt's line in seen; a second record with the same id is an error."""
-    first = seen.setdefault(utt, lineno)
-    if first != lineno:
-        raise DataFormatError(
-            f"{path}:{lineno}: duplicate utterance id {utt!r} (first on line {first})"
-        )
-    return utt
+    A malformed line, a missing key, a repeated utt id or a record that
+    build rejects with ValueError, KeyError or TypeError raises
+    DataFormatError naming the file and line.
+    """
+    seen: dict[str, int] = {}
+    for lineno, line in _lines(path):
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("expected a JSON object")
+            missing = [k for k in keys if k not in record]
+            if missing:
+                raise ValueError(f"missing keys {missing}")
+            utt = str(record["utt"])
+            first = seen.setdefault(utt, lineno)
+            if first != lineno:
+                raise ValueError(f"duplicate utterance id {utt!r} (first on line {first})")
+            value = build(utt, record)
+        except json.JSONDecodeError as err:
+            raise DataFormatError(f"{path}:{lineno}: malformed JSON ({err.msg})") from err
+        except (ValueError, KeyError, TypeError) as err:
+            raise DataFormatError(f"{path}:{lineno}: {err}") from err
+        yield utt, value
 
 
 def iter_logits_jsonl(path: str | Path, frame_ms: float | None = None) -> Iterator[LogitMatrix]:
     """Stream {"utt", "frame_ms", "frames"} records as LogitMatrix values."""
-    lines: dict[str, int] = {}
-    for lineno, line in _lines(path):
-        record = _parse(path, lineno, line)
-        _require(record, ("utt", "frame_ms", "frames"), path, lineno)
-        utt = _unique_id(lines, str(record["utt"]), path, lineno)
-        try:
-            yield LogitMatrix(
-                utt,
-                np.asarray(record["frames"], dtype=np.float64),
-                float(frame_ms if frame_ms is not None else record["frame_ms"]),
-            )
-        except ValueError as err:
-            raise DataFormatError(f"{path}:{lineno}: {err}") from err
+    def build(utt: str, record: dict) -> LogitMatrix:
+        return LogitMatrix(
+            utt,
+            np.asarray(record["frames"], dtype=np.float64),
+            float(frame_ms if frame_ms is not None else record["frame_ms"]),
+        )
+
+    for _, logits in _records(path, ("utt", "frame_ms", "frames"), build):
+        yield logits
 
 
 def write_logits_jsonl(path: str | Path, mats: Iterable[LogitMatrix]) -> None:
@@ -86,25 +84,16 @@ def write_logits_jsonl(path: str | Path, mats: Iterable[LogitMatrix]) -> None:
 
 def read_labels_jsonl(path: str | Path) -> dict[str, tuple[LabelSequence, WordMap]]:
     """{"utt", "pieces", "words": [{"w", "first", "last"}]} records."""
-    out: dict[str, tuple[LabelSequence, WordMap]] = {}
-    lines: dict[str, int] = {}
-    for lineno, line in _lines(path):
-        record = _parse(path, lineno, line)
-        _require(record, ("utt", "pieces", "words"), path, lineno)
-        utt = _unique_id(lines, str(record["utt"]), path, lineno)
-        try:
-            labels = LabelSequence(tuple(int(p) for p in record["pieces"]))
-            word_map = WordMap(
-                tuple((w["w"], int(w["first"]), int(w["last"])) for w in record["words"])
-            )
-            if word_map.n_pieces != len(labels):
-                raise ValueError(
-                    f"word map covers {word_map.n_pieces} pieces, got {len(labels)}"
-                )
-        except (ValueError, KeyError, TypeError) as err:
-            raise DataFormatError(f"{path}:{lineno}: {err}") from err
-        out[utt] = (labels, word_map)
-    return out
+    def build(utt: str, record: dict) -> tuple[LabelSequence, WordMap]:
+        labels = LabelSequence(tuple(int(p) for p in record["pieces"]))
+        word_map = WordMap(
+            tuple((w["w"], int(w["first"]), int(w["last"])) for w in record["words"])
+        )
+        if word_map.n_pieces != len(labels):
+            raise ValueError(f"word map covers {word_map.n_pieces} pieces, got {len(labels)}")
+        return labels, word_map
+
+    return dict(_records(path, ("utt", "pieces", "words"), build))
 
 
 def write_labels_jsonl(
@@ -122,20 +111,13 @@ def write_labels_jsonl(
 
 def read_timings_jsonl(path: str | Path) -> dict[str, list[WordTiming]]:
     """{"utt", "words": [{"w", "start_ms", "end_ms"}]} records."""
-    out: dict[str, list[WordTiming]] = {}
-    lines: dict[str, int] = {}
-    for lineno, line in _lines(path):
-        record = _parse(path, lineno, line)
-        _require(record, ("utt", "words"), path, lineno)
-        utt = _unique_id(lines, str(record["utt"]), path, lineno)
-        try:
-            out[utt] = [
-                WordTiming(w["w"], float(w["start_ms"]), float(w["end_ms"]))
-                for w in record["words"]
-            ]
-        except (ValueError, KeyError, TypeError) as err:
-            raise DataFormatError(f"{path}:{lineno}: {err}") from err
-    return out
+    def build(utt: str, record: dict) -> list[WordTiming]:
+        return [
+            WordTiming(w["w"], float(w["start_ms"]), float(w["end_ms"]))
+            for w in record["words"]
+        ]
+
+    return dict(_records(path, ("utt", "words"), build))
 
 
 def write_timings_jsonl(path: str | Path, timings: dict[str, list[WordTiming]]) -> None:

@@ -40,7 +40,6 @@ from .ctc import (
     log_softmax_rows,
 )
 from .metrics import (
-    MetricsReport,
     blank_occupancy,
     match_words,
     peak_histogram,
@@ -84,8 +83,9 @@ class CorpusSpec:
     seed: int = 20240601
 
     def __post_init__(self):
-        if self.n_utts < 1 or self.vocab_size < 2 or self.feature_dim < 1:
-            raise ValueError("need n_utts >= 1, vocab_size >= 2, feature_dim >= 1")
+        # features are stored in the logits format, which needs two columns
+        if self.n_utts < 1 or self.vocab_size < 2 or self.feature_dim < 2:
+            raise ValueError("need n_utts >= 1, vocab_size >= 2, feature_dim >= 2")
         for name in ("pieces_per_word", "words_per_utt", "span_frames", "gap_frames"):
             lo, hi = (int(x) for x in getattr(self, name))
             setattr(self, name, (lo, hi))
@@ -260,7 +260,7 @@ class Classifier:
 
 
 def model_forward(
-    clf: Classifier, features: np.ndarray, utt_id: str = "<utt>", frame_ms: float = FRAME_MS
+    clf: Classifier, features: np.ndarray, utt_id: str = "<utt>"
 ) -> tuple[LogitMatrix, dict]:
     """Forward pass returning logits plus the activation cache for backward."""
     if features.ndim != 2 or features.shape[1] != clf.input_dim:
@@ -272,7 +272,7 @@ def model_forward(
     a2 = np.tanh(a1 @ clf.w2 + clf.b2)
     logits = a2 @ clf.w3 + clf.b3
     cache = {"x": features, "a1": a1, "a2": a2, "version": clf.version}
-    return LogitMatrix(utt_id, logits, frame_ms), cache
+    return LogitMatrix(utt_id, logits, FRAME_MS), cache
 
 
 def model_backward(clf: Classifier, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
@@ -324,20 +324,14 @@ class EpochStats:
     mean_loss: float
 
 
-def model_inputs(utt: SynthUtterance, fuse_features: bool) -> np.ndarray:
-    """Classifier input: the smoothed stream, optionally with the raw one."""
-    if fuse_features:
-        return np.concatenate([utt.features_hi, utt.features_lo], axis=1)
-    return utt.features_hi
-
-
 def inputs_for(clf: Classifier, utt: SynthUtterance) -> np.ndarray:
-    """The model_inputs a classifier takes, told apart by its input width."""
+    """Classifier input, told apart by its width: the smoothed stream, or
+    the smoothed stream fused with the raw one."""
     d = utt.features_lo.shape[1]
     if clf.input_dim == d:
         return utt.features_hi
     if clf.input_dim == 2 * d:
-        return model_inputs(utt, fuse_features=True)
+        return np.concatenate([utt.features_hi, utt.features_lo], axis=1)
     raise ValueError(
         f"classifier input dim {clf.input_dim} matches neither {d} nor {2 * d}"
     )
@@ -438,11 +432,6 @@ def _word_timings(aligned: dict, offset_ms: float = 0.0) -> dict[str, list[WordT
     }
 
 
-def _peak_items(aligned: dict) -> list[tuple[float, WordTiming]]:
-    return [item for utt, spans in aligned.items()
-            for item in peak_items(spans, utt.word_map, utt.ref_timings, FRAME_MS)]
-
-
 def cetc_targets(
     clf: Classifier, corpus: list[SynthUtterance], params: CetcParams, n_classes: int
 ) -> dict[str, GuidedTargets]:
@@ -475,7 +464,7 @@ def train(
         raise ValueError("corpus is empty")
     if n_classes is None:
         n_classes = max(max(u.labels.tokens) for u in corpus) + 1
-    input_dim = model_inputs(corpus[0], config.fuse_features).shape[1]
+    input_dim = corpus[0].features_lo.shape[1] * (2 if config.fuse_features else 1)
     rng = np.random.default_rng(config.seed)
     clf = Classifier.init(input_dim, config.hidden, n_classes, config.seed)
     records: list[EpochStats] = []
@@ -534,19 +523,6 @@ def reference_timings(corpus: list[SynthUtterance]) -> dict[str, list[WordTiming
     return {utt.utt_id: list(utt.ref_timings) for utt in corpus}
 
 
-def evaluate(
-    clf: Classifier,
-    corpus: list[SynthUtterance],
-    gamma_inf: float,
-    offset_ms: float = 0.0,
-    thresholds_ms: tuple[float, ...] = (20.0, 80.0),
-) -> MetricsReport:
-    """Score forced-alignment timings against the corpus ground truth."""
-    pred = predict_timings(clf, corpus, gamma_inf, offset_ms)
-    pairs, n_hyp, n_ref = match_words(pred, reference_timings(corpus))
-    return timing_metrics(pairs, list(thresholds_ms), n_hyp=n_hyp, n_ref=n_ref)
-
-
 def pfr_corpus_spec() -> CorpusSpec:
     """Corpus preset for the peak-regularizer sweep.
 
@@ -580,7 +556,9 @@ def _sweep_scores(
     offset, _, _ = gridsearch_offset(
         pred, reference_timings(corpus), OFFSET_RANGE, OFFSET_STEP, OFFSET_THRESHOLD
     )
-    hist = peak_histogram(_peak_items(aligned), 10, (-1.0, 2.0))
+    items = [item for utt, spans in aligned.items()
+             for item in peak_items(spans, utt.word_map, utt.ref_timings, FRAME_MS)]
+    hist = peak_histogram(items, 10, (-1.0, 2.0))
     row = {
         "ave_st_ms": report.ave_st_delta_ms,
         "ave_ed_ms": report.ave_ed_delta_ms,
@@ -593,6 +571,28 @@ def _sweep_scores(
     return row
 
 
+def _sweep(
+    spec: CorpusSpec,
+    grid: list[tuple[dict, TrainConfig]],
+    decodes: list[tuple[dict, float]],
+    thresholds: tuple[float, ...],
+) -> list[dict]:
+    """One training per (columns, config) in grid, on the training split of
+    the spec's corpus, and one row per (columns, gamma_inf) in decodes for
+    each training, scored by _sweep_scores."""
+    corpus = generate_corpus(spec)
+    train_split, heldout = split_corpus(corpus)
+    rows = []
+    for head, config in grid:
+        clf, _ = train(config, train_split, n_classes=spec.vocab_size + 1)
+        occupancy = corpus_blank_occupancy(clf, train_split)
+        for columns, gamma_inf in decodes:
+            row = {**head, **columns, "blank_occupancy": occupancy}
+            row.update(_sweep_scores(clf, corpus, heldout, gamma_inf, thresholds))
+            rows.append(row)
+    return rows
+
+
 def sweep_gamma(
     spec: CorpusSpec | None = None,
     gammas_train: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0),
@@ -602,62 +602,34 @@ def sweep_gamma(
     epochs: int = 150,
     learning_rate: float = 0.1,
     batch_size: int = 64,
-    fuse_features: bool = False,
 ) -> list[dict]:
     """Label-prior grid: one training per gamma_train, one row per
     (gamma_train, gamma_inf) pair, percentages scored on the held-out split."""
-    spec = spec or CorpusSpec()
-    corpus = generate_corpus(spec)
-    train_split, heldout = split_corpus(corpus)
-    rows = []
-    for g_train in gammas_train:
-        config = TrainConfig(
-            method="npc", gamma_train=g_train, seed=seed, epochs=epochs,
-            learning_rate=learning_rate, batch_size=batch_size,
-            fuse_features=fuse_features,
-        )
-        clf, _ = train(config, train_split, n_classes=spec.vocab_size + 1)
-        occupancy = corpus_blank_occupancy(clf, train_split)
-        for g_inf in gammas_inf:
-            row = {"gamma_train": g_train, "gamma_inf": g_inf, "blank_occupancy": occupancy}
-            row.update(_sweep_scores(clf, corpus, heldout, g_inf, thresholds))
-            rows.append(row)
-    return rows
+    sgd = dict(seed=seed, epochs=epochs, learning_rate=learning_rate, batch_size=batch_size)
+    grid = [({"gamma_train": g}, TrainConfig(method="npc", gamma_train=g, **sgd))
+            for g in gammas_train]
+    decodes = [({"gamma_inf": g}, g) for g in gammas_inf]
+    return _sweep(spec or CorpusSpec(), grid, decodes, thresholds)
 
 
 def sweep_pfr(
     spec: CorpusSpec | None = None,
     lambdas: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-    thresholds: tuple[float, ...] = (20.0, 80.0),
     seed: int = 3,
     epochs: int = 200,
     learning_rate: float = 0.07,
     batch_size: int = 64,
-    mu: int = -1,
-    tau: float = 7.0,
-    gamma_train: float = 0.25,
-    gamma_inf: float = 1.0,
 ) -> list[dict]:
     """Peak-regularizer weight grid on the pfr corpus preset, one training
-    per lambda; peak statistics and offsets come from the full corpus."""
-    spec = spec or pfr_corpus_spec()
-    corpus = generate_corpus(spec)
-    train_split, heldout = split_corpus(corpus)
-    rows = []
-    for lam in lambdas:
-        config = TrainConfig(
-            method="pfr", gamma_train=gamma_train, pfr=PfrParams(lambda_pfr=lam, mu=mu, tau=tau), seed=seed,
-            epochs=epochs, learning_rate=learning_rate, batch_size=batch_size,
-        )
-        clf, _ = train(config, train_split, n_classes=spec.vocab_size + 1)
-        row = {"lambda_pfr": lam, "blank_occupancy": corpus_blank_occupancy(clf, train_split)}
-        row.update(_sweep_scores(clf, corpus, heldout, gamma_inf, thresholds))
-        rows.append(row)
-    return rows
+    per lambda; peak statistics and offsets come from the full corpus.
 
-
-def peak_reference_items(
-    clf: Classifier, corpus: list[SynthUtterance], gamma_inf: float
-) -> list[tuple[float, WordTiming]]:
-    """(peak_ms, reference word) pairs for every piece of every aligned word."""
-    return _peak_items(_align_corpus(clf, corpus, gamma_inf))
+    Every training uses the teacher shift mu = -1, temperature tau = 7.0 and
+    gamma_train = 0.25, decodes at gamma_inf = 1.0 and scores thresholds of
+    20 and 80 ms.
+    """
+    sgd = dict(seed=seed, epochs=epochs, learning_rate=learning_rate, batch_size=batch_size)
+    grid = [({"lambda_pfr": lam},
+             TrainConfig(method="pfr", gamma_train=0.25,
+                         pfr=PfrParams(lambda_pfr=lam, mu=-1, tau=7.0), **sgd))
+            for lam in lambdas]
+    return _sweep(spec or pfr_corpus_spec(), grid, [({}, 1.0)], (20.0, 80.0))

@@ -20,16 +20,17 @@ from ctctiming.ctc import (
     prior_ctc_grad,
 )
 from ctctiming.boundary import GuidedTargets, guided_ce_grad
-from ctctiming.metrics import MatchedPair, edit_distance, timing_metrics
+from ctctiming.metrics import MatchedPair, edit_distance, match_words, timing_metrics
 from ctctiming.pfr import PfrParams, pfr_loss_grad
 from ctctiming.synth import (
     Classifier,
     CorpusSpec,
     TrainConfig,
-    evaluate,
     generate_corpus,
     model_backward,
     model_forward,
+    predict_timings,
+    reference_timings,
     split_corpus,
     sweep_gamma,
     sweep_pfr,
@@ -80,7 +81,9 @@ def fusion_pair():
     for fused in (False, True):
         config = TrainConfig(method="npc", fuse_features=fused)
         clf, _ = train(config, train_split, n_classes=CorpusSpec().vocab_size + 1)
-        reports[fused] = evaluate(clf, heldout, gamma_inf=1.0)
+        pred = predict_timings(clf, heldout, gamma_inf=1.0)
+        pairs, n_hyp, n_ref = match_words(pred, reference_timings(heldout))
+        reports[fused] = timing_metrics(pairs, [20.0, 80.0], n_hyp=n_hyp, n_ref=n_ref)
     return reports
 
 
@@ -90,8 +93,6 @@ def npc_predictions():
     train_split, heldout = split_corpus(corpus)
     config = TrainConfig(method="npc")
     clf, _ = train(config, train_split, n_classes=CorpusSpec().vocab_size + 1)
-    from ctctiming.synth import predict_timings, reference_timings
-
     return predict_timings(clf, corpus, 1.0), reference_timings(corpus)
 
 

@@ -7,15 +7,16 @@ import pytest
 from ctctiming import dataio, synth
 from ctctiming.boundary import WordTiming
 from ctctiming.cli import CONFIG_KEYS, main
-from ctctiming.ctc import LabelSequence, LogitMatrix
+from ctctiming.ctc import LabelSequence, LogitMatrix, align_spans
 from ctctiming.boundary import WordMap
-from ctctiming.metrics import peak_histogram
+from ctctiming.metrics import peak_histogram, peak_items
 from ctctiming.synth import (
     FRAME_MS,
     CorpusSpec,
     corpus_blank_occupancy,
     generate_corpus,
-    peak_reference_items,
+    inputs_for,
+    model_forward,
     split_corpus,
 )
 
@@ -312,6 +313,22 @@ class TestAnalyzePeaks:
         assert rc == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["metrics", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--thresholds", "abc"],
+     "--thresholds"),
+    (["gridsearch", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--range=5:1:1", "--out", "c.csv"],
+     "--range"),
+    (["synth", "gen", "--span-frames", "3", "--out-dir", "corpus"], "--span-frames"),
+], ids=["thresholds", "range", "span-frames"])
+def test_malformed_flag_value_exit_1(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 class TestSynthCommands:
     def test_gen_train_eval_pipeline(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
@@ -363,6 +380,12 @@ class TestSynthCommands:
             capsys.readouterr().out,
         )
 
+    def test_gen_feature_dim_1_exit_2_without_output(self, tmp_path, capsys):
+        rc = main(["synth", "gen", "--feature-dim", "1", "--out-dir", str(tmp_path / "corpus")])
+        assert rc == 2
+        assert "feature_dim >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "corpus").exists()
+
     def test_missing_method_exit_1(self, tmp_path):
         corpus_dir = tmp_path / "corpus"
         main(["synth", "gen", "--n-utts", "6", "--out-dir", str(corpus_dir)])
@@ -371,7 +394,7 @@ class TestSynthCommands:
         assert rc == 1
 
     def test_align_metrics_composition_matches_evaluate(self, tmp_path, capsys):
-        """align + metrics over dumped logits equals the library evaluate."""
+        """align + metrics over dumped logits equals the synth eval report."""
         corpus_dir = tmp_path / "corpus"
         main(["synth", "gen", "--n-utts", "8", "--out-dir", str(corpus_dir)])
         config = tmp_path / "train.cfg"
@@ -418,7 +441,12 @@ class TestSynthCommands:
         assert rc == 0
         clf = dataio.load_classifier(tmp_path / "m.npz")
         corpus = generate_corpus(CorpusSpec(n_utts=8))
-        hist = peak_histogram(peak_reference_items(clf, corpus, 1.0), 10, (-1.0, 2.0))
+        items = []
+        for utt in corpus:
+            logits, _ = model_forward(clf, inputs_for(clf, utt), utt.utt_id)
+            spans = align_spans(logits, utt.labels, 1.0)
+            items.extend(peak_items(spans, utt.word_map, utt.ref_timings, FRAME_MS))
+        hist = peak_histogram(items, 10, (-1.0, 2.0))
         assert hist.n_scored > 0
         assert capsys.readouterr().out == (
             f"mean_rel_pos {hist.mean_rel_pos:.6g}  "

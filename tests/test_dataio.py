@@ -34,9 +34,14 @@ class TestLogitsJsonl:
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "logits.jsonl"
         good = json.dumps({"utt": "u", "frame_ms": 10.0, "frames": [[0.0, 0.0]]})
-        path.write_text(good + "\n{broken\n")
-        with pytest.raises(DataFormatError, match=":2"):
-            list(dataio.iter_logits_jsonl(path))
+        for bad in [
+            "{broken",
+            json.dumps({"utt": "v", "frame_ms": None, "frames": [[0.0, 0.0]]}),
+            json.dumps({"utt": "v", "frame_ms": 10.0, "frames": {"a": 1}}),
+        ]:
+            path.write_text(good + "\n" + bad + "\n")
+            with pytest.raises(DataFormatError, match=r"logits.jsonl:2: "):
+                list(dataio.iter_logits_jsonl(path))
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "logits.jsonl"

@@ -12,15 +12,16 @@ from ctctiming.synth import (
     TrainConfig,
     TrainingDivergedError,
     corpus_blank_occupancy,
-    evaluate,
     generate_corpus,
+    inputs_for,
     model_forward,
     model_backward,
-    model_inputs,
     predict_timings,
+    reference_timings,
     split_corpus,
     train,
 )
+from ctctiming.metrics import match_words, timing_metrics
 
 from oracles import central_difference_grad, grad_relative_error
 
@@ -111,6 +112,8 @@ class TestGenerateCorpus:
             CorpusSpec(vocab_size=1)
         with pytest.raises(ValueError):
             CorpusSpec(noise_sigma=-0.1)
+        with pytest.raises(ValueError, match="feature_dim >= 2"):
+            CorpusSpec(feature_dim=1)
 
 
 class TestSplit:
@@ -351,10 +354,15 @@ class TestEvaluate:
 
     def test_fusion_input_dims(self):
         corpus = generate_corpus(small_spec())
-        fused = model_inputs(corpus[0], fuse_features=True)
-        plain = model_inputs(corpus[0], fuse_features=False)
+        d = corpus[0].features_lo.shape[1]
+        fused = inputs_for(Classifier.init(2 * d, 8, 5, seed=0), corpus[0])
+        plain = inputs_for(Classifier.init(d, 8, 5, seed=0), corpus[0])
         assert fused.shape[1] == 2 * plain.shape[1]
         assert np.array_equal(fused[:, : plain.shape[1]], corpus[0].features_hi)
+        assert np.array_equal(fused[:, plain.shape[1] :], corpus[0].features_lo)
+        assert plain is corpus[0].features_hi
+        with pytest.raises(ValueError, match="matches neither"):
+            inputs_for(Classifier.init(d + 1, 8, 5, seed=0), corpus[0])
 
     def test_shifted_references_match_shifted_offset(self):
         # translating references and predictions together leaves all
@@ -365,7 +373,13 @@ class TestEvaluate:
         corpus = generate_corpus(small_spec(gap_frames=(4, 6)))
         config = TrainConfig(method="npc", epochs=15, batch_size=8, seed=3)
         clf, _ = train(config, corpus)
-        base = evaluate(clf, corpus, 1.0, offset_ms=0.0, thresholds_ms=(20.0,))
+
+        def evaluate(utts, offset_ms):
+            pred = predict_timings(clf, utts, 1.0, offset_ms)
+            pairs, n_hyp, n_ref = match_words(pred, reference_timings(utts))
+            return timing_metrics(pairs, [20.0], n_hyp=n_hyp, n_ref=n_ref)
+
+        base = evaluate(corpus, 0.0)
 
         delta = 20.0
         shifted_corpus = [
@@ -378,7 +392,7 @@ class TestEvaluate:
             )
             for utt in corpus
         ]
-        shifted = evaluate(clf, shifted_corpus, 1.0, offset_ms=delta, thresholds_ms=(20.0,))
+        shifted = evaluate(shifted_corpus, delta)
         assert shifted.pct_ws == base.pct_ws
         assert shifted.pct_we == base.pct_we
         assert shifted.ave_st_delta_ms == pytest.approx(base.ave_st_delta_ms)
@@ -407,6 +421,14 @@ class TestSweeps:
             per_training = 1
         train_split, _ = split_corpus(generate_corpus(spec))
         assert len(trained) == 2 and len(rows) == 2 * per_training
+        scores = ["blank_occupancy", "ave_st_ms", "ave_ed_ms", "offset_ms", "mean_peak_rel",
+                  "pct_ws_20", "pct_we_20", "pct_ws_80", "pct_we_80"]
+        head = ["gamma_train", "gamma_inf"] if kind == "gamma" else ["lambda_pfr"]
+        for row in rows:
+            assert list(row) == head + scores
+        grid = ([(0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0)] if kind == "gamma"
+                else [(0.0,), (1.0,)])
+        assert [tuple(row[c] for c in head) for row in rows] == grid
         for i, (clf, corpus) in enumerate(trained):
             assert [u.utt_id for u in corpus] == [u.utt_id for u in train_split]
             want = corpus_blank_occupancy(clf, train_split)
@@ -456,7 +478,8 @@ class TestCetcTargets:
         [(stage1, targets)] = seen
         assert stage1.input_dim == fused_dim and set(targets) == {u.utt_id for u in corpus}
         for utt in corpus:
-            logits, _ = model_forward(stage1, model_inputs(utt, fuse_features=True), utt.utt_id)
+            fused = np.concatenate([utt.features_hi, utt.features_lo], axis=1)
+            logits, _ = model_forward(stage1, fused, utt.utt_id)
             peaks = [s.peak_frame for s in align_spans(logits, utt.labels, 0.0)]
             bounds = cetc_boundaries(peaks, utt.n_frames, config.cetc)
             want = cetc_guided_targets(
