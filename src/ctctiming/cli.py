@@ -238,7 +238,10 @@ def _corpus_spec_from_args(args) -> CorpusSpec:
         value = getattr(args, flag, None)
         if value is not None:
             overrides["seed" if flag == "corpus_seed" else flag] = value
-    return replace(base, **overrides)
+    try:
+        return replace(base, **overrides)
+    except ValueError as err:  # every value checked there came from a flag
+        raise UsageError(f"corpus flags: {err}") from err
 
 
 CONFIG_KEYS = {

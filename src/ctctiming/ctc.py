@@ -6,7 +6,9 @@ blank (id 0) and odd state 2u+1 emits the u-th label. Probabilities are
 kept in natural-log domain throughout; impossible cells hold -inf.
 
 One padded recursion fills every lattice: summed, it gives the loss's
-forward and backward lattices; maximised, the Viterbi scores.
+forward and backward lattices; maximised, the Viterbi scores. Each lattice
+is one float64 array that starts out holding its own emissions, so a
+(T, S) lattice costs T x (S + 2) x 8 bytes and no emission copy beside it.
 """
 from __future__ import annotations
 
@@ -165,57 +167,62 @@ def _check_path_exists(n_frames: int, labels: LabelSequence) -> None:
         )
 
 
-def _recursion(emit: np.ndarray, jump_mask: np.ndarray, combine) -> np.ndarray:
-    """(T, R, S + 2) lattice of (T, R, S) padded emissions and (R, S) skip masks.
+def _recursion(lattice: np.ndarray, jump_mask: np.ndarray, combine) -> np.ndarray:
+    """Fill a (T, R, S + 2) lattice in place, given (R, S) skip masks.
 
-    Each cell is combine(combine(stay, step), skip) + emit: np.logaddexp sums
-    over paths, np.maximum keeps the best. Two leading -inf columns turn the
-    s-1 and s-2 predecessors into views, so state s sits in column s + 2.
+    The lattice arrives holding its own emissions: state s of row r at frame
+    t sits in column s + 2, the two leading columns and all padding are -inf,
+    and at frame 0 only states 0 and 1 are finite. Each later cell becomes
+    emit + combine(combine(stay, step), skip): np.logaddexp sums over paths,
+    np.maximum keeps the best. The leading -inf columns turn the s-1 and s-2
+    predecessors into views.
     """
-    n_frames, n_rows, n_states = emit.shape
-    lattice = np.full((n_frames, n_rows, n_states + 2), NEG_INF)
-    lattice[0, :, 2:4] = emit[0, :, :2]
-    jump = np.empty((n_rows, n_states))
-    for t in range(1, n_frames):
+    best = np.empty(jump_mask.shape)
+    jump = np.empty(jump_mask.shape)
+    for t in range(1, len(lattice)):
         prev, cur = lattice[t - 1], lattice[t, :, 2:]
-        combine(prev[:, 2:], prev[:, 1:-1], out=cur)
+        combine(prev[:, 2:], prev[:, 1:-1], out=best)
         np.add(prev[:, :-2], jump_mask, out=jump)
-        combine(cur, jump, out=cur)
-        cur += emit[t]
+        combine(best, jump, out=best)
+        cur += best
     return lattice
 
 
 def _lattices(
-    emits: list[np.ndarray], masks: list[np.ndarray]
+    log_probs: list[np.ndarray], syms: list[np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Forward and backward lattices of a batch from one padded recursion.
 
-    emits[i] holds utterance i's state emissions, shape T_i x S_i; masks[i]
-    its skip mask. Each utterance fills two rows of a (T_max, 2B, S_max)
-    batch: itself, and a copy reversed in both states and time, whose forward
-    recursion is the backward one. Padding is -inf and only ever feeds padded
-    cells (higher states, later frames), so every real cell is computed by
-    the same operations as an unpadded single-utterance recursion. Returns
-    one (alpha, beta) pair of S_i x T_i arrays per utterance, copied out so
-    that a kept result does not hold on to the whole batch.
+    log_probs[i] is utterance i's T_i x V log-prob matrix and syms[i] the
+    vocab id of each of its S_i states. Each utterance fills two rows of one
+    (T_max, 2B, S_max + 2) lattice: itself, and a copy reversed in both
+    states and time, whose forward recursion is the backward one. Emissions
+    are written straight into those rows. Padding is -inf and only ever
+    feeds padded cells (higher states, later frames), so every real cell is
+    computed by the same operations as an unpadded single-utterance
+    recursion. Returns one (alpha, beta) pair of S_i x T_i arrays per
+    utterance, copied out so that a kept result does not hold on to the
+    whole batch.
     """
-    n_utts = len(emits)
-    n_frames = max(e.shape[0] for e in emits)
-    n_states = max(e.shape[1] for e in emits)
-    emit = np.full((n_frames, 2 * n_utts, n_states), NEG_INF)
+    n_utts = len(log_probs)
+    n_frames = max(len(lp) for lp in log_probs)
+    n_states = max(len(sym) for sym in syms)
+    lattice = np.full((n_frames, 2 * n_utts, n_states + 2), NEG_INF)
     jump_mask = np.full((2 * n_utts, n_states), NEG_INF)
-    for i, (e, mask) in enumerate(zip(emits, masks)):
-        t_i, s_i = e.shape
-        emit[:t_i, i, :s_i] = e
-        emit[:t_i, n_utts + i, :s_i] = e[::-1, ::-1]
+    for i, (lp, sym) in enumerate(zip(log_probs, syms)):
+        t_i, s_i = len(lp), len(sym)
+        lattice[:t_i, i, 2 : 2 + s_i] = lp[:, sym]
+        lattice[:t_i, n_utts + i, 2 : 2 + s_i] = lattice[t_i - 1 :: -1, i, 1 + s_i : 1 : -1]
+        mask = _skip_mask(sym)
         jump_mask[i, :s_i] = mask
         # reversed row r = S-1-s takes the backward s+2 -> s term, legal when mask[s+2] is 0
         jump_mask[n_utts + i, 2:s_i] = mask[:1:-1]
+    lattice[0, :, 4:] = NEG_INF
 
-    lattice = _recursion(emit, jump_mask, np.logaddexp)
+    _recursion(lattice, jump_mask, np.logaddexp)
     out = []
-    for i, e in enumerate(emits):
-        t_i, s_i = e.shape
+    for i, (lp, sym) in enumerate(zip(log_probs, syms)):
+        t_i, s_i = len(lp), len(sym)
         alpha = np.ascontiguousarray(lattice[:t_i, i, 2 : 2 + s_i].T)
         beta = np.ascontiguousarray(lattice[:t_i, n_utts + i, 2 : 2 + s_i][::-1, ::-1].T)
         out.append((alpha, beta))
@@ -243,10 +250,9 @@ def ctc_loss_batch(
         except NoValidPathError as err:
             results[i] = err
             continue
-        syms = _state_symbols(lab)
-        todo.append((i, lp[:, syms], _skip_mask(syms)))
+        todo.append((i, lp, _state_symbols(lab)))
     if todo:
-        lattices = _lattices([e for _, e, _ in todo], [mask for _, _, mask in todo])
+        lattices = _lattices([lp for _, lp, _ in todo], [syms for _, _, syms in todo])
         for (i, _, _), (alpha, beta) in zip(todo, lattices):
             log_like = float(np.logaddexp(alpha[-1, -1], alpha[-2, -1]))
             if np.isfinite(log_like):
@@ -349,7 +355,13 @@ def forced_align(log_probs: np.ndarray, labels: LabelSequence) -> AlignmentPath:
 
     syms = _state_symbols(labels)
     mask = _skip_mask(syms)
-    score = _recursion(log_probs[:, None, syms], mask[None], np.maximum)[:, 0]
+    # gather the emissions into the lattice itself; mode="clip" writes out
+    # directly (the label range is checked above), "raise" would buffer it
+    lattice = np.empty((n_frames, 1, len(syms) + 2))
+    np.take(log_probs, [BLANK_ID, BLANK_ID, *syms], axis=1, out=lattice[:, 0], mode="clip")
+    lattice[:, 0, :2] = NEG_INF
+    lattice[0, 0, 4:] = NEG_INF
+    score = _recursion(lattice, mask[None], np.maximum)[:, 0]
 
     if not (np.isfinite(score[-1, -1]) or np.isfinite(score[-1, -2])):
         raise NoValidPathError("no valid path: final states unreachable")

@@ -22,44 +22,46 @@ class DataFormatError(ValueError):
     """A data file failed to parse or validate."""
 
 
-def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line:
-                yield lineno, line
-
-
 def _records(path: str | Path, keys: tuple[str, ...], build) -> Iterator[tuple[str, Any]]:
     """(utt, build(utt, record)) for each JSON object line that has keys.
 
     A malformed line, a missing key, a repeated utt id or a record that
     build rejects with ValueError, KeyError or TypeError raises
-    DataFormatError naming the file and line.
+    DataFormatError naming the file and line. Neither the line nor its
+    parsed record outlives build, so a caller holds only what it returns.
     """
     seen: dict[str, int] = {}
-    for lineno, line in _lines(path):
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("expected a JSON object")
-            missing = [k for k in keys if k not in record]
-            if missing:
-                raise ValueError(f"missing keys {missing}")
-            utt = str(record["utt"])
-            first = seen.setdefault(utt, lineno)
-            if first != lineno:
-                raise ValueError(f"duplicate utterance id {utt!r} (first on line {first})")
-            value = build(utt, record)
-        except json.JSONDecodeError as err:
-            raise DataFormatError(f"{path}:{lineno}: malformed JSON ({err.msg})") from err
-        except (ValueError, KeyError, TypeError) as err:
-            raise DataFormatError(f"{path}:{lineno}: {err}") from err
-        yield utt, value
+    with open(path, "r", encoding="utf-8") as handle:
+        lineno = 0
+        for line in handle:  # not enumerate: its reused tuple would keep the line alive
+            lineno += 1
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("expected a JSON object")
+                missing = [k for k in keys if k not in record]
+                if missing:
+                    raise ValueError(f"missing keys {missing}")
+                utt = str(record["utt"])
+                first = seen.setdefault(utt, lineno)
+                if first != lineno:
+                    raise ValueError(f"duplicate utterance id {utt!r} (first on line {first})")
+                value = build(utt, record)
+            except json.JSONDecodeError as err:
+                raise DataFormatError(f"{path}:{lineno}: malformed JSON ({err.msg})") from err
+            except (ValueError, KeyError, TypeError) as err:
+                raise DataFormatError(f"{path}:{lineno}: {err}") from err
+            del record, line
+            yield utt, value
 
 
 def iter_logits_jsonl(path: str | Path, frame_ms: float | None = None) -> Iterator[LogitMatrix]:
-    """Stream {"utt", "frame_ms", "frames"} records as LogitMatrix values."""
+    """Stream {"utt", "frame_ms", "frames"} records as LogitMatrix values.
+
+    A frame_ms given here overrides the records', which may then omit it.
+    """
     def build(utt: str, record: dict) -> LogitMatrix:
         return LogitMatrix(
             utt,
@@ -67,7 +69,8 @@ def iter_logits_jsonl(path: str | Path, frame_ms: float | None = None) -> Iterat
             float(frame_ms if frame_ms is not None else record["frame_ms"]),
         )
 
-    for _, logits in _records(path, ("utt", "frame_ms", "frames"), build):
+    keys = ("utt", "frames") if frame_ms is not None else ("utt", "frame_ms", "frames")
+    for _, logits in _records(path, keys, build):
         yield logits
 
 

@@ -110,6 +110,28 @@ class TestAlign:
         assert rc == 2
         assert ":1" in capsys.readouterr().err
 
+    def test_frame_ms_flag_stands_in_for_missing_field(self, tmp_path):
+        write_fixture(tmp_path)
+        logits = tmp_path / "logits.jsonl"
+        records = [json.loads(line) for line in logits.read_text().splitlines()]
+        for record in records:
+            del record["frame_ms"]
+        logits.write_text("".join(json.dumps(record) + "\n" for record in records))
+        rc = main([
+            "align", "--logits", str(tmp_path / "logits.jsonl"),
+            "--labels", str(tmp_path / "labels.jsonl"),
+            "--vocab", str(tmp_path / "vocab.txt"),
+            "--gamma-inf", "0.0", "--frame-ms", str(2 * FRAME_MS),
+            "--out", str(tmp_path / "hyp.jsonl"),
+        ])
+        assert rc == 0
+        hyp = dataio.read_timings_jsonl(tmp_path / "hyp.jsonl")
+        ref = dataio.read_timings_jsonl(tmp_path / "ref.jsonl")
+        for utt in ref:
+            assert [(w.start_ms, w.end_ms) for w in hyp[utt]] == [
+                (2 * w.start_ms, 2 * w.end_ms) for w in ref[utt]
+            ]
+
     def test_unalignable_utterance_goes_to_sidecar(self, tmp_path):
         write_fixture(tmp_path)
         # truncate u1 to fewer frames than labels need
@@ -329,6 +351,21 @@ def test_malformed_flag_value_exit_1(tmp_path, monkeypatch, capsys, argv, flag):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [
+    ["synth", "gen", "--out-dir", "corpus"],
+    ["synth", "sweep", "--kind", "gamma", "--out", "sweep.csv"],
+], ids=["gen", "sweep"])
+@pytest.mark.parametrize("flags, reason", [
+    (["--span-frames", "5:1"], "span_frames: invalid range (5, 1)"),
+    (["--n-utts", "0"], "need n_utts >= 1"),
+], ids=["span-frames", "n-utts"])
+def test_out_of_range_corpus_flag_exit_1(tmp_path, monkeypatch, capsys, command, flags, reason):
+    monkeypatch.chdir(tmp_path)
+    assert main(command + flags) == 1
+    assert reason in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 class TestSynthCommands:
     def test_gen_train_eval_pipeline(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
@@ -380,9 +417,9 @@ class TestSynthCommands:
             capsys.readouterr().out,
         )
 
-    def test_gen_feature_dim_1_exit_2_without_output(self, tmp_path, capsys):
+    def test_gen_feature_dim_1_exit_1_without_output(self, tmp_path, capsys):
         rc = main(["synth", "gen", "--feature-dim", "1", "--out-dir", str(tmp_path / "corpus")])
-        assert rc == 2
+        assert rc == 1
         assert "feature_dim >= 2" in capsys.readouterr().err
         assert not (tmp_path / "corpus").exists()
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,8 +194,16 @@ class TestCtcBatch:
 
     def test_lattices_match_cellwise_recursion(self):
         rng = np.random.default_rng(22)
-        for _ in range(10):
-            batch = mixed_batch(rng)
+        # the longest utterance last or in the middle, beside T_i = 1 and U = 1 rows
+        shapes = [
+            [((1, 3), (1,)), ((2, 4), (3,)), ((12, 5), (1, 2, 2, 4))],
+            [((3, 4), (2,)), ((11, 4), (1, 3, 1)), ((1, 2), (1,)), ((5, 3), (2, 2))],
+        ]
+        edge_batches = [
+            [(rng.normal(size=size), LabelSequence(tokens)) for size, tokens in shape]
+            for shape in shapes
+        ]
+        for batch in edge_batches + [mixed_batch(rng) for _ in range(10)]:
             log_probs = [log_softmax_rows(x) for x, _ in batch]
             results = ctc_loss_batch(log_probs, [labels for _, labels in batch])
             for lp, (_, labels), (_, lattice) in zip(log_probs, batch, results):
@@ -410,6 +419,20 @@ class TestForcedAlign:
     def test_no_valid_path(self):
         with pytest.raises(NoValidPathError):
             forced_align(np.log(np.full((1, 3), 1 / 3)), LabelSequence((1, 2)))
+
+    def test_lattice_is_its_only_large_array(self):
+        rng = np.random.default_rng(18)
+        n_frames, n_vocab = 600, 50
+        tokens = tuple(int(x) for x in rng.integers(1, n_vocab, size=70))
+        log_probs = log_softmax_rows(rng.normal(size=(n_frames, n_vocab)))
+        tracemalloc.start()
+        try:
+            forced_align(log_probs, LabelSequence(tokens))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 per lattice cell: T x (S + 2), with S = 2U + 1
+        assert peak < 1.25 * n_frames * (2 * len(tokens) + 3) * 8
 
     def test_matches_backpointer_oracle(self):
         """Backtrace from the score lattice equals a stored backpointer table,

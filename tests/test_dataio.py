@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,29 @@ class TestLogitsJsonl:
         dataio.write_logits_jsonl(path, [LogitMatrix("u", np.zeros((2, 2)), 40.0)])
         back = next(iter(dataio.iter_logits_jsonl(path, frame_ms=10.0)))
         assert back.frame_ms == 10.0
+        # the override stands in for a record that has no frame_ms
+        path.write_text(json.dumps({"utt": "u", "frames": [[0.0, 1.0]]}) + "\n")
+        back = next(iter(dataio.iter_logits_jsonl(path, frame_ms=10.0)))
+        assert back.frame_ms == 10.0
+        assert np.array_equal(back.frames, [[0.0, 1.0]])
+
+    def test_parsed_record_freed_before_yield(self, tmp_path):
+        path = tmp_path / "logits.jsonl"
+        rng = np.random.default_rng(3)
+        dataio.write_logits_jsonl(
+            path, [LogitMatrix(u, rng.normal(size=(2000, 32)), 10.0) for u in ("a", "b")]
+        )
+        tracemalloc.start()
+        try:
+            records = dataio.iter_logits_jsonl(path)
+            before = tracemalloc.get_traced_memory()[0]
+            first = next(records)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert first.utt_id == "a"
+        # the returned frames, not the JSON text or its lists of floats
+        assert held - first.frames.nbytes < first.frames.nbytes
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "logits.jsonl"
