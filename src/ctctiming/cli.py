@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import json
 import sys
@@ -66,12 +67,22 @@ def _flag_type(parse):
     return convert
 
 
+def _number(text: str, positive: bool = False) -> float:
+    value = float(text)
+    if not math.isfinite(value) or positive and value <= 0:
+        raise ValueError(f"expected a finite number{' > 0' if positive else ''}, got {text!r}")
+    return value
+
+
+_parse_threshold = _flag_type(lambda text: _number(text, positive=True))
+
+
 @_flag_type
 def _parse_range(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected LO:HI:STEP, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
+    lo, hi, step = (_number(p) for p in parts)
     if lo > hi or step <= 0:
         raise ValueError(f"invalid range {text!r}")
     return lo, hi, step
@@ -79,7 +90,7 @@ def _parse_range(text: str) -> tuple[float, float, float]:
 
 @_flag_type
 def _parse_thresholds(text: str) -> list[float]:
-    values = [float(p) for p in text.split(",") if p.strip()]
+    values = [_number(p, positive=True) for p in text.split(",") if p.strip()]
     if not values:
         raise ValueError("no thresholds given")
     return values
@@ -441,7 +452,7 @@ def build_parser() -> _Parser:
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--range", type=_parse_range, default="-200:200:10", help="LO:HI:STEP in ms")
-    p.add_argument("--threshold", type=float, default=80.0)
+    p.add_argument("--threshold", type=_parse_threshold, default=80.0)
     p.add_argument("--out", required=True, help="offset,score curve CSV")
     p.add_argument("--report", default=None, help="metrics JSON at the best offset")
     p.add_argument("--no-timestamp", action="store_true")

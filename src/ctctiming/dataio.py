@@ -26,9 +26,10 @@ def _records(path: str | Path, keys: tuple[str, ...], build) -> Iterator[tuple[s
     """(utt, build(utt, record)) for each JSON object line that has keys.
 
     A malformed line, a missing key, a repeated utt id or a record that
-    build rejects with ValueError, KeyError or TypeError raises
-    DataFormatError naming the file and line. Neither the line nor its
-    parsed record outlives build, so a caller holds only what it returns.
+    build rejects with ValueError, KeyError, TypeError or OverflowError (an
+    integer too large for a float) raises DataFormatError naming the file
+    and line. Neither the line nor its parsed record outlives build, so a
+    caller holds only what it returns.
     """
     seen: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -51,7 +52,7 @@ def _records(path: str | Path, keys: tuple[str, ...], build) -> Iterator[tuple[s
                 value = build(utt, record)
             except json.JSONDecodeError as err:
                 raise DataFormatError(f"{path}:{lineno}: malformed JSON ({err.msg})") from err
-            except (ValueError, KeyError, TypeError) as err:
+            except (ValueError, KeyError, TypeError, OverflowError) as err:
                 raise DataFormatError(f"{path}:{lineno}: {err}") from err
             del record, line
             yield utt, value

@@ -1,9 +1,11 @@
-"""Word-timing evaluation: edit-distance matching, offset statistics,
-threshold percentages, durations and peak-position distributions."""
+"""Word-timing evaluation: edit-distance matching on bit-vector columns,
+offset statistics, threshold percentages, durations and peak-position
+distributions."""
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -70,51 +72,67 @@ class PeakHistogram:
     n_skipped: int
 
 
-def _edit_table(
-    hyp_words: list[str], ref_words: list[str]
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """Unit-cost edit-distance table, (n+1) x (m+1), and the word ids.
-
-    Words equal after NFC normalization share an integer id. Row i is one
-    numpy pass: base[j] takes the diagonal (match or substitution) and the
-    vertical (hyp word unmatched) terms from row i-1, and the horizontal
-    term dist[i, j-1] + 1 chains along the row, so dist[i, j] is j plus the
-    running minimum of base[k] - k over k <= j.
-    """
+def _word_ids(hyp_words: list[str], ref_words: list[str]) -> tuple[list[int], list[int]]:
+    """Integer ids shared by words that are equal after NFC normalization."""
     ids: dict[str, int] = {}
     hyp = [ids.setdefault(_norm(w), len(ids)) for w in hyp_words]
     ref = [ids.setdefault(_norm(w), len(ids)) for w in ref_words]
-    ref_ids = np.array(ref, dtype=np.int64)
-    cols = np.arange(len(ref) + 1, dtype=np.int64)
-    dist = np.empty((len(hyp) + 1, len(ref) + 1), dtype=np.int64)
-    dist[0] = cols
-    base = np.empty_like(cols)
-    for i, word in enumerate(hyp, start=1):
-        prev = dist[i - 1]
-        base[0] = i
-        np.minimum(prev[:-1] + (ref_ids != word), prev[1:] + 1, out=base[1:])
-        dist[i] = cols + np.minimum.accumulate(base - cols)
-    return dist, hyp, ref
+    return hyp, ref
+
+
+def _edit_columns(hyp: list[int], ref: list[int]) -> Iterator[tuple[int, int]]:
+    """Columns j = 0..m of the unit-cost edit-distance table D as bit vectors.
+
+    D[i][j] is the distance between the first i hypothesis and the first j
+    reference words. Column j is yielded as (VP, VN): bit i-1 of VP (of VN)
+    is set where D[i][j] - D[i-1][j] is +1 (is -1), so
+    D[i][j] = j + popcount(VP & (2^i - 1)) - popcount(VN & (2^i - 1)).
+    Each column follows from the last in a dozen Python int operations
+    (Myers 1999, in Hyyrö's 2001 formulation; the top row D[0][j] = j shifts
+    a +1 into the horizontal deltas).
+    """
+    peq: dict[int, int] = {}
+    for i, word in enumerate(hyp):
+        peq[word] = peq.get(word, 0) | 1 << i
+    mask = (1 << len(hyp)) - 1
+    vp, vn = mask, 0
+    yield vp, vn
+    for word in ref:
+        eq = peq.get(word, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = (vn | ~(xh | vp)) << 1 | 1
+        hn = (vp & xh) << 1
+        vp = (hn | ~(xv | hp)) & mask
+        vn = hp & xv
+        yield vp, vn
 
 
 def edit_align(hyp_words: list[str], ref_words: list[str]) -> list[tuple[int, int]]:
     """Minimum-edit-distance alignment; returns only the equal-text slots.
 
-    Unit costs; the table is filled one hypothesis word at a time by
-    `_edit_table`. The backtrace prefers match > substitution > deletion >
+    Unit costs; the table is held as `_edit_columns` bit vectors, 2(m+1)
+    ints of n bits, and each cell the backtrace visits is read back from
+    its column. The backtrace prefers match > substitution > deletion >
     insertion, so the result is deterministic. Word texts are compared after
     Unicode NFC normalization, byte-exact, no case folding.
     """
-    dist, hyp, ref = _edit_table(hyp_words, ref_words)
+    hyp, ref = _word_ids(hyp_words, ref_words)
+    vps, vns = zip(*_edit_columns(hyp, ref))
+
+    def dist(i: int, j: int) -> int:
+        low = (1 << i) - 1
+        return j + (vps[j] & low).bit_count() - (vns[j] & low).bit_count()
+
     matches = []
     i, j = len(hyp), len(ref)
     while i > 0 and j > 0:
-        if hyp[i - 1] == ref[j - 1] and dist[i, j] == dist[i - 1, j - 1]:
+        if hyp[i - 1] == ref[j - 1] and dist(i, j) == dist(i - 1, j - 1):
             matches.append((i - 1, j - 1))
             i, j = i - 1, j - 1
-        elif dist[i, j] == dist[i - 1, j - 1] + 1:
+        elif dist(i, j) == dist(i - 1, j - 1) + 1:
             i, j = i - 1, j - 1
-        elif dist[i, j] == dist[i, j - 1] + 1:  # deletion: ref word unmatched
+        elif dist(i, j) == dist(i, j - 1) + 1:  # deletion: ref word unmatched
             j -= 1
         else:  # insertion: hyp word unmatched
             i -= 1
@@ -123,8 +141,14 @@ def edit_align(hyp_words: list[str], ref_words: list[str]) -> list[tuple[int, in
 
 
 def edit_distance(hyp_words: list[str], ref_words: list[str]) -> int:
-    """Levenshtein distance under the same normalization as edit_align."""
-    return int(_edit_table(hyp_words, ref_words)[0][-1, -1])
+    """Levenshtein distance under the same normalization as edit_align.
+
+    Only the running column is kept: D[n][m] is read off the last one.
+    """
+    hyp, ref = _word_ids(hyp_words, ref_words)
+    for vp, vn in _edit_columns(hyp, ref):
+        pass
+    return len(ref) + vp.bit_count() - vn.bit_count()
 
 
 def match_words(

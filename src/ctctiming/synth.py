@@ -84,8 +84,9 @@ class CorpusSpec:
 
     def __post_init__(self):
         # features are stored in the logits format, which needs two columns
-        if self.n_utts < 1 or self.vocab_size < 2 or self.feature_dim < 2:
-            raise ValueError("need n_utts >= 1, vocab_size >= 2, feature_dim >= 2")
+        for name, least in (("n_utts", 1), ("vocab_size", 2), ("feature_dim", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"need {name} >= {least}, got {getattr(self, name)}")
         for name in ("pieces_per_word", "words_per_utt", "span_frames", "gap_frames"):
             lo, hi = (int(x) for x in getattr(self, name))
             setattr(self, name, (lo, hi))

@@ -176,7 +176,7 @@ def edit_align_cellwise(hyp_words: list[str], ref_words: list[str]) -> list[tupl
     """Minimum-edit-distance alignment filled one cell at a time; returns
     only the equal-text slots.
 
-    The reference for the package's row-wise table: unit costs, backtrace
+    The reference for the package's bit-vector columns: unit costs, backtrace
     preferring match > substitution > deletion > insertion, words compared
     after NFC.
     """

@@ -110,6 +110,21 @@ class TestAlign:
         assert rc == 2
         assert ":1" in capsys.readouterr().err
 
+    def test_too_large_integer_in_logits_exit_2(self, tmp_path, capsys):
+        write_fixture(tmp_path)
+        logits = tmp_path / "logits.jsonl"
+        logits.write_text('{"utt": "u0", "frame_ms": 10.0, "frames": [[0, 0, 1%s]]}\n'
+                          % ("0" * 400))
+        rc = main([
+            "align", "--logits", str(logits),
+            "--labels", str(tmp_path / "labels.jsonl"),
+            "--vocab", str(tmp_path / "vocab.txt"),
+            "--out", str(tmp_path / "hyp.jsonl"),
+        ])
+        assert rc == 2
+        assert "logits.jsonl:1: " in capsys.readouterr().err
+        assert not (tmp_path / "hyp.jsonl").exists()
+
     def test_frame_ms_flag_stands_in_for_missing_field(self, tmp_path):
         write_fixture(tmp_path)
         logits = tmp_path / "logits.jsonl"
@@ -239,6 +254,17 @@ class TestMetricsCommand:
         assert "duplicate utterance id 'a'" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_too_large_integer_in_timings_exit_2(self, tmp_path, capsys):
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": [WordTiming("a", 0.0, 10.0)]})
+        (tmp_path / "hyp.jsonl").write_text(
+            '{"utt": "a", "words": [{"w": "a", "start_ms": 0, "end_ms": 1%s}]}\n' % ("0" * 400))
+        rc = main(["metrics", "--hyp", str(tmp_path / "hyp.jsonl"),
+                   "--ref", str(tmp_path / "ref.jsonl"),
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "hyp.jsonl:1: " in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestGridsearchCommand:
     def test_bias_recovery(self, tmp_path, capsys):
@@ -341,7 +367,22 @@ class TestAnalyzePeaks:
     (["gridsearch", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--range=5:1:1", "--out", "c.csv"],
      "--range"),
     (["synth", "gen", "--span-frames", "3", "--out-dir", "corpus"], "--span-frames"),
-], ids=["thresholds", "range", "span-frames"])
+    (["gridsearch", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--range=0:inf:1", "--out", "c.csv"],
+     "--range"),
+    (["gridsearch", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--range=nan:5:1", "--out", "c.csv"],
+     "--range"),
+    (["metrics", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--thresholds", "nan,80"],
+     "--thresholds"),
+    (["metrics", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--thresholds", "80,-5"],
+     "--thresholds"),
+    (["synth", "eval", "--corpus-dir", "c", "--model", "m.npz", "--thresholds", "0"],
+     "--thresholds"),
+    (["gridsearch", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--threshold", "nan",
+      "--out", "c.csv"], "--threshold"),
+    (["gridsearch", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--threshold", "-5",
+      "--out", "c.csv"], "--threshold"),
+], ids=["thresholds", "range", "span-frames", "range-inf", "range-nan", "thresholds-nan",
+        "thresholds-negative", "thresholds-zero", "threshold-nan", "threshold-negative"])
 def test_malformed_flag_value_exit_1(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
@@ -420,7 +461,9 @@ class TestSynthCommands:
     def test_gen_feature_dim_1_exit_1_without_output(self, tmp_path, capsys):
         rc = main(["synth", "gen", "--feature-dim", "1", "--out-dir", str(tmp_path / "corpus")])
         assert rc == 1
-        assert "feature_dim >= 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "feature_dim >= 2" in err
+        assert "n_utts" not in err
         assert not (tmp_path / "corpus").exists()
 
     def test_missing_method_exit_1(self, tmp_path):

@@ -73,6 +73,12 @@ class TestLogitsJsonl:
         with pytest.raises(DataFormatError, match="frame_ms"):
             list(dataio.iter_logits_jsonl(path))
 
+    def test_too_large_integer_rejected(self, tmp_path):
+        path = tmp_path / "logits.jsonl"
+        path.write_text('{"utt": "u", "frame_ms": 10.0, "frames": [[0.0, 1%s]]}\n' % ("0" * 400))
+        with pytest.raises(DataFormatError, match=r"logits.jsonl:1: .*too large"):
+            list(dataio.iter_logits_jsonl(path))
+
     def test_nonfinite_rejected(self, tmp_path):
         path = tmp_path / "logits.jsonl"
         path.write_text('{"utt": "u", "frame_ms": 10.0, "frames": [[0.0, null]]}\n')
@@ -129,6 +135,13 @@ class TestTimingsJsonl:
         record = {"utt": "u", "words": [{"w": "a", "start_ms": 50.0, "end_ms": 10.0}]}
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(DataFormatError, match=":1"):
+            dataio.read_timings_jsonl(path)
+
+    def test_too_large_integer_rejected(self, tmp_path):
+        path = tmp_path / "timings.jsonl"
+        path.write_text('{"utt": "u", "words": [{"w": "a", "start_ms": 0, "end_ms": 1%s}]}\n'
+                        % ("0" * 400))
+        with pytest.raises(DataFormatError, match=r"timings.jsonl:1: .*too large"):
             dataio.read_timings_jsonl(path)
 
     def test_duplicate_utterance_rejected(self, tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 import unicodedata
 
 import numpy as np
@@ -116,6 +117,44 @@ class TestEditAlign:
         assert len(ref) == 420 and len(hyp) == 420
         assert edit_align(hyp, ref) == edit_align_cellwise(hyp, ref)
         assert edit_distance(hyp, ref) == levenshtein_cost(hyp, ref)
+
+    def test_tie_dense_documents_match_oracles(self):
+        """Long documents over 2-4 word types: ties at almost every cell,
+        columns of several hundred bits, and n != m."""
+        rng = np.random.default_rng(47)
+        for _ in range(8):
+            pool = rng.choice(len(SPELLINGS), size=int(rng.integers(2, 5)), replace=False)
+            n, m = (int(x) for x in rng.choice(np.arange(150, 301), size=2, replace=False))
+            hyp = respell(rng, rng.choice(pool, size=n))
+            ref = respell(rng, rng.choice(pool, size=m))
+            assert len(hyp) != len(ref)
+            assert edit_align(hyp, ref) == edit_align_cellwise(hyp, ref), (hyp, ref)
+            nfc_hyp, nfc_ref = ([unicodedata.normalize("NFC", w) for w in ws] for ws in (hyp, ref))
+            assert edit_distance(hyp, ref) == levenshtein_cost(nfc_hyp, nfc_ref)
+
+    def test_word_counts_at_bit_vector_edges(self):
+        """Empty sides, and lengths around 64 and 128, where the columns are
+        ints of several digits."""
+        rng = np.random.default_rng(48)
+        lengths = (0, 1, 63, 64, 65, 127, 128, 129)
+        for n in lengths:
+            for m in lengths:
+                hyp = [f"w{t}" for t in rng.integers(0, 3, size=n)]
+                ref = [f"w{t}" for t in rng.integers(0, 3, size=m)]
+                assert edit_align(hyp, ref) == edit_align_cellwise(hyp, ref), (n, m)
+                assert edit_distance(hyp, ref) == levenshtein_cost(hyp, ref), (n, m)
+
+    def test_memory_far_below_a_full_table(self):
+        hyp, ref = planted_edit_document(n_words=3000)
+        tracemalloc.start()
+        try:
+            edit_align(hyp, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an int64 table would take 8 (n+1)(m+1) bytes; the bit-vector
+        # columns take 2(m+1) ints of n bits
+        assert peak < 8 * (len(hyp) + 1) * (len(ref) + 1) / 16
 
     def test_cost_matches_oracle(self):
         rng = np.random.default_rng(41)
