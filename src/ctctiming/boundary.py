@@ -219,6 +219,31 @@ def words_from_spans(
     return out
 
 
+# most offsets one gridsearch_offset call tries: each costs a pass over the
+# matched words and a row of the curve
+MAX_OFFSETS = 100_000
+
+
+def offset_count(range_ms: tuple[float, float], step_ms: float) -> int:
+    """Number of offsets lo, lo + step, ... <= hi that gridsearch_offset tries.
+
+    Raises ValueError for an empty range, a step that is not positive, or a
+    count that is not finite or above MAX_OFFSETS.
+    """
+    lo, hi = range_ms
+    if lo > hi:
+        raise ValueError(f"empty offset range [{lo}, {hi}]")
+    if step_ms <= 0:
+        raise ValueError(f"step must be positive, got {step_ms}")
+    count = np.floor((hi - lo) / step_ms + 1e-9) + 1
+    if not count <= MAX_OFFSETS:  # also rejects inf and nan
+        raise ValueError(
+            f"offset range [{lo:g}, {hi:g}] in steps of {step_ms:g} needs {count:g} offsets, "
+            f"more than {MAX_OFFSETS}"
+        )
+    return int(count)
+
+
 def gridsearch_offset(
     pred: dict[str, list[WordTiming]],
     ref: dict[str, list[WordTiming]],
@@ -235,12 +260,7 @@ def gridsearch_offset(
     """
     from .metrics import MatchedPair, match_words, timing_metrics
 
-    lo, hi = range_ms
-    if lo > hi:
-        raise ValueError(f"empty offset range [{lo}, {hi}]")
-    if step_ms <= 0:
-        raise ValueError(f"step must be positive, got {step_ms}")
-
+    n_offsets = offset_count(range_ms, step_ms)
     common = sorted(set(pred) & set(ref))
     matched, n_hyp, n_ref = match_words(pred, {utt: ref[utt] for utt in common})
     if not matched:
@@ -251,7 +271,7 @@ def gridsearch_offset(
     ref_start = np.array([p.ref.start_ms for p in matched])
     ref_end = np.array([p.ref.end_ms for p in matched])
 
-    offsets = lo + step_ms * np.arange(int(np.floor((hi - lo) / step_ms + 1e-9)) + 1)
+    offsets = range_ms[0] + step_ms * np.arange(n_offsets)
     curve = []
     best = None
     for offset in offsets:

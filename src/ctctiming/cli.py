@@ -7,15 +7,17 @@ failure.
 from __future__ import annotations
 
 import argparse
-import math
-import re
 import json
+import math
+import os
+import re
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import dataio
-from .boundary import CetcParams, gridsearch_offset, words_from_spans
+from .boundary import CetcParams, gridsearch_offset, offset_count, words_from_spans
 from .ctc import LogitMatrix, NoValidPathError, align_spans
 from .dataio import DataFormatError
 from .metrics import match_words, peak_histogram, peak_items, timing_metrics
@@ -85,6 +87,7 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     lo, hi, step = (_number(p) for p in parts)
     if lo > hi or step <= 0:
         raise ValueError(f"invalid range {text!r}")
+    offset_count((lo, hi), step)
     return lo, hi, step
 
 
@@ -116,37 +119,140 @@ def _write_errors(out: str, errors: list[dict]) -> None:
         print(f"{len(errors)} failure(s); see {sidecar}", file=sys.stderr)
 
 
+@dataclass(frozen=True)
+class _AlignJob:
+    """What every range of one alignment run shares."""
+
+    logits: str
+    frame_ms: float | None
+    gamma_inf: float
+    label_map: dict
+    refs: dict | None = None  # analyze-peaks: an utterance also needs reference timings
+    n_vocab: int | None = None  # align: every record must have the vocab's width
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _align_range(job: _AlignJob, byte_range) -> list[tuple]:
+    """Align the utterances of one byte range of job.logits.
+
+    One (line, utt, frame_ms, n_frames, outcome) tuple per record, in file
+    order; the outcome is the token spans, or the message of a failure that
+    skips only this utterance. An error that aborts the run ends the list as
+    its outcome, with line and utt None when the record could not be read.
+    """
+    found = []
+    lineno = utt = None
+    try:
+        for lineno, logits in dataio.numbered_logits(job.logits, job.frame_ms, byte_range):
+            utt = logits.utt_id
+            if job.n_vocab is not None and logits.n_vocab != job.n_vocab:
+                raise DataFormatError(
+                    f"{job.logits}: {utt} has width {logits.n_vocab}, "
+                    f"vocab has {job.n_vocab} entries"
+                )
+            entry = job.label_map.get(utt)
+            if entry is None or job.refs is not None and utt not in job.refs:
+                outcome = f"no {'labels' if entry is None else 'reference timings'} for utterance"
+            else:
+                try:
+                    outcome = align_spans(logits, entry[0], job.gamma_inf)
+                except NoValidPathError as err:
+                    outcome = str(err)
+            found.append((lineno, utt, logits.frame_ms, logits.n_frames, outcome))
+            lineno = utt = None
+    except Exception as err:  # any error: the parent raises the first in file order
+        found.append((lineno, utt, None, None, err))
+    return found
+
+
+# a pool worker's job, handed over through fork by _start_worker
+_worker_job: _AlignJob | None = None
+
+
+def _start_worker(job: _AlignJob) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _align_in_worker(byte_range) -> list[tuple]:
+    return _align_range(_worker_job, byte_range)
+
+
+@contextmanager
+def _alignments(job: _AlignJob):
+    """Iterator over (utt, frame_ms, n_frames, outcome) for each record of
+    job.logits, in file order, that raises the run's first error in file
+    order; see _align_range.
+
+    With more than one usable CPU and fork available, byte ranges of the
+    file (about four per CPU) go to a pool of forked workers as each frees
+    up, and only their small results come back; otherwise the one range
+    function runs inline. Either way the results, errors and messages are
+    the same. On exit the pool is shut down, its unstarted ranges cancelled.
+    """
+    cpus = _usable_cpus()
+    ranges = [dataio.WHOLE_FILE]
+    if cpus > 1:
+        import multiprocessing  # here, not at the top: it costs start-up time
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            ranges = dataio.line_ranges(job.logits, 4 * cpus)
+    if len(ranges) < 2:
+        yield _in_file_order(job, (_align_range(job, byte_range) for byte_range in ranges))
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: the workers inherit the job instead of unpickling it
+    pool = ProcessPoolExecutor(min(cpus, len(ranges)),
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(job,))
+    try:
+        yield _in_file_order(job, pool.map(_align_in_worker, ranges))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _in_file_order(job: _AlignJob, chunks):
+    # a range sees only its own ids: repeats across ranges are found here
+    seen: dict[str, int] = {}
+    for chunk in chunks:
+        for lineno, utt, frame_ms, n_frames, outcome in chunk:
+            if utt is not None:
+                first = seen.setdefault(utt, lineno)
+                if first != lineno:
+                    raise DataFormatError(f"{job.logits}:{lineno}: duplicate utterance id "
+                                          f"{utt!r} (first on line {first})")
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield utt, frame_ms, n_frames, outcome
+
+
 def cmd_align(args) -> int:
     vocab = dataio.read_vocab(args.vocab)
     label_map = dataio.read_labels_jsonl(args.labels)
+    job = _AlignJob(args.logits, args.frame_ms, args.gamma_inf, label_map, n_vocab=len(vocab))
     n_written = 0
     errors = []
     # --out is replaced only by a complete run; an abort leaves it as it was
     partial = Path(args.out + ".tmp")
     out = open(partial, "w", encoding="utf-8")
     try:
-        with out:
-            for logits in dataio.iter_logits_jsonl(args.logits, frame_ms=args.frame_ms):
-                if logits.n_vocab != len(vocab):
-                    raise DataFormatError(
-                        f"{args.logits}: {logits.utt_id} has width {logits.n_vocab}, "
-                        f"vocab has {len(vocab)} entries"
-                    )
-                entry = label_map.get(logits.utt_id)
-                if entry is None:
-                    errors.append({"utt": logits.utt_id, "error": "no labels for utterance"})
-                    continue
-                labels, word_map = entry
-                try:
-                    spans = align_spans(logits, labels, args.gamma_inf)
-                except NoValidPathError as err:
-                    errors.append({"utt": logits.utt_id, "error": str(err)})
+        with out, _alignments(job) as results:
+            for utt, frame_ms, n_frames, spans in results:
+                if isinstance(spans, str):
+                    errors.append({"utt": utt, "error": spans})
                     continue
                 words = words_from_spans(
-                    spans, word_map, logits.frame_ms, args.offset_ms, n_frames=logits.n_frames
+                    spans, label_map[utt][1], frame_ms, args.offset_ms, n_frames=n_frames
                 )
                 record = {
-                    "utt": logits.utt_id,
+                    "utt": utt,
                     "words": [
                         {"w": w.word, "start_ms": w.start_ms, "end_ms": w.end_ms} for w in words
                     ],
@@ -217,22 +323,15 @@ def cmd_analyze_peaks(args) -> int:
         raise UsageError("--bins must be >= 1")
     label_map = dataio.read_labels_jsonl(args.labels)
     ref = dataio.read_timings_jsonl(args.ref)
+    job = _AlignJob(args.logits, args.frame_ms, args.gamma_inf, label_map, refs=ref)
     items = []
     errors = []
-    for logits in dataio.iter_logits_jsonl(args.logits, frame_ms=args.frame_ms):
-        entry = label_map.get(logits.utt_id)
-        refs = ref.get(logits.utt_id)
-        if entry is None or refs is None:
-            missing = "labels" if entry is None else "reference timings"
-            errors.append({"utt": logits.utt_id, "error": f"no {missing} for utterance"})
-            continue
-        labels, word_map = entry
-        try:
-            spans = align_spans(logits, labels, args.gamma_inf)
-        except NoValidPathError as err:
-            errors.append({"utt": logits.utt_id, "error": str(err)})
-            continue
-        items.extend(peak_items(spans, word_map, refs, logits.frame_ms))
+    with _alignments(job) as results:
+        for utt, frame_ms, _, spans in results:
+            if isinstance(spans, str):
+                errors.append({"utt": utt, "error": spans})
+            else:
+                items.extend(peak_items(spans, label_map[utt][1], ref[utt], frame_ms))
     hist = peak_histogram(items, args.bins, (args.range_lo, args.range_hi))
     dataio.write_histogram_csv(args.out, hist.counts, hist.bin_edges)
     _write_errors(args.out, errors)

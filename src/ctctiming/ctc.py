@@ -26,11 +26,15 @@ class NoValidPathError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A logit matrix holds NaN or an infinity; utt_id names its utterance."""
+    """A logit matrix holds NaN or an infinity at (frame, vocab); utt_id
+    names its utterance. Pickles, so it can come back from a worker process."""
 
     def __init__(self, utt_id: str, frame: int, vocab: int):
         super().__init__(f"{utt_id}: non-finite logit at frame {frame}, vocab {vocab}")
-        self.utt_id = utt_id
+        self.utt_id, self.frame, self.vocab = utt_id, frame, vocab
+
+    def __reduce__(self):
+        return type(self), (self.utt_id, self.frame, self.vocab)
 
 
 @dataclass(eq=False)

@@ -22,23 +22,62 @@ class DataFormatError(ValueError):
     """A data file failed to parse or validate."""
 
 
-def _records(path: str | Path, keys: tuple[str, ...], build) -> Iterator[tuple[str, Any]]:
-    """(utt, build(utt, record)) for each JSON object line that has keys.
+# (start byte, end byte or None for the end of the file, number of the first line)
+WHOLE_FILE = (0, None, 1)
 
-    A malformed line, a missing key, a repeated utt id or a record that
-    build rejects with ValueError, KeyError, TypeError or OverflowError (an
-    integer too large for a float) raises DataFormatError naming the file
-    and line. Neither the line nor its parsed record outlives build, so a
-    caller holds only what it returns.
+
+def line_ranges(path: str | Path, n: int) -> list[tuple[int, int, int]]:
+    """Split path into at most n byte ranges of about equal size that start
+    and end on line boundaries, in file order: (start, end, number of the
+    range's first line) tuples that _records reads as its byte_range. A line
+    longer than a range keeps its whole self; an empty file gives none."""
+    ranges = []
+    start, lineno = 0, 1
+    with open(path, "rb") as handle:
+        size = handle.seek(0, 2)
+        for k in range(1, n + 1):
+            if start >= size:
+                break
+            handle.seek(max(start, size * k // n - 1))
+            handle.readline()  # to the start of the next line, past byte size*k//n - 1
+            end = handle.tell()
+            handle.seek(start)
+            lines = sum(handle.read(min(1 << 20, end - pos)).count(b"\n")
+                        for pos in range(start, end, 1 << 20))
+            ranges.append((start, end, lineno))
+            start, lineno = end, lineno + lines
+    return ranges
+
+
+def _records(path: str | Path, keys: tuple[str, ...], build,
+             byte_range: tuple[int, int | None, int] = WHOLE_FILE,
+             ) -> Iterator[tuple[int, str, Any]]:
+    """(line number, utt, build(utt, record)) for each JSON object line that
+    has keys, over the byte_range (start, end, first line number) of path,
+    which must start on a line boundary; the default is the whole file.
+
+    A malformed line, a missing key, a record that build rejects with
+    ValueError, KeyError, TypeError or OverflowError (an integer too large
+    for a float) or, after build, a repeated utt id raises DataFormatError
+    naming the file and its absolute line. Neither the line nor its parsed
+    record outlives build, so a caller holds only what it returns.
     """
+    start, end, lineno = byte_range
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        lineno = 0
-        for line in handle:  # not enumerate: its reused tuple would keep the line alive
+    # a larger buffer than the default 8 KB: lines of whole utterances are long
+    with open(path, "rb", buffering=1 << 17) as handle:
+        handle.seek(start)
+        pos = start
+        lineno -= 1
+        for raw in handle:  # not enumerate: its reused tuple would keep the line alive
+            if end is not None and pos >= end:
+                break
+            pos += len(raw)
             lineno += 1
-            if not line.strip():
-                continue
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError("expected a JSON object")
@@ -46,20 +85,23 @@ def _records(path: str | Path, keys: tuple[str, ...], build) -> Iterator[tuple[s
                 if missing:
                     raise ValueError(f"missing keys {missing}")
                 utt = str(record["utt"])
+                value = build(utt, record)
                 first = seen.setdefault(utt, lineno)
                 if first != lineno:
                     raise ValueError(f"duplicate utterance id {utt!r} (first on line {first})")
-                value = build(utt, record)
             except json.JSONDecodeError as err:
                 raise DataFormatError(f"{path}:{lineno}: malformed JSON ({err.msg})") from err
             except (ValueError, KeyError, TypeError, OverflowError) as err:
                 raise DataFormatError(f"{path}:{lineno}: {err}") from err
-            del record, line
-            yield utt, value
+            del record, line, raw
+            yield lineno, utt, value
 
 
-def iter_logits_jsonl(path: str | Path, frame_ms: float | None = None) -> Iterator[LogitMatrix]:
-    """Stream {"utt", "frame_ms", "frames"} records as LogitMatrix values.
+def numbered_logits(path: str | Path, frame_ms: float | None = None,
+                    byte_range: tuple[int, int | None, int] = WHOLE_FILE,
+                    ) -> Iterator[tuple[int, LogitMatrix]]:
+    """(line number, LogitMatrix) of each {"utt", "frame_ms", "frames"}
+    record in the byte_range of path (see _records).
 
     A frame_ms given here overrides the records', which may then omit it.
     """
@@ -71,7 +113,13 @@ def iter_logits_jsonl(path: str | Path, frame_ms: float | None = None) -> Iterat
         )
 
     keys = ("utt", "frames") if frame_ms is not None else ("utt", "frame_ms", "frames")
-    for _, logits in _records(path, keys, build):
+    for lineno, _, logits in _records(path, keys, build, byte_range):
+        yield lineno, logits
+
+
+def iter_logits_jsonl(path: str | Path, frame_ms: float | None = None) -> Iterator[LogitMatrix]:
+    """Stream a logits file's records as LogitMatrix values (see numbered_logits)."""
+    for _, logits in numbered_logits(path, frame_ms):
         yield logits
 
 
@@ -97,7 +145,7 @@ def read_labels_jsonl(path: str | Path) -> dict[str, tuple[LabelSequence, WordMa
             raise ValueError(f"word map covers {word_map.n_pieces} pieces, got {len(labels)}")
         return labels, word_map
 
-    return dict(_records(path, ("utt", "pieces", "words"), build))
+    return {utt: value for _, utt, value in _records(path, ("utt", "pieces", "words"), build)}
 
 
 def write_labels_jsonl(
@@ -121,7 +169,7 @@ def read_timings_jsonl(path: str | Path) -> dict[str, list[WordTiming]]:
             for w in record["words"]
         ]
 
-    return dict(_records(path, ("utt", "words"), build))
+    return {utt: value for _, utt, value in _records(path, ("utt", "words"), build)}
 
 
 def write_timings_jsonl(path: str | Path, timings: dict[str, list[WordTiming]]) -> None:

@@ -11,7 +11,9 @@ from ctctiming.boundary import (
     cetc_boundaries,
     cetc_guided_targets,
     guided_ce_grad,
+    MAX_OFFSETS,
     gridsearch_offset,
+    offset_count,
     words_from_spans,
 )
 from ctctiming.ctc import LabelSequence, LogitMatrix, TokenSpan
@@ -264,3 +266,17 @@ class TestGridsearchOffset:
             gridsearch_offset(ref, ref, (10, -10), 10.0, 80.0)
         with pytest.raises(ValueError):
             gridsearch_offset(ref, ref, (-10, 10), 0.0, 80.0)
+
+    @pytest.mark.parametrize("range_ms, step_ms", [
+        ((0.0, 1e300), 1e-300),  # the count overflows to infinity
+        ((0.0, float(MAX_OFFSETS)), 1.0),  # one offset more than the bound
+        ((float("-inf"), 0.0), 1.0),
+    ], ids=["infinite", "above-bound", "infinite-range"])
+    def test_too_many_offsets_rejected(self, range_ms, step_ms):
+        ref = {"u": make_timings(["a"], [10])}
+        with pytest.raises(ValueError, match="offsets"):
+            gridsearch_offset(ref, ref, range_ms, step_ms, 80.0)
+
+    def test_offset_count_at_bound(self):
+        assert offset_count((0.0, MAX_OFFSETS - 1.0), 1.0) == MAX_OFFSETS
+        assert offset_count((-200.0, 200.0), 10.0) == 41

@@ -1,10 +1,13 @@
 import json
+import multiprocessing
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ctctiming import dataio, synth
+from ctctiming import cli, dataio, synth
 from ctctiming.boundary import WordTiming
 from ctctiming.cli import CONFIG_KEYS, main
 from ctctiming.ctc import LabelSequence, LogitMatrix, align_spans
@@ -381,8 +384,13 @@ class TestAnalyzePeaks:
       "--out", "c.csv"], "--threshold"),
     (["gridsearch", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--threshold", "-5",
       "--out", "c.csv"], "--threshold"),
+    (["gridsearch", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--range=0:1e300:1e-300",
+      "--out", "c.csv"], "--range"),
+    (["gridsearch", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--range=0:1e6:1",
+      "--out", "c.csv"], "--range"),
 ], ids=["thresholds", "range", "span-frames", "range-inf", "range-nan", "thresholds-nan",
-        "thresholds-negative", "thresholds-zero", "threshold-nan", "threshold-negative"])
+        "thresholds-negative", "thresholds-zero", "threshold-nan", "threshold-negative",
+        "range-offsets-infinite", "range-offsets-above-bound"])
 def test_malformed_flag_value_exit_1(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
@@ -712,3 +720,168 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert key in err and repr(method) in err
         assert not model.exists()
+
+
+def write_mixed_fixture(tmp_path, n_utts=40):
+    """Utterances of 2 to ~150 frames over V=4 with planted token spans.
+
+    u05 has no labels, u09 has fewer frames than its labels need (no valid
+    path) and u13 has no reference timings, so each kind of skipped
+    utterance appears once.
+    """
+    rng = np.random.default_rng(11)
+    mats, labels_items, ref = [], [], {}
+    for i in range(n_utts):
+        utt = f"u{i:02d}"
+        tokens = [int(t) for t in rng.integers(1, 4, size=int(rng.integers(1, 6)))]
+        scale = 1 + 7 * (i % 4)  # short and long utterances side by side
+        frames, timings, t = [], [], 0
+        for tok in tokens:
+            gap, span = (int(x) for x in rng.integers(1, 4 * scale, size=2))
+            frames += [0] * gap + [tok] * span
+            timings.append(WordTiming(f"w{tok}", (t + gap) * FRAME_MS,
+                                      (t + gap + span) * FRAME_MS))
+            t += gap + span
+        frames.append(0)
+        logits = np.full((len(frames), 4), -4.0)
+        logits[np.arange(len(frames)), frames] = 4.0
+        if utt == "u09":
+            logits = logits[:2]
+        mats.append(LogitMatrix(utt, logits + 0.01 * rng.normal(size=logits.shape), FRAME_MS))
+        if utt != "u05":
+            words = WordMap(tuple((f"w{tok}", k, k) for k, tok in enumerate(tokens)))
+            labels_items.append((utt, LabelSequence(tuple(tokens)), words))
+        if utt != "u13":
+            ref[utt] = timings
+    dataio.write_logits_jsonl(tmp_path / "logits.jsonl", mats)
+    dataio.write_labels_jsonl(tmp_path / "labels.jsonl", labels_items)
+    dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)
+    dataio.write_vocab(tmp_path / "vocab.txt", ["t1", "t2", "t3"])
+
+
+def _run_on_cpus(monkeypatch, capsys, cpus, argv, out):
+    """Exit code, stdout, stderr, --out bytes and sidecar bytes of one run
+    with the process allowed cpus CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    out.write_text("previous run\n")
+    capsys.readouterr()
+    rc = main(argv)
+    captured = capsys.readouterr()
+    sidecar = Path(str(out) + ".errors")
+    return (rc, captured.out, captured.err, out.read_bytes(),
+            sidecar.read_bytes() if sidecar.exists() else None)
+
+
+def _align_argv(tmp_path):
+    return ["align", "--logits", str(tmp_path / "logits.jsonl"),
+            "--labels", str(tmp_path / "labels.jsonl"), "--vocab", str(tmp_path / "vocab.txt"),
+            "--out", str(tmp_path / "hyp.jsonl")]
+
+
+def _peaks_argv(tmp_path):
+    return ["analyze-peaks", "--logits", str(tmp_path / "logits.jsonl"),
+            "--labels", str(tmp_path / "labels.jsonl"), "--ref", str(tmp_path / "ref.jsonl"),
+            "--out", str(tmp_path / "hist.csv")]
+
+
+def _range_of_line(path, n_ranges, lineno):
+    return [i for i, r in enumerate(dataio.line_ranges(path, n_ranges)) if r[2] <= lineno][-1]
+
+
+class TestParallelPipeline:
+    """align and analyze-peaks give the same bytes on 1, 2 and 4 CPUs."""
+
+    CPUS = (1, 2, 4)
+
+    def test_outputs_identical_across_cpu_counts(self, tmp_path, monkeypatch, capsys):
+        write_mixed_fixture(tmp_path)
+        for argv, out in ((_align_argv(tmp_path), tmp_path / "hyp.jsonl"),
+                          (_peaks_argv(tmp_path), tmp_path / "hist.csv")):
+            runs = [_run_on_cpus(monkeypatch, capsys, cpus, argv, out)
+                    for cpus in self.CPUS]
+            assert runs[0][0] == 0
+            assert all(run == runs[0] for run in runs[1:])
+            errors = [json.loads(line) for line in runs[0][4].decode().splitlines()]
+            assert [e["utt"] for e in errors] == (
+                ["u05", "u09"] if argv[0] == "align" else ["u05", "u09", "u13"])
+            assert "no valid path" in errors[1]["error"]
+        assert len(dataio.read_timings_jsonl(tmp_path / "hyp.jsonl")) == 38
+
+    def test_work_runs_in_workers_that_are_gone_on_return(self, tmp_path, monkeypatch, capsys):
+        write_mixed_fixture(tmp_path)
+        pids = tmp_path / "pids.txt"
+        real = cli.align_spans
+
+        def spy(*args):
+            with open(pids, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "align_spans", spy)  # forked workers inherit the spy
+        for cpus, want_rc in ((1, 0), (2, 0), (4, 0), (2, 2)):
+            if want_rc:  # a record one column too wide near the end aborts the run
+                path = tmp_path / "logits.jsonl"
+                lines = path.read_text().splitlines()
+                record = json.loads(lines[35])
+                record["frames"] = [row + [0.0] for row in record["frames"]]
+                lines[35] = json.dumps(record)
+                path.write_text("\n".join(lines) + "\n")
+            pids.write_text("")
+            rc = _run_on_cpus(monkeypatch, capsys, cpus, _align_argv(tmp_path),
+                              tmp_path / "hyp.jsonl")[0]
+            assert rc == want_rc
+            assert multiprocessing.active_children() == []
+            seen = {int(line) for line in pids.read_text().split()}
+            if cpus == 1:
+                assert seen == {os.getpid()}
+                continue
+            assert seen and os.getpid() not in seen and len(seen) <= cpus
+            for pid in seen:  # exited and reaped: neither running nor a zombie
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("case", ["malformed", "duplicate", "duplicate-invalid", "width",
+                                      "nonfinite"])
+    def test_failure_in_a_later_range_identical(self, tmp_path, monkeypatch, capsys, case):
+        write_mixed_fixture(tmp_path)
+        path = tmp_path / "logits.jsonl"
+        lines = path.read_text().splitlines()
+        bad = 36  # line number
+        record = json.loads(lines[bad - 1])
+        if case == "malformed":
+            lines[bad - 1] = "{broken"
+        elif case.startswith("duplicate"):
+            record["utt"] = "u01"
+            if case == "duplicate-invalid":  # the record's own error comes first
+                record["frames"] = [[0.0]]
+        elif case == "width":
+            record["frames"] = [row + [0.0] for row in record["frames"]]
+        else:  # the label-prior mean overflows to infinity
+            record["frames"] = [[1.7e308] * 4 for _ in record["frames"]]
+        if case != "malformed":
+            lines[bad - 1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        for n_ranges in (8, 16):
+            assert _range_of_line(path, n_ranges, bad) > _range_of_line(path, n_ranges, 2)
+        want = {"malformed": "logits.jsonl:36: malformed JSON",
+                "duplicate": "logits.jsonl:36: duplicate utterance id 'u01' (first on line 2)",
+                "duplicate-invalid": "logits.jsonl:36: u01: need T >= 1 and V >= 2",
+                "width": "u35 has width 5, vocab has 4 entries",
+                "nonfinite": "u35: non-finite logit at frame 0"}[case]
+        for argv, out in ((_align_argv(tmp_path), tmp_path / "hyp.jsonl"),
+                          (_peaks_argv(tmp_path), tmp_path / "hist.csv")):
+            runs = [_run_on_cpus(monkeypatch, capsys, cpus, argv, out)
+                    for cpus in self.CPUS]
+            assert all(run == runs[0] for run in runs[1:])
+            assert multiprocessing.active_children() == []
+            rc, _, err, out_bytes, sidecar = runs[0]
+            if argv[0] == "analyze-peaks" and case == "width":
+                assert rc == 0  # analyze-peaks reads no vocab
+                continue
+            assert rc == 2 and want in err
+            assert out_bytes == b"previous run\n"
+            if argv[0] == "align":
+                errors = [json.loads(line) for line in sidecar.decode().splitlines()]
+                assert [e["utt"] for e in errors] == ["u05", "u09", None]
+                assert want in errors[-1]["error"]

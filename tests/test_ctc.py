@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -88,7 +89,15 @@ class TestLogSoftmax:
         with pytest.raises(NonFiniteError, match="frame 1, vocab 0") as info:
             LogitMatrix("u7", mat, 10.0)
         assert info.value.utt_id == "u7"
+        assert (info.value.frame, info.value.vocab) == (1, 0)
         assert isinstance(info.value, ValueError)
+
+    def test_nonfinite_error_pickles(self):
+        # a worker process hands it back to the parent through pickle
+        err = pickle.loads(pickle.dumps(NonFiniteError("u", 0, 3)))
+        assert type(err) is NonFiniteError
+        assert (err.utt_id, err.frame, err.vocab) == ("u", 0, 3)
+        assert str(err) == str(NonFiniteError("u", 0, 3))
 
 
 class TestLogsumexp:

@@ -94,6 +94,60 @@ class TestLogitsJsonl:
             list(dataio.iter_logits_jsonl(path))
 
 
+class TestLineRanges:
+    def _mixed_file(self, path):
+        """Records of very different sizes, a blank line and no final newline."""
+        rng = np.random.default_rng(5)
+        lines = [json.dumps({"utt": f"u{i}", "frame_ms": 10.0,
+                             "frames": rng.normal(size=(int(n), 3)).round(3).tolist()})
+                 for i, n in enumerate(rng.integers(1, 60, size=25))]
+        lines.insert(7, "")
+        path.write_text("\n".join(lines), encoding="utf-8")
+        return lines
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
+    def test_ranges_tile_the_file_on_line_boundaries(self, tmp_path, n):
+        path = tmp_path / "logits.jsonl"
+        lines = self._mixed_file(path)
+        data = path.read_bytes()
+        ranges = dataio.line_ranges(path, n)
+        assert 1 <= len(ranges) <= n
+        assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
+        for (start, end, first), nxt in zip(ranges, ranges[1:] + [None]):
+            assert start < end
+            assert start == 0 or data[start - 1:start] == b"\n"
+            assert first == data[:start].count(b"\n") + 1
+            if nxt is not None:
+                assert nxt[0] == end
+        # the ranges read back every record once, in order, with its absolute line
+        got = [(line, m.utt_id) for span in ranges
+               for line, m in dataio.numbered_logits(path, byte_range=span)]
+        want = [(i + 1, json.loads(text)["utt"]) for i, text in enumerate(lines) if text]
+        assert got == want
+
+    def test_empty_file_has_no_ranges(self, tmp_path):
+        path = tmp_path / "logits.jsonl"
+        path.write_bytes(b"")
+        assert dataio.line_ranges(path, 4) == []
+
+    def test_error_in_a_later_range_names_its_absolute_line(self, tmp_path):
+        path = tmp_path / "logits.jsonl"
+        lines = self._mixed_file(path)
+        lines[20] = "{broken"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        span = [r for r in dataio.line_ranges(path, 4) if r[2] <= 21][-1]
+        assert span[2] > 1
+        with pytest.raises(DataFormatError, match=r"logits.jsonl:21: malformed JSON"):
+            list(dataio.numbered_logits(path, byte_range=span))
+
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "logits.jsonl"
+        good = json.dumps({"utt": "u", "frame_ms": 10.0, "frames": [[0.0, 0.0]]})
+        path.write_bytes(good.encode() + b"\n" + b'{"utt": "\xff"}\n')
+        with pytest.raises(DataFormatError, match=r"logits.jsonl:2: .*utf-8"):
+            list(dataio.iter_logits_jsonl(path))
+
+
 class TestLabelsJsonl:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "labels.jsonl"
