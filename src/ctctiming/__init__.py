@@ -50,7 +50,7 @@ from .metrics import (
     peak_items,
     timing_metrics,
 )
-from .pfr import PfrParams, combined_loss, pfr_loss_grad
+from .pfr import PfrParams, pfr_loss_grad
 from .synth import (
     Classifier,
     CorpusSpec,

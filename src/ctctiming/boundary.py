@@ -254,9 +254,9 @@ def gridsearch_offset(
     """Find the constant shift maximizing %WS<t + %WE<t over matched words.
 
     Returns (best_offset_ms, metrics at the best offset, offset->score curve).
-    Ties prefer the smallest |offset|, then the smaller offset. The reported
-    metrics clamp shifted starts at 0, matching how offsets are applied when
-    writing timing files.
+    Ties prefer the smallest |offset|, then the smaller offset. The curve and
+    the reported metrics clamp shifted times at 0, matching how offsets are
+    applied when writing timing files.
     """
     from .metrics import MatchedPair, match_words, timing_metrics
 
@@ -275,9 +275,9 @@ def gridsearch_offset(
     curve = []
     best = None
     for offset in offsets:
-        pct_ws = 100.0 * np.mean(np.abs(hyp_start + offset - ref_start) < threshold_ms)
-        pct_we = 100.0 * np.mean(np.abs(hyp_end + offset - ref_end) < threshold_ms)
-        score = float(pct_ws + pct_we)
+        start_hits = np.abs(np.maximum(hyp_start + offset, 0.0) - ref_start) < threshold_ms
+        end_hits = np.abs(np.maximum(hyp_end + offset, 0.0) - ref_end) < threshold_ms
+        score = float(100.0 * np.mean(start_hits) + 100.0 * np.mean(end_hits))
         curve.append((float(offset), score))
         key = (-score, abs(offset), offset)
         if best is None or key < best[0]:

@@ -17,13 +17,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import dataio
-from .boundary import CetcParams, gridsearch_offset, offset_count, words_from_spans
+from .boundary import gridsearch_offset, offset_count, words_from_spans
 from .ctc import LogitMatrix, NoValidPathError, align_spans
 from .dataio import DataFormatError
 from .metrics import match_words, peak_histogram, peak_items, timing_metrics
-from .pfr import PfrParams
 from .synth import (
     FRAME_MS,
+    METHODS,
     CorpusSpec,
     SynthUtterance,
     TrainConfig,
@@ -362,13 +362,6 @@ CONFIG_KEYS = {
     "mu": int, "tau": float, "lambda_pfr": float,
 }
 
-# settings that only some methods read; the rest apply to every method
-METHOD_KEYS = {
-    "gamma_train": ("npc", "pfr"),
-    "alpha_left": ("cetc",), "alpha_right": ("cetc",), "beta": ("cetc",),
-    "lambda_pfr": ("pfr",), "mu": ("pfr",), "tau": ("pfr",),
-}
-
 
 def _read_config_file(path: str) -> dict:
     text = Path(path).read_text(encoding="utf-8").strip()
@@ -391,30 +384,14 @@ def _read_config_file(path: str) -> dict:
 
 
 def _train_config_from_args(args) -> TrainConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(_read_config_file(args.config))
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    method = values.pop("method", None)
-    if method is None:
-        raise UsageError("--method is required (peaky|npc|cetc|pfr)")
-    for key, methods in METHOD_KEYS.items():
-        if key in values and method not in methods:
-            raise UsageError(
-                f"{key} does not apply to method {method!r} (only to {', '.join(methods)})"
-            )
-    cetc = CetcParams(**{k: values.pop(k) for k in ("alpha_left", "alpha_right", "beta")
-                         if k in values})
-    pfr_keys = {k: values.pop(k) for k in ("lambda_pfr", "mu", "tau") if k in values}
-    pfr = None
-    if method == "pfr":
-        if "lambda_pfr" not in pfr_keys:
-            raise UsageError("method 'pfr' requires --lambda-pfr")
-        pfr = PfrParams(**pfr_keys)
-    return TrainConfig(method=method, cetc=cetc, pfr=pfr, **values)
+    values = _read_config_file(args.config) if args.config else {}
+    values.update({k: v for k in CONFIG_KEYS if (v := getattr(args, k)) is not None})
+    if "method" not in values:
+        raise UsageError(f"--method is required ({'|'.join(METHODS)})")
+    try:
+        return TrainConfig(**values)
+    except ValueError as err:  # every value checked there came from a flag or the config
+        raise UsageError(str(err)) from err
 
 
 def _write_corpus(corpus: list[SynthUtterance], out_dir: Path, vocab_size: int) -> None:
@@ -585,7 +562,7 @@ def build_parser() -> _Parser:
 
     def config_flags(sp):
         sp.add_argument("--config", default=None, help="JSON or key=value config file")
-        sp.add_argument("--method", choices=["peaky", "npc", "cetc", "pfr"], default=None)
+        sp.add_argument("--method", choices=METHODS, default=None)
         sp.add_argument("--gamma-train", dest="gamma_train", type=float, default=None)
         sp.add_argument("--fuse-features", dest="fuse_features", action="store_const",
                         const=True, default=None)
@@ -646,7 +623,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, FileNotFoundError) as err:  # DataFormatError is a ValueError
+    except (ValueError, OSError) as err:  # DataFormatError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return DATA_ERROR
     except TrainingDivergedError as err:

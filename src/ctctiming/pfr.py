@@ -65,14 +65,3 @@ def pfr_loss_grad(logits: LogitMatrix, params: PfrParams) -> tuple[float, np.nda
     grad[students] = (p[students] - q) / tau
     return loss, grad
 
-
-def combined_loss(
-    ctc: tuple[float, np.ndarray], pfr: tuple[float, np.ndarray], params: PfrParams
-) -> tuple[float, np.ndarray]:
-    """Mix the CTC and peak-regularizer terms: L_ctc + lambda_pfr * L_pfr."""
-    ctc_loss, ctc_grad = ctc
-    pfr_loss, pfr_grad = pfr
-    if ctc_grad.shape != pfr_grad.shape:
-        raise ValueError(f"gradient shapes disagree: {ctc_grad.shape} vs {pfr_grad.shape}")
-    lam = params.lambda_pfr
-    return ctc_loss + lam * pfr_loss, ctc_grad + lam * pfr_grad

@@ -46,7 +46,7 @@ from .metrics import (
     peak_items,
     timing_metrics,
 )
-from .pfr import PfrParams, combined_loss, pfr_loss_grad
+from .pfr import PfrParams, pfr_loss_grad
 
 log = logging.getLogger(__name__)
 
@@ -292,30 +292,60 @@ def model_backward(clf: Classifier, cache: dict, dlogits: np.ndarray) -> dict[st
     }
 
 
+# settings that only some methods read; the rest apply to every method
+METHOD_KEYS = {
+    "gamma_train": ("npc", "pfr"),
+    "alpha_left": ("cetc",), "alpha_right": ("cetc",), "beta": ("cetc",),
+    "lambda_pfr": ("pfr",), "mu": ("pfr",), "tau": ("pfr",),
+}
+
+
 @dataclass
 class TrainConfig:
-    """Trainer settings; method picks the loss, the rest are shared knobs."""
+    """Trainer settings; method picks the loss, the rest are shared knobs.
+
+    The METHOD_KEYS settings default to None, "not given", and one that the
+    method does not read is refused. gamma_train defaults to 0.25 for npc and
+    pfr; cetc and pfr get their params from the settings given.
+    """
 
     method: str
-    gamma_train: float = 0.25
-    cetc: CetcParams = field(default_factory=CetcParams)
-    pfr: PfrParams | None = None
+    gamma_train: float | None = None
+    alpha_left: float | None = None
+    alpha_right: float | None = None
+    beta: float | None = None
+    lambda_pfr: float | None = None
+    mu: int | None = None
+    tau: float | None = None
     fuse_features: bool = False
     hidden: int = 64
     epochs: int = 150
     batch_size: int = 64
     learning_rate: float = 0.1
     seed: int = 7
+    cetc: CetcParams | None = field(init=False, default=None)
+    pfr: PfrParams | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.method == "pfr" and self.pfr is None:
-            raise ValueError("method 'pfr' requires pfr params (lambda_pfr has no default)")
+        given = {k: v for k in METHOD_KEYS if (v := getattr(self, k)) is not None}
+        for key in given:
+            if self.method not in METHOD_KEYS[key]:
+                raise ValueError(f"{key} does not apply to method {self.method!r} "
+                                 f"(only to {', '.join(METHOD_KEYS[key])})")
+        if self.method == "pfr" and self.lambda_pfr is None:
+            raise ValueError("method 'pfr' requires lambda_pfr (it has no default)")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden < 1:
             raise ValueError("epochs, batch_size and hidden must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
+        if self.method == "cetc":
+            self.cetc = CetcParams(**given)
+        elif self.method == "pfr":
+            self.pfr = PfrParams(**{k: v for k, v in given.items() if k != "gamma_train"})
+        if self.method in ("npc", "pfr") and self.gamma_train is None:
+            self.gamma_train = 0.25
 
 
 @dataclass
@@ -470,18 +500,17 @@ def train(
     clf = Classifier.init(input_dim, config.hidden, n_classes, config.seed)
     records: list[EpochStats] = []
 
-    # peaky, npc, pfr and the first cetc stage train on the CTC loss
-    gamma = config.gamma_train if config.method in ("npc", "pfr") else 0.0
-
+    # the CTC loss of peaky, npc, pfr and cetc stage 1; unset gamma_train is plain CTC
     def loss_and_grad(logits: list[LogitMatrix], utts: list[SynthUtterance]):
-        results = ctc_grad_batch(logits, [utt.labels for utt in utts], gamma)
-        if config.method != "pfr":
+        results = ctc_grad_batch(logits, [utt.labels for utt in utts], config.gamma_train or 0.0)
+        if config.pfr is None:
             return results
-        return [
-            r if isinstance(r, NoValidPathError)
-            else combined_loss(r, pfr_loss_grad(x, config.pfr), config.pfr)
-            for x, r in zip(logits, results)
-        ]
+        lam = config.pfr.lambda_pfr
+        for i, (x, r) in enumerate(zip(logits, results)):
+            if not isinstance(r, NoValidPathError):
+                pfr_loss, pfr_grad = pfr_loss_grad(x, config.pfr)
+                results[i] = (r[0] + lam * pfr_loss, r[1] + lam * pfr_grad)
+        return results
 
     if config.method != "cetc":
         _sgd_epochs(clf, corpus, loss_and_grad, config, rng, config.method, records)
@@ -630,7 +659,6 @@ def sweep_pfr(
     """
     sgd = dict(seed=seed, epochs=epochs, learning_rate=learning_rate, batch_size=batch_size)
     grid = [({"lambda_pfr": lam},
-             TrainConfig(method="pfr", gamma_train=0.25,
-                         pfr=PfrParams(lambda_pfr=lam, mu=-1, tau=7.0), **sgd))
+             TrainConfig(method="pfr", gamma_train=0.25, lambda_pfr=lam, mu=-1, tau=7.0, **sgd))
             for lam in lambdas]
     return _sweep(spec or pfr_corpus_spec(), grid, [({}, 1.0)], (20.0, 80.0))

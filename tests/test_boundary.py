@@ -246,6 +246,18 @@ class TestGridsearchOffset:
             scores = dict(curve)
             assert max(scores.values()) >= scores[0.0]
 
+    def test_picks_best_offset_under_reported_clamp(self):
+        """Shifted times clamp at 0 in the curve as in the report: unclamped,
+        -30 and -40 tie and -30 would win with %WS<15 at 66.7."""
+        ref = {"u": make_timings(list("abc"), [1, 7, 17], duration=50.0)}
+        pred = {"u": make_timings(list("abc"), [38, 24, 66], duration=50.0)}
+        best, report, curve = gridsearch_offset(pred, ref, (-100, 100), 10.0, 15.0)
+        assert best == -40.0
+        assert report.pct_ws[15.0] == 100.0
+        assert report.pct_we[15.0] == pytest.approx(200.0 / 3)
+        assert dict(curve)[best] == max(score for _, score in curve)
+        assert dict(curve)[best] == pytest.approx(report.pct_ws[15.0] + report.pct_we[15.0])
+
     def test_scores_only_shared_utterances(self):
         ref = {"u1": make_timings(list("ab"), [100, 300]),
                "u2": make_timings(list("cde"), [100, 300, 500])}

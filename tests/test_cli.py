@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -201,7 +202,8 @@ class TestAlign:
         ])
         assert rc == 2
         assert out.read_text() == "previous run\n"
-        errors = [json.loads(line) for line in (tmp_path / "hyp.jsonl.errors").open()]
+        errors = [json.loads(line)
+                  for line in (tmp_path / "hyp.jsonl.errors").read_text().splitlines()]
         assert errors[0] == {"utt": "u1", "error": "no labels for utterance"}
         assert errors[1]["utt"] is None and "u3 has width 4" in errors[1]["error"]
         assert len(errors) == 2
@@ -229,6 +231,12 @@ class TestMetricsCommand:
                    "--ref", str(tmp_path / "b.jsonl")])
         assert rc == 2
         assert "u2" in capsys.readouterr().err
+
+    def test_directory_path_exit_2(self, tmp_path, capsys):
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"u": [WordTiming("x", 0, 10)]})
+        rc = main(["metrics", "--hyp", str(tmp_path), "--ref", str(tmp_path / "ref.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_constructed_shift(self, tmp_path):
         ref = {"u": [WordTiming("a", 100.0, 200.0)]}
@@ -473,6 +481,27 @@ class TestSynthCommands:
         assert "feature_dim >= 2" in err
         assert "n_utts" not in err
         assert not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--method", "npc", "--epochs", "0"], "epochs"),
+        (["--method", "cetc", "--alpha-left", "1.5"], "alpha_left"),
+        (["--method", "pfr", "--lambda-pfr", "1", "--tau", "0"], "tau"),
+        (["--method", "npc", "--learning-rate", "-1"], "learning_rate"),
+        (["--method", "pfr"], "requires lambda_pfr"),
+    ])
+    def test_unusable_setting_exit_1(self, tmp_path, capsys, flags, reason):
+        corpus_dir = tmp_path / "corpus"
+        main(["synth", "gen", "--n-utts", "6", "--out-dir", str(corpus_dir)])
+        model = tmp_path / "m.npz"
+        rc = main(["synth", "train", "--corpus-dir", str(corpus_dir), *flags,
+                   "--model-out", str(model)])
+        assert rc == 1
+        assert reason in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_config_keys_are_train_config_fields(self):
+        init_fields = {f.name for f in dataclasses.fields(synth.TrainConfig) if f.init}
+        assert set(CONFIG_KEYS) == init_fields
 
     def test_missing_method_exit_1(self, tmp_path):
         corpus_dir = tmp_path / "corpus"

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from ctctiming.ctc import LogitMatrix
-from ctctiming.pfr import PfrParams, combined_loss, pfr_loss_grad
+from ctctiming.pfr import PfrParams, pfr_loss_grad
+from ctctiming.synth import (
+    CorpusSpec,
+    TrainConfig,
+    generate_corpus,
+    inputs_for,
+    model_forward,
+    train,
+)
 
 from oracles import central_difference_grad, frozen_teacher_kd_loss, grad_relative_error
 
@@ -101,29 +109,33 @@ class TestPfrGradient:
         assert grad_relative_error(grad, full_fd) > 1e-3
 
 
-class TestCombinedLoss:
-    def test_pfr_weight_zero_reduces_to_ctc(self):
-        ctc = (2.5, np.ones((3, 2)))
-        pfr = (9.0, np.full((3, 2), 4.0))
-        loss, grad = combined_loss(ctc, pfr, params(lam=0.0))
-        assert loss == 2.5 and np.array_equal(grad, ctc[1])
+class TestPfrTraining:
+    """The trainer's pfr loss is the npc loss plus lambda_pfr times the
+    peak-regularizer loss."""
 
-    def test_ce_absent_weighting(self):
-        ctc = (2.0, np.ones((2, 2)))
-        pfr = (3.0, np.full((2, 2), 2.0))
-        loss, grad = combined_loss(ctc, pfr, params(lam=1.5))
-        assert loss == pytest.approx(2.0 + 1.5 * 3.0)
-        assert np.allclose(grad, 1.0 + 1.5 * 2.0)
+    @staticmethod
+    def corpus():
+        return generate_corpus(CorpusSpec(n_utts=6, vocab_size=4, words_per_utt=(1, 2), seed=11))
 
-    def test_linearity_in_lambda(self):
-        rng = np.random.default_rng(36)
-        ctc = (1.3, rng.normal(size=(3, 3)))
-        pfr = (0.7, rng.normal(size=(3, 3)))
-        l1, g1 = combined_loss(ctc, pfr, params(lam=1.0))
-        l2, g2 = combined_loss(ctc, pfr, params(lam=2.0))
-        assert l2 - ctc[0] == pytest.approx(2.0 * (l1 - ctc[0]))
-        assert np.allclose(g2 - ctc[1], 2.0 * (g1 - ctc[1]))
+    def test_weight_zero_trains_as_npc(self):
+        corpus = self.corpus()
+        sgd = dict(epochs=3, batch_size=4, learning_rate=0.1, seed=5)
+        npc, npc_records = train(TrainConfig(method="npc", **sgd), corpus)
+        pfr, pfr_records = train(TrainConfig(method="pfr", lambda_pfr=0.0, **sgd), corpus)
+        for name, value in npc.params().items():
+            assert np.array_equal(pfr.params()[name], value), name
+        assert [r.mean_loss for r in pfr_records] == [r.mean_loss for r in npc_records]
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            combined_loss((1.0, np.zeros((2, 2))), (1.0, np.zeros((3, 2))), params())
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_recorded_loss_adds_weighted_pfr_loss(self, lam):
+        corpus = self.corpus()
+        sgd = dict(epochs=1, batch_size=4, learning_rate=0.0, seed=5)
+        clf, npc_records = train(TrainConfig(method="npc", **sgd), corpus)
+        config = TrainConfig(method="pfr", lambda_pfr=lam, tau=3.0, **sgd)
+        _, pfr_records = train(config, corpus)
+        pfr_losses = [
+            pfr_loss_grad(model_forward(clf, inputs_for(clf, utt), utt.utt_id)[0], config.pfr)[0]
+            for utt in corpus
+        ]
+        assert pfr_records[0].mean_loss == pytest.approx(
+            npc_records[0].mean_loss + lam * np.mean(pfr_losses), rel=1e-12)

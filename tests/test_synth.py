@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from ctctiming.boundary import CetcParams
 from ctctiming.ctc import LabelSequence, ctc_loss, log_softmax_rows
 from ctctiming.pfr import PfrParams
 from ctctiming.synth import (
@@ -222,7 +223,7 @@ class TestTrain:
             ("peaky", {}),
             ("npc", {}),
             ("cetc", {}),
-            ("pfr", {"pfr": PfrParams(lambda_pfr=1.0, tau=7.0)}),
+            ("pfr", {"lambda_pfr": 1.0, "tau": 7.0}),
         ]:
             config = TrainConfig(method=method, epochs=20, learning_rate=0.05,
                                  batch_size=8, seed=2, **extra)
@@ -264,6 +265,30 @@ class TestTrain:
         config = TrainConfig(method="npc")
         assert config.gamma_train == 0.25
 
+    @pytest.mark.parametrize("method, key, value", [
+        ("peaky", "gamma_train", 0.9),
+        ("cetc", "gamma_train", 0.9),
+        ("npc", "alpha_left", 0.9),
+        ("pfr", "beta", 2.0),
+        ("npc", "lambda_pfr", 2.0),
+        ("cetc", "mu", 1),
+        ("peaky", "tau", 3.0),
+    ])
+    def test_inapplicable_setting_rejected(self, method, key, value):
+        """A setting the method does not read is refused, not dropped."""
+        settings = {"lambda_pfr": 1.0} if method == "pfr" else {}
+        with pytest.raises(ValueError, match=rf"^{key} does not apply to method '{method}'"):
+            TrainConfig(method=method, **settings, **{key: value})
+
+    def test_method_params_built_from_flat_settings(self):
+        cetc = TrainConfig(method="cetc", beta=2.0)
+        assert cetc.cetc == CetcParams(beta=2.0) and cetc.pfr is None
+        assert cetc.gamma_train is None
+        pfr = TrainConfig(method="pfr", lambda_pfr=2.0, tau=3.0)
+        assert pfr.pfr == PfrParams(lambda_pfr=2.0, tau=3.0) and pfr.cetc is None
+        with pytest.raises(TypeError):
+            TrainConfig(method="npc", pfr=PfrParams(2.0))
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(method="magic")
@@ -285,7 +310,7 @@ class TestTrain:
         bad = SynthUtterance("bad", u.features_lo[:n], u.features_hi[:n],
                              u.labels, u.word_map, u.ref_timings)
         config = TrainConfig(method=method, epochs=4, learning_rate=0.05, batch_size=16,
-                             seed=3, pfr=PfrParams(lambda_pfr=1.0) if method == "pfr" else None)
+                             seed=3, lambda_pfr=1.0 if method == "pfr" else None)
         with caplog.at_level("WARNING", logger="ctctiming.synth"):
             clf, records = train(config, corpus[:2] + [bad] + corpus[2:], n_classes=5)
         messages = [r.getMessage() for r in caplog.records]
@@ -438,7 +463,6 @@ class TestSweeps:
 
 class TestCetcTargets:
     def test_stage2_targets_valid_for_all_utterances(self):
-        from ctctiming.boundary import CetcParams
         from ctctiming.synth import cetc_targets
 
         corpus = generate_corpus(small_spec(n_utts=10))
