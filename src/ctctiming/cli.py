@@ -13,7 +13,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import dataio
@@ -76,7 +76,8 @@ def _number(text: str, positive: bool = False) -> float:
     return value
 
 
-_parse_threshold = _flag_type(lambda text: _number(text, positive=True))
+_parse_number = _flag_type(_number)
+_parse_positive = _flag_type(lambda text: _number(text, positive=True))
 
 
 @_flag_type
@@ -99,12 +100,31 @@ def _parse_thresholds(text: str) -> list[float]:
     return values
 
 
-@_flag_type
 def _parse_int_range(text: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"expected LO:HI, got {text!r}")
     return int(parts[0]), int(parts[1])
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "1", "false", "0"):
+        raise ValueError(f"expected true, false, 1 or 0, got {text!r}")
+    return text.lower() in ("true", "1")
+
+
+# one parser per declared setting type, for its flag and its config value alike
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+            "tuple[int, int]": _parse_int_range}
+
+
+def _settings(cls) -> dict[str, str]:
+    """Each init field of the settings dataclass cls, mapped to its declared type."""
+    return {f.name: f.type.removesuffix(" | None") for f in fields(cls) if f.init}
+
+
+_CORPUS_SETTINGS = _settings(CorpusSpec)
+_TRAIN_SETTINGS = _settings(TrainConfig)
 
 
 def _write_errors(out: str, errors: list[dict]) -> None:
@@ -341,51 +361,48 @@ def cmd_analyze_peaks(args) -> int:
 
 
 def _corpus_spec_from_args(args) -> CorpusSpec:
-    base = pfr_corpus_spec() if getattr(args, "preset", None) == "pfr" else CorpusSpec()
-    overrides = {}
-    for flag in ("n_utts", "vocab_size", "pieces_per_word", "words_per_utt", "span_frames",
-                 "gap_frames", "feature_dim", "noise_sigma", "context_window", "corpus_seed"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides["seed" if flag == "corpus_seed" else flag] = value
+    base = pfr_corpus_spec() if args.preset == "pfr" else CorpusSpec()
+    given = {k: v for k in _CORPUS_SETTINGS if (v := getattr(args, k)) is not None}
     try:
-        return replace(base, **overrides)
+        return replace(base, **given)
     except ValueError as err:  # every value checked there came from a flag
         raise UsageError(f"corpus flags: {err}") from err
 
 
-CONFIG_KEYS = {
-    "method": str, "gamma_train": float,
-    "fuse_features": lambda v: bool(v) if isinstance(v, bool) else v in ("1", "true", "True"),
-    "hidden": int, "epochs": int, "batch_size": int, "learning_rate": float,
-    "seed": int, "alpha_left": float, "alpha_right": float, "beta": float,
-    "mu": int, "tau": float, "lambda_pfr": float,
-}
-
-
 def _read_config_file(path: str) -> dict:
-    text = Path(path).read_text(encoding="utf-8").strip()
-    if text.startswith("{"):
-        raw = json.loads(text)
-    else:
-        raw = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataFormatError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
-    unknown = set(raw) - set(CONFIG_KEYS)
-    if unknown:
-        raise DataFormatError(f"{path}: unknown config keys {sorted(unknown)}")
-    return {k: CONFIG_KEYS[k](v) for k, v in raw.items()}
+    """Settings from a JSON object or key=value lines. Each value parses as
+    its flag's does: a JSON value that is not a string as its JSON text."""
+    try:
+        text = Path(path).read_text(encoding="utf-8").strip()
+        if text.startswith("{"):
+            raw = {key: value if isinstance(value, str) else json.dumps(value)
+                   for key, value in json.loads(text).items()}
+        else:
+            raw = {}
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"line {lineno}: expected key=value")
+                key, value = line.split("=", 1)
+                raw[key.strip()] = value.strip()
+        unknown = set(raw) - set(_TRAIN_SETTINGS)
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        for key, value in raw.items():
+            try:
+                raw[key] = _PARSERS[_TRAIN_SETTINGS[key]](value)
+            except ValueError as err:
+                raise ValueError(f"{key}: {err}") from err
+        return raw
+    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise DataFormatError(f"{path}: {err}") from err
 
 
 def _train_config_from_args(args) -> TrainConfig:
     values = _read_config_file(args.config) if args.config else {}
-    values.update({k: v for k in CONFIG_KEYS if (v := getattr(args, k)) is not None})
+    values.update({k: v for k in _TRAIN_SETTINGS if (v := getattr(args, k)) is not None})
     if "method" not in values:
         raise UsageError(f"--method is required ({'|'.join(METHODS)})")
     try:
@@ -481,11 +498,8 @@ def cmd_synth_eval(args) -> int:
 def cmd_synth_sweep(args) -> int:
     if args.preset is None:
         args.preset = "pfr" if args.kind == "pfr" else "default"
-    if args.kind == "gamma":
-        rows = sweep_gamma(spec=_corpus_spec_from_args(args))
-    else:
-        rows = sweep_pfr(spec=_corpus_spec_from_args(args))
-    csv_text = dataio.sweep_rows_to_csv(rows)
+    sweep = sweep_gamma if args.kind == "gamma" else sweep_pfr
+    csv_text = dataio.sweep_rows_to_csv(sweep(spec=_corpus_spec_from_args(args)))
     Path(args.out).write_text(csv_text, encoding="utf-8")
     print(csv_text, end="")
     return 0
@@ -508,10 +522,10 @@ def build_parser() -> _Parser:
     p.add_argument("--logits", required=True, help="logits JSONL")
     p.add_argument("--labels", required=True, help="labels + word map JSONL")
     p.add_argument("--vocab", required=True, help="vocab file, line 0 '<blank>'")
-    p.add_argument("--gamma-inf", type=float, default=1.0)
-    p.add_argument("--frame-ms", type=float, default=None,
+    p.add_argument("--gamma-inf", type=_parse_number, default=1.0)
+    p.add_argument("--frame-ms", type=_parse_positive, default=None,
                    help="override the per-file frame duration")
-    p.add_argument("--offset-ms", type=float, default=0.0)
+    p.add_argument("--offset-ms", type=_parse_number, default=0.0)
     p.add_argument("--out", required=True, help="hypothesis timings JSONL")
     p.set_defaults(func=cmd_align)
 
@@ -528,7 +542,7 @@ def build_parser() -> _Parser:
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--range", type=_parse_range, default="-200:200:10", help="LO:HI:STEP in ms")
-    p.add_argument("--threshold", type=_parse_threshold, default=80.0)
+    p.add_argument("--threshold", type=_parse_positive, default=80.0)
     p.add_argument("--out", required=True, help="offset,score curve CSV")
     p.add_argument("--report", default=None, help="metrics JSON at the best offset")
     p.add_argument("--no-timestamp", action="store_true")
@@ -538,45 +552,34 @@ def build_parser() -> _Parser:
     p.add_argument("--logits", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--gamma-inf", type=float, default=1.0)
-    p.add_argument("--frame-ms", type=float, default=None)
+    p.add_argument("--gamma-inf", type=_parse_number, default=1.0)
+    p.add_argument("--frame-ms", type=_parse_positive, default=None)
     p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--range-lo", type=float, default=-1.0)
-    p.add_argument("--range-hi", type=float, default=2.0)
+    p.add_argument("--range-lo", type=_parse_number, default=-1.0)
+    p.add_argument("--range-hi", type=_parse_number, default=2.0)
     p.add_argument("--out", required=True, help="histogram CSV")
     p.set_defaults(func=cmd_analyze_peaks)
 
     synth = sub.add_parser("synth", help="synthetic corpus generation, training, evaluation")
     ssub = synth.add_subparsers(dest="synth_command", required=True)
 
+    def setting_flags(sp, settings, **renamed):
+        for name, kind in settings.items():
+            flag = renamed.get(name, "--" + name.replace("_", "-"))
+            if kind == "bool":
+                sp.add_argument(flag, dest=name, action="store_const", const=True, default=None)
+            else:
+                sp.add_argument(flag, dest=name, type=_flag_type(_PARSERS[kind]), default=None,
+                                choices=METHODS if name == "method" else None,
+                                help="LO:HI" if kind == "tuple[int, int]" else None)
+
     def corpus_flags(sp):
         sp.add_argument("--preset", choices=["default", "pfr"], default=None)
-        sp.add_argument("--n-utts", dest="n_utts", type=int, default=None)
-        sp.add_argument("--vocab-size", dest="vocab_size", type=int, default=None)
-        for flag in ("--pieces-per-word", "--words-per-utt", "--span-frames", "--gap-frames"):
-            sp.add_argument(flag, type=_parse_int_range, default=None, help="LO:HI")
-        sp.add_argument("--feature-dim", dest="feature_dim", type=int, default=None)
-        sp.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
-        sp.add_argument("--context-window", dest="context_window", type=int, default=None)
-        sp.add_argument("--corpus-seed", dest="corpus_seed", type=int, default=None)
+        setting_flags(sp, _CORPUS_SETTINGS, seed="--corpus-seed")
 
     def config_flags(sp):
         sp.add_argument("--config", default=None, help="JSON or key=value config file")
-        sp.add_argument("--method", choices=METHODS, default=None)
-        sp.add_argument("--gamma-train", dest="gamma_train", type=float, default=None)
-        sp.add_argument("--fuse-features", dest="fuse_features", action="store_const",
-                        const=True, default=None)
-        sp.add_argument("--hidden", type=int, default=None)
-        sp.add_argument("--epochs", type=int, default=None)
-        sp.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-        sp.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--alpha-left", dest="alpha_left", type=float, default=None)
-        sp.add_argument("--alpha-right", dest="alpha_right", type=float, default=None)
-        sp.add_argument("--beta", type=float, default=None)
-        sp.add_argument("--mu", type=int, default=None)
-        sp.add_argument("--tau", type=float, default=None)
-        sp.add_argument("--lambda-pfr", dest="lambda_pfr", type=float, default=None)
+        setting_flags(sp, _TRAIN_SETTINGS)
 
     p = ssub.add_parser("gen", help="generate a corpus directory")
     corpus_flags(p)
@@ -594,8 +597,8 @@ def build_parser() -> _Parser:
     p = ssub.add_parser("eval", help="evaluate a trained classifier")
     p.add_argument("--corpus-dir", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--gamma-inf", dest="gamma_inf", type=float, default=1.0)
-    p.add_argument("--offset-ms", dest="offset_ms", type=float, default=0.0)
+    p.add_argument("--gamma-inf", type=_parse_number, default=1.0)
+    p.add_argument("--offset-ms", type=_parse_number, default=0.0)
     p.add_argument("--thresholds", type=_parse_thresholds, default="20,80")
     p.add_argument("--holdout-every", type=int, default=0,
                    help="evaluate only every N-th utterance")

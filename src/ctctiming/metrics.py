@@ -4,7 +4,7 @@ distributions."""
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -46,19 +46,10 @@ class MetricsReport:
     mean_hyp_duration_ms: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "n_matched": self.n_matched,
-            "n_hyp": self.n_hyp,
-            "n_ref": self.n_ref,
-            "ave_st_delta_ms": self.ave_st_delta_ms,
-            "ave_ed_delta_ms": self.ave_ed_delta_ms,
-            "signed_st_delta_ms": self.signed_st_delta_ms,
-            "signed_ed_delta_ms": self.signed_ed_delta_ms,
-            "pct_ws": {str(k): v for k, v in self.pct_ws.items()},
-            "pct_we": {str(k): v for k, v in self.pct_we.items()},
-            "mean_ref_duration_ms": self.mean_ref_duration_ms,
-            "mean_hyp_duration_ms": self.mean_hyp_duration_ms,
-        }
+        d = asdict(self)
+        for key in ("pct_ws", "pct_we"):
+            d[key] = {str(k): v for k, v in d[key].items()}
+        return d
 
 
 @dataclass

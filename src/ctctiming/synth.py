@@ -92,8 +92,8 @@ class CorpusSpec:
             setattr(self, name, (lo, hi))
             if not 0 < lo <= hi:
                 raise ValueError(f"{name}: invalid range ({lo}, {hi})")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.context_window < 1:
             raise ValueError("context_window must be >= 1")
 
@@ -334,6 +334,9 @@ class TrainConfig:
             if self.method not in METHOD_KEYS[key]:
                 raise ValueError(f"{key} does not apply to method {self.method!r} "
                                  f"(only to {', '.join(METHOD_KEYS[key])})")
+        for key, value in {**given, "learning_rate": self.learning_rate}.items():
+            if not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if self.method == "pfr" and self.lambda_pfr is None:
             raise ValueError("method 'pfr' requires lambda_pfr (it has no default)")
         if self.epochs < 1 or self.batch_size < 1 or self.hidden < 1:

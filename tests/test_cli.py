@@ -10,7 +10,7 @@ import pytest
 
 from ctctiming import cli, dataio, synth
 from ctctiming.boundary import WordTiming
-from ctctiming.cli import CONFIG_KEYS, main
+from ctctiming.cli import main
 from ctctiming.ctc import LabelSequence, LogitMatrix, align_spans
 from ctctiming.boundary import WordMap
 from ctctiming.metrics import peak_histogram, peak_items
@@ -396,9 +396,29 @@ class TestAnalyzePeaks:
       "--out", "c.csv"], "--range"),
     (["gridsearch", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--range=0:1e6:1",
       "--out", "c.csv"], "--range"),
+    (["align", "--logits", "l.jsonl", "--labels", "b.jsonl", "--vocab", "v.txt",
+      "--offset-ms", "inf", "--out", "h.jsonl"], "--offset-ms"),
+    (["align", "--logits", "l.jsonl", "--labels", "b.jsonl", "--vocab", "v.txt",
+      "--gamma-inf", "nan", "--out", "h.jsonl"], "--gamma-inf"),
+    (["align", "--logits", "l.jsonl", "--labels", "b.jsonl", "--vocab", "v.txt",
+      "--frame-ms", "0", "--out", "h.jsonl"], "--frame-ms"),
+    (["analyze-peaks", "--logits", "l.jsonl", "--labels", "b.jsonl", "--ref", "r.jsonl",
+      "--gamma-inf", "inf", "--out", "p.csv"], "--gamma-inf"),
+    (["analyze-peaks", "--logits", "l.jsonl", "--labels", "b.jsonl", "--ref", "r.jsonl",
+      "--frame-ms", "nan", "--out", "p.csv"], "--frame-ms"),
+    (["analyze-peaks", "--logits", "l.jsonl", "--labels", "b.jsonl", "--ref", "r.jsonl",
+      "--range-lo", "inf", "--out", "p.csv"], "--range-lo"),
+    (["analyze-peaks", "--logits", "l.jsonl", "--labels", "b.jsonl", "--ref", "r.jsonl",
+      "--range-hi", "nan", "--out", "p.csv"], "--range-hi"),
+    (["synth", "eval", "--corpus-dir", "c", "--model", "m.npz", "--offset-ms", "inf"],
+     "--offset-ms"),
+    (["synth", "eval", "--corpus-dir", "c", "--model", "m.npz", "--gamma-inf", "nan"],
+     "--gamma-inf"),
 ], ids=["thresholds", "range", "span-frames", "range-inf", "range-nan", "thresholds-nan",
         "thresholds-negative", "thresholds-zero", "threshold-nan", "threshold-negative",
-        "range-offsets-infinite", "range-offsets-above-bound"])
+        "range-offsets-infinite", "range-offsets-above-bound", "align-offset-inf",
+        "align-gamma-nan", "align-frame-ms-zero", "peaks-gamma-inf", "peaks-frame-ms-nan",
+        "peaks-range-lo-inf", "peaks-range-hi-nan", "eval-offset-inf", "eval-gamma-nan"])
 def test_malformed_flag_value_exit_1(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
@@ -415,7 +435,8 @@ def test_malformed_flag_value_exit_1(tmp_path, monkeypatch, capsys, argv, flag):
 @pytest.mark.parametrize("flags, reason", [
     (["--span-frames", "5:1"], "span_frames: invalid range (5, 1)"),
     (["--n-utts", "0"], "need n_utts >= 1"),
-], ids=["span-frames", "n-utts"])
+    (["--noise-sigma", "nan"], "noise_sigma must be finite"),
+], ids=["span-frames", "n-utts", "noise-sigma-nan"])
 def test_out_of_range_corpus_flag_exit_1(tmp_path, monkeypatch, capsys, command, flags, reason):
     monkeypatch.chdir(tmp_path)
     assert main(command + flags) == 1
@@ -488,6 +509,9 @@ class TestSynthCommands:
         (["--method", "pfr", "--lambda-pfr", "1", "--tau", "0"], "tau"),
         (["--method", "npc", "--learning-rate", "-1"], "learning_rate"),
         (["--method", "pfr"], "requires lambda_pfr"),
+        (["--method", "pfr", "--lambda-pfr", "1", "--tau", "inf"], "tau must be finite"),
+        (["--method", "npc", "--learning-rate", "nan"], "learning_rate must be finite"),
+        (["--method", "npc", "--gamma-train", "inf"], "gamma_train must be finite"),
     ])
     def test_unusable_setting_exit_1(self, tmp_path, capsys, flags, reason):
         corpus_dir = tmp_path / "corpus"
@@ -499,9 +523,15 @@ class TestSynthCommands:
         assert reason in capsys.readouterr().err
         assert not model.exists()
 
-    def test_config_keys_are_train_config_fields(self):
-        init_fields = {f.name for f in dataclasses.fields(synth.TrainConfig) if f.init}
-        assert set(CONFIG_KEYS) == init_fields
+    def test_corpus_seed_flag_sets_corpus_seed(self, tmp_path):
+        assert main(["synth", "gen", "--n-utts", "4", "--corpus-seed", "5",
+                     "--out-dir", str(tmp_path / "flag")]) == 0
+        cli._write_corpus(generate_corpus(CorpusSpec(n_utts=4, seed=5)), tmp_path / "lib", 8)
+        cli._write_corpus(generate_corpus(CorpusSpec(n_utts=4)), tmp_path / "default", 8)
+        for name in ("features_lo.jsonl", "labels.jsonl", "ref_timings.jsonl"):
+            flag = (tmp_path / "flag" / name).read_bytes()
+            assert flag == (tmp_path / "lib" / name).read_bytes()
+            assert flag != (tmp_path / "default" / name).read_bytes()
 
     def test_missing_method_exit_1(self, tmp_path):
         corpus_dir = tmp_path / "corpus"
@@ -658,6 +688,8 @@ class TestHoldout:
         assert set(dataio.read_timings_jsonl(tmp_path / "hyp.jsonl")) == {u.utt_id for u in held}
 
 
+TRAIN_KEYS = [f.name for f in dataclasses.fields(synth.TrainConfig) if f.init]
+
 # key -> (method the key applies to, a value off the base run's)
 OFF_DEFAULT = {
     "method": ("peaky", "npc"),
@@ -690,6 +722,26 @@ INAPPLICABLE = [
 ]
 
 
+# case -> (JSON config, key=value config, what stderr names besides the file)
+BAD_CONFIGS = {
+    "null-for-int": ('{"method": "npc", "epochs": null}', "method=npc\nepochs=null\n", "epochs"),
+    "list-for-int": ('{"method": "npc", "epochs": [3]}', "method=npc\nepochs=[3]\n", "epochs"),
+    "float-for-int": ('{"method": "npc", "epochs": 2.7}', "method=npc\nepochs=2.7\n", "epochs"),
+    "bool-for-int": ('{"method": "npc", "epochs": true}', "method=npc\nepochs=true\n", "epochs"),
+    "yes-for-bool": ('{"method": "npc", "fuse_features": "yes"}',
+                     "method=npc\nfuse_features=yes\n", "fuse_features"),
+    "malformed": ('{"method": "npc",}', "method npc\n", ""),
+}
+
+
+def _flags(settings: dict) -> list[str]:
+    flags = []
+    for key, value in settings.items():
+        flag = f"--{key.replace('_', '-')}"
+        flags += [flag] if value is True else [flag, str(value)]
+    return flags
+
+
 class TestConfigKeys:
     @pytest.fixture(scope="class")
     def corpus_dir(self, tmp_path_factory):
@@ -706,7 +758,7 @@ class TestConfigKeys:
                      "--config", str(path), "--model-out", str(model)]) == 0
         return dataio.load_classifier(model).params()
 
-    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    @pytest.mark.parametrize("key", TRAIN_KEYS)
     def test_every_key_changes_training(self, corpus_dir, tmp_path, key):
         """No setting is accepted and then ignored."""
         assert key in OFF_DEFAULT, f"no off-default value for config key {key!r}"
@@ -717,6 +769,46 @@ class TestConfigKeys:
         a = self.trained_params(corpus_dir, tmp_path, base, "base")
         b = self.trained_params(corpus_dir, tmp_path, {**base, key: value}, "moved")
         assert any(a[k].shape != b[k].shape or not np.array_equal(a[k], b[k]) for k in a), key
+
+    def test_flag_json_and_key_value_build_equal_configs(self, tmp_path):
+        """Each setting reaches TrainConfig the same way from a flag, a JSON
+        config and a key=value config."""
+        for key in TRAIN_KEYS:
+            method, value = OFF_DEFAULT[key]
+            settings = {"method": method, **({"lambda_pfr": 1.0} if method == "pfr" else {})}
+            moved = {**settings, key: value}
+            (tmp_path / "c.json").write_text(json.dumps(moved))
+            (tmp_path / "c.cfg").write_text("".join(f"{k}={v}\n" for k, v in moved.items()))
+            base = ["synth", "train", "--corpus-dir", "c", "--model-out", "m.npz"]
+            configs = [cli._train_config_from_args(cli.build_parser().parse_args(argv))
+                       for argv in (base + _flags(moved),
+                                    base + ["--config", str(tmp_path / "c.json")],
+                                    base + ["--config", str(tmp_path / "c.cfg")])]
+            assert configs[0] == configs[1] == configs[2], key
+            assert configs[0] != synth.TrainConfig(**settings), key
+
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("TRUE", True), ("1", True), ("false", False), ("False", False), ("0", False),
+    ])
+    def test_bool_spellings(self, tmp_path, text, value):
+        config = tmp_path / "train.cfg"
+        config.write_text(f"method=npc\nfuse_features={text}\n")
+        assert cli._read_config_file(str(config))["fuse_features"] is value
+
+    @pytest.mark.parametrize("form", ["json", "key=value"])
+    @pytest.mark.parametrize("case", list(BAD_CONFIGS))
+    def test_unparsable_config_exit_2(self, corpus_dir, tmp_path, capsys, case, form):
+        json_text, key_value_text, named = BAD_CONFIGS[case]
+        config = tmp_path / "train.cfg"
+        config.write_text(json_text if form == "json" else key_value_text)
+        model = tmp_path / "m.npz"
+        rc = main(["synth", "train", "--corpus-dir", str(corpus_dir),
+                   "--config", str(config), "--model-out", str(model)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and named in err
+        assert "Traceback" not in err
+        assert not model.exists()
 
     @pytest.mark.parametrize("key", ["gamma_inf", "lambda_ce"])
     def test_removed_keys_rejected(self, corpus_dir, tmp_path, capsys, key):

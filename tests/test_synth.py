@@ -113,6 +113,8 @@ class TestGenerateCorpus:
             CorpusSpec(vocab_size=1)
         with pytest.raises(ValueError):
             CorpusSpec(noise_sigma=-0.1)
+        with pytest.raises(ValueError, match="noise_sigma must be finite"):
+            CorpusSpec(noise_sigma=float("nan"))
         with pytest.raises(ValueError, match="feature_dim >= 2"):
             CorpusSpec(feature_dim=1)
 
@@ -288,6 +290,16 @@ class TestTrain:
         assert pfr.pfr == PfrParams(lambda_pfr=2.0, tau=3.0) and pfr.cetc is None
         with pytest.raises(TypeError):
             TrainConfig(method="npc", pfr=PfrParams(2.0))
+
+    @pytest.mark.parametrize("settings, key", [
+        ({"method": "pfr", "lambda_pfr": 1.0, "tau": float("inf")}, "tau"),
+        ({"method": "npc", "gamma_train": float("inf")}, "gamma_train"),
+        ({"method": "cetc", "beta": float("nan")}, "beta"),
+        ({"method": "peaky", "learning_rate": float("nan")}, "learning_rate"),
+    ])
+    def test_non_finite_setting_rejected(self, settings, key):
+        with pytest.raises(ValueError, match=rf"^{key} must be finite"):
+            TrainConfig(**settings)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
