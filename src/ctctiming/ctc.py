@@ -183,10 +183,12 @@ def _recursion(lattice: np.ndarray, jump_mask: np.ndarray, combine) -> np.ndarra
     """
     best = np.empty(jump_mask.shape)
     jump = np.empty(jump_mask.shape)
-    for t in range(1, len(lattice)):
-        prev, cur = lattice[t - 1], lattice[t, :, 2:]
-        combine(prev[:, 2:], prev[:, 1:-1], out=best)
-        np.add(prev[:, :-2], jump_mask, out=jump)
+    # iterating an array yields one frame view at a time, so no per-frame
+    # view list is ever held; zip pairs frame t - 1's three views with t's
+    states = lattice[:, :, 2:]
+    for stay, step, skip, cur in zip(states, lattice[:, :, 1:-1], lattice[:, :, :-2], states[1:]):
+        combine(stay, step, out=best)
+        np.add(skip, jump_mask, out=jump)
         combine(best, jump, out=best)
         cur += best
     return lattice
@@ -372,11 +374,20 @@ def forced_align(log_probs: np.ndarray, labels: LabelSequence) -> AlignmentPath:
     state = len(syms) - 1 if score[-1, -1] >= score[-1, -2] else len(syms) - 2
     states = np.empty(n_frames, dtype=np.int64)
     states[-1] = state
-    for t in range(n_frames - 1, 0, -1):
-        prev = score[t - 1]
-        candidates = (prev[state + 2], prev[state + 1], prev[state] + mask[state])
-        state -= candidates.index(max(candidates))
-        states[t - 1] = state
+    # back-trace over Python floats: a flat view of the C-contiguous lattice
+    # holds state s of frame t at t * width + s + 2. Where the mask is 0 the
+    # skip term prev + 0.0 equals prev, elsewhere it is -inf and never wins.
+    width = len(syms) + 2
+    flat = lattice.reshape(-1).data
+    skippable = (mask == 0).tolist()
+    for t in range(n_frames - 2, -1, -1):
+        i = t * width + state
+        stay, step = flat[i + 2], flat[i + 1]
+        if skippable[state] and flat[i] > stay and flat[i] > step:
+            state -= 2
+        elif step > stay:
+            state -= 1
+        states[t] = state
     return AlignmentPath(states, labels)
 
 
@@ -385,16 +396,23 @@ def token_spans(path: AlignmentPath, posteriors: np.ndarray) -> list[TokenSpan]:
 
     start/end bound the frames spent in the token's emitting state; the peak
     is the within-span argmax of the token's posterior (first frame on ties).
+    The path must never return to an earlier state; being sorted, it gives
+    every token's frames by binary search.
     """
     posteriors = np.asarray(posteriors)
+    states = np.asarray(path.states)
+    back = np.flatnonzero(states[1:] < states[:-1])
+    if len(back):
+        raise ValueError(f"path state decreases at frame {back[0] + 1}; not a valid alignment")
+    odd = np.arange(1, 2 * len(path.labels), 2)
+    starts = np.searchsorted(states, odd, side="left").tolist()
+    stops = np.searchsorted(states, odd, side="right").tolist()
     spans = []
-    for u, token in enumerate(path.labels.tokens):
-        frames = np.flatnonzero(path.states == 2 * u + 1)
-        if len(frames) == 0:
+    for u, (token, start, stop) in enumerate(zip(path.labels.tokens, starts, stops)):
+        if start == stop:
             raise ValueError(f"path never visits token {u}; not a valid alignment")
-        start, end = int(frames[0]), int(frames[-1])
-        peak = start + int(np.argmax(posteriors[start : end + 1, token]))
-        spans.append(TokenSpan(u, start, end, peak))
+        peak = start + int(posteriors[start:stop, token].argmax())
+        spans.append(TokenSpan(u, start, stop - 1, peak))
     return spans
 
 

@@ -295,3 +295,19 @@ def forced_align_backpointers(log_probs: np.ndarray, labels: tuple[int, ...]) ->
         state = back[state, t]
         states[t - 1] = state
     return states
+
+
+def token_spans_flatnonzero(
+    states: np.ndarray, labels: tuple[int, ...], posteriors: np.ndarray
+) -> list[tuple[int, int, int]]:
+    """(start, end, peak) of each token: the first and last frame whose state
+    is the token's emitting state 2u+1, found by scanning the whole path, and
+    the first maximum of the token's posterior between them."""
+    states = np.asarray(states)
+    spans = []
+    for u, token in enumerate(labels):
+        frames = np.flatnonzero(states == 2 * u + 1)
+        start, end = int(frames[0]), int(frames[-1])
+        column = [float(posteriors[t, token]) for t in range(start, end + 1)]
+        spans.append((start, end, start + column.index(max(column))))
+    return spans

@@ -35,6 +35,7 @@ from oracles import (
     logsumexp,
     path_score,
     sample_valid_path,
+    token_spans_flatnonzero,
 )
 
 
@@ -429,10 +430,13 @@ class TestForcedAlign:
         with pytest.raises(NoValidPathError):
             forced_align(np.log(np.full((1, 3), 1 / 3)), LabelSequence((1, 2)))
 
-    def test_lattice_is_its_only_large_array(self):
+    @pytest.mark.parametrize("n_frames,n_labels", [(600, 70), (5_000, 2)])
+    def test_lattice_is_its_only_large_array(self, n_frames, n_labels):
+        # with T >> S, one Python object per frame (a list of views or of
+        # states) costs more than the lattice's narrow rows
         rng = np.random.default_rng(18)
-        n_frames, n_vocab = 600, 50
-        tokens = tuple(int(x) for x in rng.integers(1, n_vocab, size=70))
+        n_vocab = 50
+        tokens = tuple(int(x) for x in rng.integers(1, n_vocab, size=n_labels))
         log_probs = log_softmax_rows(rng.normal(size=(n_frames, n_vocab)))
         tracemalloc.start()
         try:
@@ -487,6 +491,33 @@ class TestForcedAlign:
             assert np.array_equal(forced_align(log_probs, labels).states, expected), i
             n_valid += 1
         assert n_valid >= 10_000 and n_invalid >= 1_000
+
+    def test_matches_backpointer_oracle_on_long_lattices(self):
+        """Wide rows and long paths: the back-trace's flat lattice index
+        agrees with the backpointer table, tie for tie, up to U = 60."""
+        rng = np.random.default_rng(21)
+        n_valid = 0
+        for i in range(150):
+            n_vocab = int(rng.integers(2, 6))  # few labels: many repeats
+            labels = LabelSequence(rng.integers(1, n_vocab, size=int(rng.integers(1, 61))))
+            needed = len(labels) + labels.n_repeats
+            n_frames = needed if i % 3 == 0 else int(rng.integers(needed, needed + 250))
+            shape = (n_frames, n_vocab)
+            if i % 2 == 0:  # dense ties; a zero count makes a -inf cell
+                counts = rng.integers(0 if i % 4 == 0 else 1, 3, size=shape)
+                with np.errstate(divide="ignore"):
+                    log_probs = np.log(counts.astype(float))
+            else:
+                log_probs = np.round(2 * rng.normal(size=shape)) / 2
+            try:
+                expected = forced_align_backpointers(log_probs, labels.tokens)
+            except ValueError:
+                with pytest.raises(NoValidPathError):
+                    forced_align(log_probs, labels)
+                continue
+            assert np.array_equal(forced_align(log_probs, labels).states, expected), i
+            n_valid += 1
+        assert n_valid >= 100
 
 
 class TestPerFrameConstantInvariance:
@@ -543,6 +574,31 @@ class TestTokenSpans:
             spans = token_spans(path, np.exp(log_probs))
             for a, b in zip(spans, spans[1:]):
                 assert a.end_frame < b.start_frame
+
+    def test_matches_flatnonzero_reading(self):
+        rng = np.random.default_rng(22)
+        for _ in range(150):
+            n_vocab = int(rng.integers(2, 6))
+            labels = LabelSequence(rng.integers(1, n_vocab, size=int(rng.integers(1, 25))))
+            n_frames = len(labels) + labels.n_repeats + int(rng.integers(0, 60))
+            states = sample_valid_path(rng, n_frames, labels.tokens)
+            post = np.round(rng.random((n_frames, n_vocab)), 1)  # ties within spans
+            spans = token_spans(AlignmentPath(states, labels), post)
+            assert [s.token_index for s in spans] == list(range(len(labels)))
+            assert [(s.start_frame, s.end_frame, s.peak_frame) for s in spans] == (
+                token_spans_flatnonzero(states, labels.tokens, post)
+            )
+
+    def test_path_that_goes_back_rejected(self):
+        # visits state 1 at frames 0 and 2, around a blank frame
+        path = AlignmentPath(np.array([1, 0, 1, 2]), LabelSequence((1,)))
+        with pytest.raises(ValueError, match="decreases at frame 1"):
+            token_spans(path, np.full((4, 2), 0.5))
+
+    def test_path_missing_token_rejected(self):
+        path = AlignmentPath(np.array([0, 1, 2, 4]), LabelSequence((1, 2)))
+        with pytest.raises(ValueError, match="never visits token 1"):
+            token_spans(path, np.full((4, 3), 0.5))
 
 
 def explicit_chain(logits, labels, gamma):
