@@ -186,7 +186,7 @@ def guided_ce_grad(logits: LogitMatrix, targets: GuidedTargets) -> tuple[float, 
             f"shape mismatch: logits {logits.frames.shape} vs targets {targets.targets.shape}"
         )
     n_frames = logits.n_frames
-    log_probs = log_softmax_rows(logits)
+    log_probs = log_softmax_rows(logits.frames)
     loss = float(-(targets.targets * log_probs).sum() / n_frames)
     mass = targets.targets.sum(axis=1, keepdims=True)
     grad = (np.exp(log_probs) * mass - targets.targets) / n_frames

@@ -341,6 +341,8 @@ def cmd_gridsearch(args) -> int:
 def cmd_analyze_peaks(args) -> int:
     if args.bins < 1:
         raise UsageError("--bins must be >= 1")
+    if not args.range_lo < args.range_hi:
+        raise UsageError(f"--range-lo {args.range_lo:g} must be below --range-hi {args.range_hi:g}")
     label_map = dataio.read_labels_jsonl(args.labels)
     ref = dataio.read_timings_jsonl(args.ref)
     job = _AlignJob(args.logits, args.frame_ms, args.gamma_inf, label_map, refs=ref)

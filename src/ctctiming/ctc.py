@@ -42,7 +42,8 @@ class LogitMatrix:
     """Raw (pre-softmax) frame-level classifier scores for one utterance.
 
     frames is a T x V float64 array; frame_ms is the duration of one frame
-    in milliseconds.
+    in milliseconds. Building one is where logits are checked: a NaN or an
+    infinity raises NonFiniteError naming the utterance, frame and vocab.
     """
 
     utt_id: str
@@ -58,7 +59,9 @@ class LogitMatrix:
             raise ValueError(f"{self.utt_id}: need T >= 1 and V >= 2, got T={t}, V={v}")
         if not (self.frame_ms > 0):
             raise ValueError(f"{self.utt_id}: frame_ms must be positive, got {self.frame_ms}")
-        _check_finite(self.frames, self.utt_id)
+        if not np.isfinite(self.frames).all():
+            t, v = np.argwhere(~np.isfinite(self.frames))[0]
+            raise NonFiniteError(self.utt_id, int(t), int(v))
 
     @property
     def n_frames(self) -> int:
@@ -133,17 +136,10 @@ class TokenSpan:
             )
 
 
-def _check_finite(frames: np.ndarray, utt_id: str = "<input>") -> None:
-    if not np.isfinite(frames).all():
-        bad = np.argwhere(~np.isfinite(np.asarray(frames)))
-        t, v = bad[0]
-        raise NonFiniteError(utt_id, int(t), int(v))
-
-
-def log_softmax_rows(logits: LogitMatrix | np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of a T x V score matrix."""
-    frames = logits.frames if isinstance(logits, LogitMatrix) else np.asarray(logits, dtype=np.float64)
-    _check_finite(frames, logits.utt_id if isinstance(logits, LogitMatrix) else "<input>")
+def log_softmax_rows(frames: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a finite T x V score matrix (LogitMatrix
+    checks finiteness where logits enter)."""
+    frames = np.asarray(frames, dtype=np.float64)
     shifted = frames - frames.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
@@ -279,7 +275,7 @@ def ctc_grad_batch(
     """
     if gamma_train:
         logits = [apply_label_prior(x, gamma_train) for x in logits]
-    log_probs = [log_softmax_rows(x) for x in logits]
+    log_probs = [log_softmax_rows(x.frames) for x in logits]
     results = ctc_loss_batch(log_probs, labels)
     for i, (lp, lab, result) in enumerate(zip(log_probs, labels, results, strict=True)):
         if isinstance(result, NoValidPathError):
@@ -326,10 +322,13 @@ def apply_label_prior(logits: LogitMatrix, gamma: float) -> LogitMatrix:
     """Subtract gamma times the per-label time-mean of the raw logits.
 
     The prior is computed from the utterance's own frames, one mean per
-    vocabulary entry; gamma=0 is the identity.
+    vocabulary entry; gamma=0 returns logits itself. Otherwise the result is
+    a new LogitMatrix, so a mean that overflows raises NonFiniteError.
     """
     if not np.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
+    if gamma == 0:
+        return logits
     prior = logits.frames.mean(axis=0, keepdims=True)
     return LogitMatrix(logits.utt_id, logits.frames - gamma * prior, logits.frame_ms)
 
@@ -424,5 +423,5 @@ def align_spans(logits: LogitMatrix, labels: LabelSequence, gamma_inf: float) ->
     peaks. gamma_inf=0 aligns the plain posteriors. Raises NoValidPathError
     as forced_align does.
     """
-    log_probs = log_softmax_rows(apply_label_prior(logits, gamma_inf))
+    log_probs = log_softmax_rows(apply_label_prior(logits, gamma_inf).frames)
     return token_spans(forced_align(log_probs, labels), np.exp(log_probs))

@@ -376,7 +376,7 @@ def corpus_blank_occupancy(clf: Classifier, corpus: list[SynthUtterance]) -> flo
     values = []
     for utt in corpus:
         logits, _ = model_forward(clf, inputs_for(clf, utt), utt.utt_id)
-        values.append(blank_occupancy(np.exp(log_softmax_rows(logits))))
+        values.append(blank_occupancy(np.exp(log_softmax_rows(logits.frames))))
     return float(np.mean(values))
 
 

@@ -135,7 +135,7 @@ def test_criterion_2_gradient_correctness():
             _, grad = prior_ctc_grad(LogitMatrix("u", logits, 10.0), labels, gamma)
             fd = central_difference_grad(
                 lambda x: ctc_loss(
-                    log_softmax_rows(apply_label_prior(LogitMatrix("u", x, 10.0), gamma)),
+                    log_softmax_rows(apply_label_prior(LogitMatrix("u", x, 10.0), gamma).frames),
                     labels,
                 )[0],
                 logits,
@@ -177,7 +177,7 @@ def test_criterion_2_gradient_correctness():
                 saved = _param.copy()
                 _param[...] = p
                 out, _ = model_forward(clf, x)
-                value = ctc_loss(log_softmax_rows(out), labels)[0]
+                value = ctc_loss(log_softmax_rows(out.frames), labels)[0]
                 _param[...] = saved
                 return value
 

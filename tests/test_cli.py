@@ -371,6 +371,18 @@ class TestAnalyzePeaks:
                    "--bins", "0", "--out", str(tmp_path / "hist.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("lo, hi", [("2", "1"), ("1", "1")])
+    def test_empty_range_exit_1_before_aligning(self, tmp_path, capsys, lo, hi):
+        write_fixture(tmp_path)
+        rc = main(["analyze-peaks", "--logits", str(tmp_path / "logits.jsonl"),
+                   "--labels", str(tmp_path / "labels.jsonl"),
+                   "--ref", str(tmp_path / "ref.jsonl"),
+                   "--range-lo", lo, "--range-hi", hi, "--out", str(tmp_path / "hist.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--range-lo" in err and "--range-hi" in err
+        assert not (tmp_path / "hist.csv").exists()
+
 
 @pytest.mark.parametrize("argv, flag", [
     (["metrics", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--thresholds", "abc"],

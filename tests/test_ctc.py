@@ -78,19 +78,15 @@ class TestLogSoftmax:
         shifted = mat + rng.normal(size=(5, 1))
         assert np.allclose(log_softmax_rows(mat), log_softmax_rows(shifted))
 
-    def test_nonfinite_rejected_naming_frame(self):
+    @pytest.mark.parametrize("frame, vocab, value", [(2, 1, np.nan), (1, 0, np.inf)],
+                             ids=["nan", "inf"])
+    def test_nonfinite_error_is_typed(self, frame, vocab, value):
         mat = np.zeros((3, 2))
-        mat[2, 1] = np.nan
-        with pytest.raises(ValueError, match="frame 2"):
-            log_softmax_rows(mat)
-
-    def test_nonfinite_error_is_typed(self):
-        mat = np.zeros((3, 2))
-        mat[1, 0] = np.inf
-        with pytest.raises(NonFiniteError, match="frame 1, vocab 0") as info:
+        mat[frame, vocab] = value
+        with pytest.raises(NonFiniteError, match=f"frame {frame}, vocab {vocab}") as info:
             LogitMatrix("u7", mat, 10.0)
         assert info.value.utt_id == "u7"
-        assert (info.value.frame, info.value.vocab) == (1, 0)
+        assert (info.value.frame, info.value.vocab) == (frame, vocab)
         assert isinstance(info.value, ValueError)
 
     def test_nonfinite_error_pickles(self):
@@ -362,7 +358,7 @@ class TestPriorCtcGrad:
 
             def full_loss(x):
                 adj = apply_label_prior(LogitMatrix("u", x, 10.0), gamma)
-                return ctc_loss(log_softmax_rows(adj), labels)[0]
+                return ctc_loss(log_softmax_rows(adj.frames), labels)[0]
 
             fd = central_difference_grad(full_loss, logits)
             assert grad_relative_error(grad, fd) <= 1e-4
@@ -603,7 +599,7 @@ class TestTokenSpans:
 
 def explicit_chain(logits, labels, gamma):
     """The four calls align_spans stands for, written out."""
-    log_probs = log_softmax_rows(apply_label_prior(logits, gamma))
+    log_probs = log_softmax_rows(apply_label_prior(logits, gamma).frames)
     return token_spans(forced_align(log_probs, labels), np.exp(log_probs))
 
 
@@ -628,6 +624,29 @@ class TestAlignSpans:
             assert spans == explicit_chain(logits, labels, gamma)
             assert all(s.start_frame == s.end_frame == s.peak_frame for s in spans)
             assert all(a.end_frame < b.start_frame for a, b in zip(spans, spans[1:]))
+
+    def test_gamma_zero_is_identity_where_the_mean_overflows(self):
+        # every logit is finite but each column's sum overflows: gamma 0 must
+        # not form 0 * inf (an overflow warning fails the suite)
+        logits = LogitMatrix("u", np.tile([1e308, 0.0, 1e308], (4, 1)), 10.0)
+        labels = LabelSequence((2,))
+        assert apply_label_prior(logits, 0.0) is logits
+        assert align_spans(logits, labels, 0.0) == explicit_chain(logits, labels, 0.0)
+
+    @pytest.mark.parametrize("gamma", [0.25, 1.0])
+    def test_prior_overflow_raises_nonfinite_naming_utterance(self, gamma):
+        # finite logits whose column means overflow, so the prior makes
+        # infinities. The overflow warnings are silenced so that the test sees
+        # the typed error a caller sees, not the suite's error::RuntimeWarning
+        frames = np.tile([1e308, -1e308, 0.0], (4, 1))
+        labels = LabelSequence((1,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError) as info:
+                align_spans(LogitMatrix("u9", frames, 10.0), labels, gamma)
+            assert info.value.utt_id == "u9"
+            with pytest.raises(NonFiniteError) as info:
+                ctc_grad_batch([LogitMatrix("u9", frames, 10.0)], [labels], gamma)
+            assert info.value.utt_id == "u9"
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_too_short_raises(self, gamma):

@@ -180,7 +180,7 @@ class TestModel:
                     saved = param.copy()
                     param[...] = p
                     out, _ = model_forward(clf, x)
-                    value = ctc_loss(log_softmax_rows(out), labels)[0]
+                    value = ctc_loss(log_softmax_rows(out.frames), labels)[0]
                     param[...] = saved
                     return value
 
@@ -341,6 +341,17 @@ class TestTrain:
         config = TrainConfig(method="npc", epochs=2, batch_size=2, seed=1)
         with pytest.raises(TrainingDivergedError, match=r"synth-0003 \(epoch 0, batch \d\)"):
             train(config, corpus)
+
+    def test_pfr_overflowing_temperature_reported_as_divergence(self):
+        # logits / tau overflow to inf. The warnings are silenced so that the
+        # test sees the typed error a caller sees, not the suite's
+        # error::RuntimeWarning
+        corpus = generate_corpus(small_spec())
+        config = TrainConfig(method="pfr", epochs=2, batch_size=4, seed=1,
+                             lambda_pfr=1.0, tau=1e-308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError):
+                train(config, corpus)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
