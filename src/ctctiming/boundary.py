@@ -8,6 +8,7 @@ optionally shifted by a grid-searched constant offset.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,9 @@ class WordTiming:
     end_ms: float
 
     def __post_init__(self):
-        if not (0.0 <= self.start_ms <= self.end_ms):
+        if not (0.0 <= self.start_ms <= self.end_ms < math.inf):  # also rejects nan
             raise ValueError(
-                f"{self.word!r}: need 0 <= start <= end, got ({self.start_ms}, {self.end_ms})"
+                f"{self.word!r}: need 0 <= start <= end < inf, got ({self.start_ms}, {self.end_ms})"
             )
 
     @property
@@ -256,40 +257,31 @@ def gridsearch_offset(
     Returns (best_offset_ms, metrics at the best offset, offset->score curve).
     Ties prefer the smallest |offset|, then the smaller offset. The curve and
     the reported metrics clamp shifted times at 0, matching how offsets are
-    applied when writing timing files.
+    applied when writing timing files. Both are computed from the matched
+    pairs' time arrays; no shifted word is built.
     """
-    from .metrics import MatchedPair, match_words, timing_metrics
+    from .metrics import _pair_times, _times_report, match_words
 
     n_offsets = offset_count(range_ms, step_ms)
     common = sorted(set(pred) & set(ref))
     matched, n_hyp, n_ref = match_words(pred, {utt: ref[utt] for utt in common})
     if not matched:
         raise ValueError("nothing to score: no matched word pairs")
-
-    hyp_start = np.array([p.hyp.start_ms for p in matched])
-    hyp_end = np.array([p.hyp.end_ms for p in matched])
-    ref_start = np.array([p.ref.start_ms for p in matched])
-    ref_end = np.array([p.ref.end_ms for p in matched])
+    hyp, ref_times = _pair_times(matched)
 
     offsets = range_ms[0] + step_ms * np.arange(n_offsets)
     curve = []
     best = None
     for offset in offsets:
-        start_hits = np.abs(np.maximum(hyp_start + offset, 0.0) - ref_start) < threshold_ms
-        end_hits = np.abs(np.maximum(hyp_end + offset, 0.0) - ref_end) < threshold_ms
-        score = float(100.0 * np.mean(start_hits) + 100.0 * np.mean(end_hits))
+        hits = np.abs(np.maximum(hyp + offset, 0.0) - ref_times) < threshold_ms
+        score = float(100.0 * np.mean(hits[0]) + 100.0 * np.mean(hits[1]))
         curve.append((float(offset), score))
         key = (-score, abs(offset), offset)
         if best is None or key < best[0]:
             best = (key, float(offset))
     best_offset = best[1]
 
-    pairs = [
-        MatchedPair(
-            WordTiming(h.word, max(h.start_ms + best_offset, 0.0), max(h.end_ms + best_offset, 0.0)),
-            r,
-        )
-        for h, r in ((p.hyp, p.ref) for p in matched)
-    ]
-    report = timing_metrics(pairs, [threshold_ms], n_hyp=n_hyp, n_ref=n_ref)
+    report = _times_report(
+        np.maximum(hyp + best_offset, 0.0), ref_times, [threshold_ms], n_hyp, n_ref
+    )
     return best_offset, report, curve

@@ -259,9 +259,19 @@ def cmd_align(args) -> int:
     job = _AlignJob(args.logits, args.frame_ms, args.gamma_inf, label_map, n_vocab=len(vocab))
     n_written = 0
     errors = []
-    # --out is replaced only by a complete run; an abort leaves it as it was
-    partial = Path(args.out + ".tmp")
-    out = open(partial, "w", encoding="utf-8")
+    target = Path(args.out)
+    if target.exists() and not target.is_file():  # a device or a FIFO: written in place
+        partial, out = None, open(target, "w", encoding="utf-8")
+    else:
+        # a regular --out is replaced only by a complete run; an abort leaves
+        # it as it was. The partial file's name is this run's own.
+        import tempfile  # here, not at the top: it costs start-up time
+
+        fd, name = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # the mode open() would give a new file
+        partial, out = Path(name), open(fd, "w", encoding="utf-8")
     try:
         with out, _alignments(job) as results:
             for utt, frame_ms, n_frames, spans in results:
@@ -279,12 +289,14 @@ def cmd_align(args) -> int:
                 }
                 out.write(json.dumps(record, ensure_ascii=False) + "\n")
                 n_written += 1
-        partial.replace(args.out)
+        if partial:
+            partial.replace(target)
     except (ValueError, OSError) as err:
         errors.append({"utt": None, "error": f"aborted: {err}"})
         raise
     finally:
-        partial.unlink(missing_ok=True)
+        if partial:
+            partial.unlink(missing_ok=True)
         _write_errors(args.out, errors)
     print(f"wrote {n_written} utterances to {args.out}")
     return 0

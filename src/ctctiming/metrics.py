@@ -66,8 +66,9 @@ class PeakHistogram:
 def _word_ids(hyp_words: list[str], ref_words: list[str]) -> tuple[list[int], list[int]]:
     """Integer ids shared by words that are equal after NFC normalization."""
     ids: dict[str, int] = {}
-    hyp = [ids.setdefault(_norm(w), len(ids)) for w in hyp_words]
-    ref = [ids.setdefault(_norm(w), len(ids)) for w in ref_words]
+    # an ASCII word is its own NFC form
+    hyp = [ids.setdefault(w if w.isascii() else _norm(w), len(ids)) for w in hyp_words]
+    ref = [ids.setdefault(w if w.isascii() else _norm(w), len(ids)) for w in ref_words]
     return hyp, ref
 
 
@@ -105,8 +106,10 @@ def edit_align(hyp_words: list[str], ref_words: list[str]) -> list[tuple[int, in
     Unit costs; the table is held as `_edit_columns` bit vectors, 2(m+1)
     ints of n bits, and each cell the backtrace visits is read back from
     its column. The backtrace prefers match > substitution > deletion >
-    insertion, so the result is deterministic. Word texts are compared after
-    Unicode NFC normalization, byte-exact, no case folding.
+    insertion, so the result is deterministic. Equal words are always a
+    match: with unit costs, D[i][j] = D[i-1][j-1] whenever they are equal, so
+    that step reads no cell. Word texts are compared after Unicode NFC
+    normalization, byte-exact, no case folding.
     """
     hyp, ref = _word_ids(hyp_words, ref_words)
     vps, vns = zip(*_edit_columns(hyp, ref))
@@ -118,7 +121,7 @@ def edit_align(hyp_words: list[str], ref_words: list[str]) -> list[tuple[int, in
     matches = []
     i, j = len(hyp), len(ref)
     while i > 0 and j > 0:
-        if hyp[i - 1] == ref[j - 1] and dist(i, j) == dist(i - 1, j - 1):
+        if hyp[i - 1] == ref[j - 1]:
             matches.append((i - 1, j - 1))
             i, j = i - 1, j - 1
         elif dist(i, j) == dist(i - 1, j - 1) + 1:
@@ -163,6 +166,14 @@ def match_words(
     return pairs, n_hyp, n_ref
 
 
+def _pair_times(pairs: list[MatchedPair]) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs' hypothesis and reference times in ms, read in one pass:
+    two (2, n) arrays whose rows are the starts and the ends."""
+    rows = [(p.hyp.start_ms, p.hyp.end_ms, p.ref.start_ms, p.ref.end_ms) for p in pairs]
+    times = np.array(rows, dtype=np.float64).reshape(-1, 4).T.copy()
+    return times[:2], times[2:]
+
+
 def timing_metrics(
     pairs: list[MatchedPair],
     thresholds_ms: list[float],
@@ -175,24 +186,31 @@ def timing_metrics(
     percentage of pairs with |start delta| strictly below t (same for ends).
     Signed means (hyp - ref) are kept as a diagnostic.
     """
+    return _times_report(*_pair_times(pairs), thresholds_ms, n_hyp, n_ref)
+
+
+def _times_report(
+    hyp: np.ndarray, ref: np.ndarray, thresholds_ms: list[float], n_hyp: int | None,
+    n_ref: int | None,
+) -> MetricsReport:
+    """timing_metrics on the (start, end) rows of _pair_times."""
+    n = hyp.shape[1]
     report = MetricsReport(
-        n_matched=len(pairs),
-        n_hyp=len(pairs) if n_hyp is None else n_hyp,
-        n_ref=len(pairs) if n_ref is None else n_ref,
+        n_matched=n, n_hyp=n if n_hyp is None else n_hyp, n_ref=n if n_ref is None else n_ref
     )
-    if not pairs:
+    if not n:
         return report
-    d_start = np.array([p.hyp.start_ms - p.ref.start_ms for p in pairs])
-    d_end = np.array([p.hyp.end_ms - p.ref.end_ms for p in pairs])
-    report.ave_st_delta_ms = float(np.abs(d_start).mean())
-    report.ave_ed_delta_ms = float(np.abs(d_end).mean())
+    d_start, d_end = hyp - ref
+    abs_start, abs_end = np.abs(d_start), np.abs(d_end)
+    report.ave_st_delta_ms = float(abs_start.mean())
+    report.ave_ed_delta_ms = float(abs_end.mean())
     report.signed_st_delta_ms = float(d_start.mean())
     report.signed_ed_delta_ms = float(d_end.mean())
     for tau in thresholds_ms:
-        report.pct_ws[float(tau)] = float(100.0 * np.mean(np.abs(d_start) < tau))
-        report.pct_we[float(tau)] = float(100.0 * np.mean(np.abs(d_end) < tau))
-    report.mean_ref_duration_ms = float(np.mean([p.ref.duration_ms for p in pairs]))
-    report.mean_hyp_duration_ms = float(np.mean([p.hyp.duration_ms for p in pairs]))
+        report.pct_ws[float(tau)] = float(100.0 * np.mean(abs_start < tau))
+        report.pct_we[float(tau)] = float(100.0 * np.mean(abs_end < tau))
+    report.mean_ref_duration_ms = float(np.mean(ref[1] - ref[0]))
+    report.mean_hyp_duration_ms = float(np.mean(hyp[1] - hyp[0]))
     return report
 
 

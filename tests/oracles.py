@@ -2,7 +2,9 @@
 
 Everything here is deliberately brute-force: path enumeration instead of
 forward-backward, central finite differences instead of analytic gradients,
-a plain DP for edit distance. None of it shares code with the package.
+a plain DP for edit distance. None of it shares code with the package,
+except gridsearch_rebuilt, which checks the offset search's arrays against
+the package's own word-timing objects.
 """
 from __future__ import annotations
 
@@ -205,6 +207,39 @@ def edit_align_cellwise(hyp_words: list[str], ref_words: list[str]) -> list[tupl
             i -= 1
     matches.reverse()
     return matches
+
+
+def gridsearch_rebuilt(pred, ref, range_ms, step_ms, threshold_ms):
+    """gridsearch_offset from word-timing objects: each offset b is scored by
+    the package's timing_metrics over the matched pairs with every hypothesis
+    word rebuilt as WordTiming(w, max(s + b, 0), max(e + b, 0)).
+
+    Returns (best offset, its report, curve); the best offset has the highest
+    %WS<t + %WE<t, then the smallest |b|, then the smaller b.
+    """
+    from ctctiming.boundary import WordTiming, offset_count
+    from ctctiming.metrics import MatchedPair, match_words, timing_metrics
+
+    common = sorted(set(pred) & set(ref))
+    matched, n_hyp, n_ref = match_words(pred, {utt: ref[utt] for utt in common})
+
+    def report_at(b: float):
+        pairs = [
+            MatchedPair(
+                WordTiming(p.hyp.word, max(p.hyp.start_ms + b, 0.0), max(p.hyp.end_ms + b, 0.0)),
+                p.ref,
+            )
+            for p in matched
+        ]
+        return timing_metrics(pairs, [threshold_ms], n_hyp=n_hyp, n_ref=n_ref)
+
+    curve = []
+    for k in range(offset_count(range_ms, step_ms)):
+        b = range_ms[0] + step_ms * k
+        report = report_at(b)
+        curve.append((b, report.pct_ws[threshold_ms] + report.pct_we[threshold_ms]))
+    best = min(curve, key=lambda point: (-point[1], abs(point[0]), point[0]))[0]
+    return best, report_at(best), curve
 
 
 def sample_valid_path(

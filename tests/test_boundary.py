@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from ctctiming.boundary import (
     words_from_spans,
 )
 from ctctiming.ctc import LabelSequence, LogitMatrix, TokenSpan
+from ctctiming.metrics import MatchedPair, match_words
 
-from oracles import central_difference_grad, grad_relative_error, log_softmax
+from oracles import central_difference_grad, grad_relative_error, gridsearch_rebuilt, log_softmax
 
 
 def span(u, start, end, peak=None):
@@ -205,7 +207,78 @@ def make_timings(words, starts, duration=100.0):
     ]
 
 
+def edited_documents(seed, n_utts=4):
+    """Seeded reference and hypothesis documents for the offset search.
+
+    Words come from 8 types, with integer times: each reference starts at 0 ms
+    and its words follow within 0-120 ms with 0-200 ms durations. The
+    hypothesis moves each start by -60..60 ms (floored at 0), keeps the
+    duration and drops or substitutes about one word in eight.
+    """
+    rng = np.random.default_rng(seed)
+    pred, ref = {}, {}
+    for u in range(n_utts):
+        n = int(rng.integers(5, 30))
+        words = [f"w{t}" for t in rng.integers(0, 8, size=n)]
+        starts = np.cumsum(rng.integers(0, 120, size=n)).astype(float)
+        starts -= starts[0]
+        ends = starts + rng.integers(0, 200, size=n)
+        ref[f"u{u}"] = [WordTiming(w, s, e) for w, s, e in zip(words, starts, ends)]
+        hyp = []
+        for w, s, e in zip(words, starts, ends):
+            edit = rng.random()
+            if edit < 0.06:
+                continue
+            shift = max(float(rng.integers(-60, 61)), -s)
+            hyp.append(WordTiming("x" if edit < 0.12 else w, s + shift, e + shift))
+        pred[f"u{u}"] = hyp
+    return pred, ref
+
+
 class TestGridsearchOffset:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("range_ms, step_ms, threshold_ms", [
+        ((-150.0, 150.0), 10.0, 25.0),
+        ((-37.5, 40.0), 2.5, 7.0),
+    ])
+    def test_matches_object_rebuild(self, seed, range_ms, step_ms, threshold_ms):
+        """The report and curve equal the package's timing_metrics over
+        rebuilt, shifted word objects, bit for bit."""
+        pred, ref = edited_documents(seed)
+        best, report, curve = gridsearch_offset(pred, ref, range_ms, step_ms, threshold_ms)
+        want_best, want_report, want_curve = gridsearch_rebuilt(
+            pred, ref, range_ms, step_ms, threshold_ms
+        )
+        assert (best, report.to_dict(), curve) == (want_best, want_report.to_dict(), want_curve)
+
+    def test_rebuild_cases_clamp_and_tie(self):
+        """The documents above shift starts below 0 and tie on the curve,
+        also at its best score."""
+        clamped = tied = tied_best = 0
+        for seed in range(12):
+            pred, ref = edited_documents(seed)
+            matched, _, _ = match_words(pred, ref)
+            clamped += any(p.hyp.start_ms - 150.0 < 0.0 for p in matched)
+            _, _, curve = gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
+            scores = [score for _, score in curve]
+            tied += len(set(scores)) < len(scores)
+            tied_best += scores.count(max(scores)) > 1
+        assert clamped == 12 and tied == 12 and tied_best >= 3
+
+    def test_builds_no_word_objects_beyond_match_words(self, monkeypatch):
+        """The report comes from arrays: the only objects built are
+        match_words' pairs, one per matched word."""
+        pred, ref = edited_documents(0)
+        built = Counter()
+        for cls in (WordTiming, MatchedPair):
+            def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        _, report, _ = gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
+        assert report.n_matched > 0
+        assert dict(built) == {"MatchedPair": report.n_matched}
+
     def test_recovers_injected_bias(self):
         # 40 ms early with +/-10 ms jitter: only +40 centers every word
         # inside the 20 ms threshold

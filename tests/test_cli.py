@@ -3,6 +3,8 @@ import json
 import multiprocessing
 import os
 import re
+import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +224,49 @@ class TestAlign:
         ])
         assert rc == 2
 
+    def test_fifo_out_written_in_place(self, tmp_path, monkeypatch):
+        write_fixture(tmp_path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # no fork beside a thread
+        argv = ["align", "--logits", str(tmp_path / "logits.jsonl"),
+                "--labels", str(tmp_path / "labels.jsonl"),
+                "--vocab", str(tmp_path / "vocab.txt"), "--gamma-inf", "0.0"]
+        assert main(argv + ["--out", str(tmp_path / "hyp.jsonl")]) == 0
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            rc = main(argv + ["--out", str(fifo)])
+        finally:
+            try:  # a run that never opened the FIFO leaves the reader waiting for a writer
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:
+                pass
+            reader.join(timeout=30)
+        assert rc == 0 and not reader.is_alive()
+        assert received == [(tmp_path / "hyp.jsonl").read_bytes()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("pipe")) == ["pipe"]
+
+    def test_stale_tmp_of_another_run_left_alone(self, tmp_path):
+        write_fixture(tmp_path)
+        stale = tmp_path / "hyp.jsonl.tmp"
+        stale.write_text("another run\n")
+        out = tmp_path / "hyp.jsonl"
+        rc = main(["align", "--logits", str(tmp_path / "logits.jsonl"),
+                   "--labels", str(tmp_path / "labels.jsonl"),
+                   "--vocab", str(tmp_path / "vocab.txt"), "--out", str(out)])
+        assert rc == 0
+        assert stale.read_text() == "another run\n"
+        assert set(dataio.read_timings_jsonl(out)) == {"u1", "u2"}
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("hyp")) == [
+            "hyp.jsonl", "hyp.jsonl.tmp"
+        ]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
 
 class TestMetricsCommand:
     def test_id_mismatch_exit_2(self, tmp_path, capsys):
@@ -275,6 +320,20 @@ class TestMetricsCommand:
         assert rc == 2
         assert "hyp.jsonl:1: " in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("start, end", [
+        ("0", "Infinity"), ("Infinity", "Infinity"), ("0", "NaN"), ("NaN", "10"),
+    ])
+    @pytest.mark.parametrize("command", ["metrics", "gridsearch"])
+    def test_non_finite_time_exit_2(self, tmp_path, capsys, command, start, end):
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": [WordTiming("a", 0.0, 10.0)]})
+        (tmp_path / "hyp.jsonl").write_text(
+            '{"utt": "a", "words": [{"w": "a", "start_ms": %s, "end_ms": %s}]}\n' % (start, end))
+        rc = main([command, "--hyp", str(tmp_path / "hyp.jsonl"),
+                   "--ref", str(tmp_path / "ref.jsonl"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "hyp.jsonl:1: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGridsearchCommand:

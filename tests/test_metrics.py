@@ -74,6 +74,21 @@ def planted_edit_document(n_words=420, n_types=40, seed=46):
     return hyp, ref
 
 
+def mixed_script_document(seed):
+    """planted_edit_document at 300 words where every third word type is
+    non-ASCII, each occurrence drawn in NFC or NFD form at random."""
+    hyp, ref = planted_edit_document(n_words=300, seed=seed)
+    rng = np.random.default_rng(seed)
+
+    def spell(word):
+        t = int(word[1:])
+        if t % 3:
+            return word
+        return unicodedata.normalize(("NFC", "NFD")[int(rng.integers(0, 2))], f"caf\u00e9{t}")
+
+    return [spell(w) for w in hyp], [spell(w) for w in ref]
+
+
 class TestEditAlign:
     def test_identical_sequences(self):
         words = ["a", "b", "c", "d", "e"]
@@ -117,6 +132,17 @@ class TestEditAlign:
         assert len(ref) == 420 and len(hyp) == 420
         assert edit_align(hyp, ref) == edit_align_cellwise(hyp, ref)
         assert edit_distance(hyp, ref) == levenshtein_cost(hyp, ref)
+
+    @pytest.mark.parametrize("seed", [50, 51, 52])
+    def test_mixed_script_document_matches_cellwise_oracle(self, seed):
+        """Benchmark-sized documents: ASCII words take the shortcut past NFC,
+        and equal words in different forms still match."""
+        hyp, ref = mixed_script_document(seed)
+        assert len(hyp) == len(ref) == 300
+        matches = edit_align(hyp, ref)
+        assert matches == edit_align_cellwise(hyp, ref)
+        assert any(hyp[h].isascii() for h, _ in matches)
+        assert any(hyp[h] != ref[r] for h, r in matches)  # NFC against NFD
 
     def test_tie_dense_documents_match_oracles(self):
         """Long documents over 2-4 word types: ties at almost every cell,
