@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import BLANK_ID, LabelSequence, LogitMatrix, TokenSpan, log_softmax_rows
+from .ctc import BLANK_ID, LabelSequence, LogitMatrix, TokenSpan, _integer, log_softmax_rows
 
 log = logging.getLogger(__name__)
 
@@ -27,6 +27,8 @@ class WordTiming:
     end_ms: float
 
     def __post_init__(self):
+        if not isinstance(self.word, str):
+            raise TypeError(f"word text must be a string, got {self.word!r}")
         if not (0.0 <= self.start_ms <= self.end_ms < math.inf):  # also rejects nan
             raise ValueError(
                 f"{self.word!r}: need 0 <= start <= end < inf, got ({self.start_ms}, {self.end_ms})"
@@ -42,19 +44,22 @@ class WordMap:
     """Grouping of a wordpiece sequence into words.
 
     words is an ordered tuple of (word_text, first_piece, last_piece) with
-    inclusive piece indices that partition [0, n_pieces) without gaps.
+    inclusive piece indices that partition [0, n_pieces) without gaps. Texts
+    must be str and indices integers (numpy's too); others raise TypeError.
     """
 
     words: tuple[tuple[str, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "words", tuple((str(w), int(a), int(b)) for w, a, b in self.words)
-        )
+        object.__setattr__(self, "words", tuple(
+            (w, _integer(a, "first piece"), _integer(b, "last piece")) for w, a, b in self.words
+        ))
         if not self.words:
             raise ValueError("word map must contain at least one word")
         expect = 0
         for word, first, last in self.words:
+            if not isinstance(word, str):
+                raise TypeError(f"word text must be a string, got {word!r}")
             if first != expect or last < first:
                 raise ValueError(
                     f"piece ranges must partition [0, U) in order; "

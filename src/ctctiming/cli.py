@@ -86,8 +86,6 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ValueError(f"expected LO:HI:STEP, got {text!r}")
     lo, hi, step = (_number(p) for p in parts)
-    if lo > hi or step <= 0:
-        raise ValueError(f"invalid range {text!r}")
     offset_count((lo, hi), step)
     return lo, hi, step
 
@@ -281,13 +279,7 @@ def cmd_align(args) -> int:
                 words = words_from_spans(
                     spans, label_map[utt][1], frame_ms, args.offset_ms, n_frames=n_frames
                 )
-                record = {
-                    "utt": utt,
-                    "words": [
-                        {"w": w.word, "start_ms": w.start_ms, "end_ms": w.end_ms} for w in words
-                    ],
-                }
-                out.write(json.dumps(record, ensure_ascii=False) + "\n")
+                out.write(dataio.timings_line(utt, words))
                 n_written += 1
         if partial:
             partial.replace(target)

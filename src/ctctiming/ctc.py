@@ -12,6 +12,7 @@ is one float64 array that starts out holding its own emissions, so a
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,14 @@ class LogitMatrix:
         return self.frames.shape[1]
 
 
+def _integer(value, what: str) -> int:
+    """value as an int: ints and numpy integers pass, while bool, float, str
+    and anything else raise TypeError naming what, so nothing is truncated."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class LabelSequence:
     """Token id sequence; ids live in [1, V-1], blank (0) is never a label."""
@@ -79,7 +88,7 @@ class LabelSequence:
     tokens: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
+        object.__setattr__(self, "tokens", tuple(_integer(t, "label id") for t in self.tokens))
         if len(self.tokens) < 1:
             raise ValueError("label sequence must contain at least one token")
         if any(t < 1 for t in self.tokens):
@@ -144,8 +153,19 @@ def log_softmax_rows(frames: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _state_symbols(labels: LabelSequence) -> np.ndarray:
-    """Vocab id emitted by each of the 2U+1 states."""
+def _symbols(log_probs: np.ndarray, labels: LabelSequence) -> np.ndarray:
+    """Vocab id emitted by each of the 2U+1 states of labels on a T x V
+    log-prob matrix. Raises ValueError for a label id >= V, then
+    NoValidPathError when T < U + repeats, the fewest frames a path needs."""
+    n_frames, n_vocab = log_probs.shape
+    if max(labels.tokens) >= n_vocab:
+        raise ValueError(f"label id {max(labels.tokens)} out of range for V={n_vocab}")
+    needed = len(labels) + labels.n_repeats
+    if n_frames < needed:
+        raise NoValidPathError(
+            f"no valid path: T={n_frames} < U + repeats = {needed} "
+            f"for labels of length {len(labels)}"
+        )
     syms = np.full(2 * len(labels) + 1, BLANK_ID, dtype=np.int64)
     syms[1::2] = labels.tokens
     return syms
@@ -156,15 +176,6 @@ def _skip_mask(syms: np.ndarray) -> np.ndarray:
     mask = np.full(len(syms), NEG_INF)
     mask[3::2][syms[3::2] != syms[1:-2:2]] = 0.0
     return mask
-
-
-def _check_path_exists(n_frames: int, labels: LabelSequence) -> None:
-    needed = len(labels) + labels.n_repeats
-    if n_frames < needed:
-        raise NoValidPathError(
-            f"no valid path: T={n_frames} < U + repeats = {needed} "
-            f"for labels of length {len(labels)}"
-        )
 
 
 def _recursion(lattice: np.ndarray, jump_mask: np.ndarray, combine) -> np.ndarray:
@@ -244,15 +255,10 @@ def ctc_loss_batch(
     todo = []
     for i, (lp, lab) in enumerate(zip(log_probs, labels, strict=True)):
         lp = np.asarray(lp, dtype=np.float64)
-        n_frames, n_vocab = lp.shape
-        if max(lab.tokens) >= n_vocab:
-            raise ValueError(f"label id {max(lab.tokens)} out of range for V={n_vocab}")
         try:
-            _check_path_exists(n_frames, lab)
+            todo.append((i, lp, _symbols(lp, lab)))
         except NoValidPathError as err:
             results[i] = err
-            continue
-        todo.append((i, lp, _state_symbols(lab)))
     if todo:
         lattices = _lattices([lp for _, lp, _ in todo], [syms for _, _, syms in todo])
         for (i, _, _), (alpha, beta) in zip(todo, lattices):
@@ -282,7 +288,7 @@ def ctc_grad_batch(
             continue
         loss, lattice = result
         # grad[t, v] = softmax(logits)[t, v] - occupancy(v, t); rows sum to zero
-        syms = _state_symbols(lab)
+        syms = _symbols(lp, lab)
         joint = lattice.log_alpha + lattice.log_beta - lp[:, syms].T
         state_post = np.exp(joint - lattice.log_likelihood)
         occ = np.zeros_like(lp)
@@ -353,15 +359,11 @@ def forced_align(log_probs: np.ndarray, labels: LabelSequence) -> AlignmentPath:
     (stay, step, skip), and the final frame prefers the trailing blank.
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
-    n_frames, n_vocab = log_probs.shape
-    if max(labels.tokens) >= n_vocab:
-        raise ValueError(f"label id {max(labels.tokens)} out of range for V={n_vocab}")
-    _check_path_exists(n_frames, labels)
-
-    syms = _state_symbols(labels)
+    syms = _symbols(log_probs, labels)
     mask = _skip_mask(syms)
+    n_frames = len(log_probs)
     # gather the emissions into the lattice itself; mode="clip" writes out
-    # directly (the label range is checked above), "raise" would buffer it
+    # directly (_symbols checked the label range), "raise" would buffer it
     lattice = np.empty((n_frames, 1, len(syms) + 2))
     np.take(log_probs, [BLANK_ID, BLANK_ID, *syms], axis=1, out=lattice[:, 0], mode="clip")
     lattice[:, 0, :2] = NEG_INF

@@ -137,10 +137,8 @@ def write_logits_jsonl(path: str | Path, mats: Iterable[LogitMatrix]) -> None:
 def read_labels_jsonl(path: str | Path) -> dict[str, tuple[LabelSequence, WordMap]]:
     """{"utt", "pieces", "words": [{"w", "first", "last"}]} records."""
     def build(utt: str, record: dict) -> tuple[LabelSequence, WordMap]:
-        labels = LabelSequence(tuple(int(p) for p in record["pieces"]))
-        word_map = WordMap(
-            tuple((w["w"], int(w["first"]), int(w["last"])) for w in record["words"])
-        )
+        labels = LabelSequence(tuple(record["pieces"]))
+        word_map = WordMap(tuple((w["w"], w["first"], w["last"]) for w in record["words"]))
         if word_map.n_pieces != len(labels):
             raise ValueError(f"word map covers {word_map.n_pieces} pieces, got {len(labels)}")
         return labels, word_map
@@ -172,16 +170,17 @@ def read_timings_jsonl(path: str | Path) -> dict[str, list[WordTiming]]:
     return {utt: value for _, utt, value in _records(path, ("utt", "words"), build)}
 
 
+def timings_line(utt_id: str, words: list[WordTiming]) -> str:
+    """One utterance's record of a timings file, newline included; word
+    texts are written as they are, not as ASCII escapes."""
+    words = [{"w": w.word, "start_ms": w.start_ms, "end_ms": w.end_ms} for w in words]
+    return json.dumps({"utt": utt_id, "words": words}, ensure_ascii=False) + "\n"
+
+
 def write_timings_jsonl(path: str | Path, timings: dict[str, list[WordTiming]]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for utt_id, words in timings.items():
-            record = {
-                "utt": utt_id,
-                "words": [
-                    {"w": w.word, "start_ms": w.start_ms, "end_ms": w.end_ms} for w in words
-                ],
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(timings_line(utt_id, words))
 
 
 def read_vocab(path: str | Path) -> list[str]:

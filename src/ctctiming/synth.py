@@ -139,71 +139,47 @@ def generate_corpus(spec: CorpusSpec) -> list[SynthUtterance]:
     rng = np.random.default_rng(spec.seed)
     means = rng.normal(size=(spec.vocab_size + 1, spec.feature_dim))
     means[1:] = means[0] + TOKEN_SILENCE_PULL * (means[1:] - means[0])
-    silence_mean = means[0]
+
+    def draw(bounds: tuple[int, int]) -> int:
+        return int(rng.integers(bounds[0], bounds[1] + 1))
 
     utts = []
     for i in range(spec.n_utts):
-        n_words = int(rng.integers(spec.words_per_utt[0], spec.words_per_utt[1] + 1))
         pieces: list[int] = []
-        word_pieces: list[list[int]] = []
-        for _ in range(n_words):
-            n_pieces = int(rng.integers(spec.pieces_per_word[0], spec.pieces_per_word[1] + 1))
-            group = []
-            for _ in range(n_pieces):
-                tok = int(rng.integers(1, spec.vocab_size + 1))
-                while pieces and tok == pieces[-1]:
-                    tok = int(rng.integers(1, spec.vocab_size + 1))
-                pieces.append(tok)
-                group.append(tok)
-            word_pieces.append(group)
-
-        def gap() -> int:
-            return int(rng.integers(spec.gap_frames[0], spec.gap_frames[1] + 1))
-
-        rows: list[np.ndarray] = []
-        spans: list[tuple[int, int]] = []
-
-        def emit(mean: np.ndarray, n: int):
-            rows.append(np.tile(mean, (n, 1)))
-
-        emit(silence_mean, gap())
-        t = len(rows[0])
-        for w, group in enumerate(word_pieces):
-            if w > 0:
-                g = gap()
-                emit(silence_mean, g)
-                t += g
-            for tok in group:
-                n = int(rng.integers(spec.span_frames[0], spec.span_frames[1] + 1))
-                emit(means[tok], n)
-                spans.append((t, t + n - 1))
-                t += n
-        emit(silence_mean, gap())
-
-        clean = np.vstack(rows)
-        features_lo = clean + spec.noise_sigma * rng.normal(size=clean.shape)
-        features_hi = _moving_average(features_lo, spec.context_window)
-
         words = []
-        ref = []
-        u = 0
-        for group in word_pieces:
-            first, last = u, u + len(group) - 1
-            text = word_text(group)
-            words.append((text, first, last))
-            ref.append(
-                WordTiming(text, spans[first][0] * FRAME_MS, (spans[last][1] + 1) * FRAME_MS)
-            )
-            u += len(group)
+        for _ in range(draw(spec.words_per_utt)):
+            first = len(pieces)
+            for _ in range(draw(spec.pieces_per_word)):
+                tok = draw((1, spec.vocab_size))
+                while pieces and tok == pieces[-1]:
+                    tok = draw((1, spec.vocab_size))
+                pieces.append(tok)
+            words.append((word_text(pieces[first:]), first, len(pieces) - 1))
 
+        # one frame id per frame, 0 for silence: a gap before every word and
+        # after the last, each piece's span right after the previous one. The
+        # reference times read only a span's start and end; its peak is its start
+        ids: list[int] = []
+        spans = []
+        for _, first, last in words:
+            ids += [0] * draw(spec.gap_frames)
+            for u in range(first, last + 1):
+                n = draw(spec.span_frames)
+                spans.append(TokenSpan(u, len(ids), len(ids) + n - 1, len(ids)))
+                ids += [pieces[u]] * n
+        ids += [0] * draw(spec.gap_frames)
+
+        clean = means[ids]
+        features_lo = clean + spec.noise_sigma * rng.normal(size=clean.shape)
+        word_map = WordMap(tuple(words))
         utts.append(
             SynthUtterance(
                 utt_id=f"synth-{i:04d}",
                 features_lo=features_lo,
-                features_hi=features_hi,
+                features_hi=_moving_average(features_lo, spec.context_window),
                 labels=LabelSequence(tuple(pieces)),
-                word_map=WordMap(tuple(words)),
-                ref_timings=ref,
+                word_map=word_map,
+                ref_timings=words_from_spans(spans, word_map, FRAME_MS, n_frames=len(ids)),
             )
         )
     return utts

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -199,6 +200,30 @@ class TestWordMap:
     def test_must_start_at_zero(self):
         with pytest.raises(ValueError):
             WordMap((("a", 1, 2),))
+
+    def test_numpy_integer_ranges_become_ints(self):
+        word_map = WordMap((("a", np.int64(0), np.int32(1)), ("b", np.uint8(2), 2)))
+        assert word_map.words == (("a", 0, 1), ("b", 2, 2))
+        assert all(type(x) is int for _, first, last in word_map.words for x in (first, last))
+
+    @pytest.mark.parametrize("words, message", [
+        ((("a", 0, 1.9),), "last piece must be an integer, got 1.9"),
+        ((("a", 0.0, 0),), "first piece must be an integer, got 0.0"),
+        ((("a", False, True),), "first piece must be an integer, got False"),
+        ((("a", "0", 0),), "first piece must be an integer, got '0'"),
+        (((5, 0, 0),), "word text must be a string, got 5"),
+        (((None, 0, 0),), "word text must be a string, got None"),
+    ], ids=["float-last", "float-first", "bool", "str-index", "int-text", "none-text"])
+    def test_non_integer_range_or_non_string_text_rejected(self, words, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            WordMap(words)
+
+
+class TestWordTiming:
+    @pytest.mark.parametrize("word", [5, None, ["a"], b"a"], ids=["int", "none", "list", "bytes"])
+    def test_non_string_word_rejected(self, word):
+        with pytest.raises(TypeError, match="word text must be a string"):
+            WordTiming(word, 0.0, 10.0)
 
 
 def make_timings(words, starts, duration=100.0):

@@ -14,7 +14,7 @@ from ctctiming import cli, dataio, synth
 from ctctiming.boundary import WordTiming
 from ctctiming.cli import main
 from ctctiming.ctc import LabelSequence, LogitMatrix, align_spans
-from ctctiming.boundary import WordMap
+from ctctiming.boundary import WordMap, words_from_spans
 from ctctiming.metrics import peak_histogram, peak_items
 from ctctiming.synth import (
     FRAME_MS,
@@ -213,6 +213,30 @@ class TestAlign:
             "hyp.jsonl", "hyp.jsonl.errors"
         ]
 
+    def test_non_ascii_words_written_like_write_timings_jsonl(self, tmp_path):
+        write_fixture(tmp_path)
+        texts = {"u1": ("caf\u00e9", "na\u00efve"), "u2": ("\u65e5\u672c", "\u00fcber")}  # NFC
+        labels = dataio.read_labels_jsonl(tmp_path / "labels.jsonl")
+        renamed = {utt: WordMap(tuple((text, a, b) for text, (_, a, b)
+                                      in zip(texts[utt], word_map.words)))
+                   for utt, (_, word_map) in labels.items()}
+        dataio.write_labels_jsonl(tmp_path / "labels.jsonl",
+                                  [(utt, labels[utt][0], renamed[utt]) for utt in labels])
+        rc = main(["align", "--logits", str(tmp_path / "logits.jsonl"),
+                   "--labels", str(tmp_path / "labels.jsonl"),
+                   "--vocab", str(tmp_path / "vocab.txt"),
+                   "--gamma-inf", "0.0", "--out", str(tmp_path / "hyp.jsonl")])
+        assert rc == 0
+        expected = {
+            mat.utt_id: words_from_spans(align_spans(mat, labels[mat.utt_id][0], 0.0),
+                                         renamed[mat.utt_id], mat.frame_ms, n_frames=mat.n_frames)
+            for mat in dataio.iter_logits_jsonl(tmp_path / "logits.jsonl")
+        }
+        dataio.write_timings_jsonl(tmp_path / "expected.jsonl", expected)
+        got = (tmp_path / "hyp.jsonl").read_bytes()
+        assert got == (tmp_path / "expected.jsonl").read_bytes()
+        assert "caf\u00e9".encode() in got and b"\\u" not in got
+
     def test_vocab_width_mismatch_exit_2(self, tmp_path):
         write_fixture(tmp_path)
         dataio.write_vocab(tmp_path / "vocab.txt", ["t1", "t2", "t3"])
@@ -336,6 +360,19 @@ class TestMetricsCommand:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("word", ["5", "null", '["a"]'], ids=["int", "null", "list"])
+    @pytest.mark.parametrize("command", ["metrics", "gridsearch"])
+    def test_non_string_word_exit_2(self, tmp_path, capsys, command, word):
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": [WordTiming("a", 0.0, 10.0)]})
+        (tmp_path / "hyp.jsonl").write_text(
+            '{"utt": "a", "words": [{"w": %s, "start_ms": 0, "end_ms": 10}]}\n' % word)
+        rc = main([command, "--hyp", str(tmp_path / "hyp.jsonl"),
+                   "--ref", str(tmp_path / "ref.jsonl"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "hyp.jsonl:1: word text must be a string" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestGridsearchCommand:
     def test_bias_recovery(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -443,6 +480,28 @@ class TestAnalyzePeaks:
         assert not (tmp_path / "hist.csv").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: r["pieces"].__setitem__(0, 1.7), "label id must be an integer, got 1.7"),
+    (lambda r: r["pieces"].__setitem__(0, True), "label id must be an integer, got True"),
+    (lambda r: r["words"][1].__setitem__("last", 1.9), "last piece must be an integer, got 1.9"),
+    (lambda r: r["words"][0].__setitem__("w", 5), "word text must be a string, got 5"),
+], ids=["float-piece", "bool-piece", "float-last", "int-word"])
+@pytest.mark.parametrize("command", ["align", "analyze-peaks"])
+def test_non_integer_label_field_exit_2(tmp_path, capsys, command, edit, message):
+    write_fixture(tmp_path)
+    labels = tmp_path / "labels.jsonl"
+    records = [json.loads(line) for line in labels.read_text().splitlines()]
+    edit(records[0])
+    labels.write_text("".join(json.dumps(record) + "\n" for record in records))
+    source = ["--vocab", str(tmp_path / "vocab.txt")] if command == "align" else [
+        "--ref", str(tmp_path / "ref.jsonl")]
+    rc = main([command, "--logits", str(tmp_path / "logits.jsonl"), "--labels", str(labels),
+               *source, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"labels.jsonl:1: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["metrics", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--thresholds", "abc"],
      "--thresholds"),
@@ -485,11 +544,16 @@ class TestAnalyzePeaks:
      "--offset-ms"),
     (["synth", "eval", "--corpus-dir", "c", "--model", "m.npz", "--gamma-inf", "nan"],
      "--gamma-inf"),
+    (["gridsearch", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--range=0:5:0", "--out", "c.csv"],
+     "--range"),
+    (["gridsearch", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--range=0:5:-10", "--out", "c.csv"],
+     "--range"),
 ], ids=["thresholds", "range", "span-frames", "range-inf", "range-nan", "thresholds-nan",
         "thresholds-negative", "thresholds-zero", "threshold-nan", "threshold-negative",
         "range-offsets-infinite", "range-offsets-above-bound", "align-offset-inf",
         "align-gamma-nan", "align-frame-ms-zero", "peaks-gamma-inf", "peaks-frame-ms-nan",
-        "peaks-range-lo-inf", "peaks-range-hi-nan", "eval-offset-inf", "eval-gamma-nan"])
+        "peaks-range-lo-inf", "peaks-range-hi-nan", "eval-offset-inf", "eval-gamma-nan",
+        "range-step-zero", "range-step-negative"])
 def test_malformed_flag_value_exit_1(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_info:

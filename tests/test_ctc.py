@@ -262,6 +262,28 @@ class TestCtcBatch:
         uniform = np.log(np.full((4, 3), 1 / 3))
         with pytest.raises(ValueError, match="out of range"):
             ctc_loss_batch([uniform, uniform], [LabelSequence((1,)), LabelSequence((3,))])
+        with pytest.raises(ValueError, match="out of range"):
+            forced_align(uniform, LabelSequence((3,)))
+        # (3, 3) at T = 1 also has no valid path; the range error wins
+        short = uniform[:1]
+        for call in (lambda: ctc_loss_batch([short], [LabelSequence((3, 3))]),
+                     lambda: forced_align(short, LabelSequence((3, 3)))):
+            with pytest.raises(ValueError, match="label id 3 out of range for V=3") as info:
+                call()
+            assert not isinstance(info.value, NoValidPathError)
+
+
+class TestLabelSequence:
+    def test_numpy_integers_become_ints(self):
+        labels = LabelSequence((np.int64(2), np.int32(1), np.uint16(2), 3))
+        assert labels.tokens == (2, 1, 2, 3)
+        assert all(type(t) is int for t in labels.tokens)
+
+    @pytest.mark.parametrize("token", [1.7, 2.0, np.float64(1.0), True, "1", None],
+                             ids=["float", "integral-float", "numpy-float", "bool", "str", "none"])
+    def test_non_integer_id_rejected(self, token):
+        with pytest.raises(TypeError, match="label id must be an integer"):
+            LabelSequence((token, 2))
 
 
 class TestCtcGrad:

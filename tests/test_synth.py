@@ -18,6 +18,7 @@ from ctctiming.synth import (
     model_forward,
     model_backward,
     predict_timings,
+    pfr_corpus_spec,
     reference_timings,
     split_corpus,
     train,
@@ -41,7 +42,7 @@ def corpus_digest(corpus):
         h.update(utt.features_hi.tobytes())
         h.update(repr(utt.labels.tokens).encode())
         h.update(repr(utt.word_map.words).encode())
-        h.update(repr([(w.start_ms, w.end_ms) for w in utt.ref_timings]).encode())
+        h.update(repr([(w.word, w.start_ms, w.end_ms) for w in utt.ref_timings]).encode())
     return h.hexdigest()
 
 
@@ -55,6 +56,18 @@ class TestGenerateCorpus:
         a = generate_corpus(small_spec())
         b = generate_corpus(small_spec(seed=12))
         assert corpus_digest(a) != corpus_digest(b)
+
+    # the generator's bytes: its draw order, frame layout and reference times;
+    # the third spec has two tokens, so the draw that rejects a repeated token
+    # runs often
+    @pytest.mark.parametrize("spec, digest", [
+        (CorpusSpec(), "34317f6fdb8874f0937f9e2f22b064995a31c17a1a83cf2157bea0a13841aed2"),
+        (pfr_corpus_spec(), "0ecbf9855edf4b96993f6ac7d824db149976c8af3c9d37d9b8b86c588ecb3b67"),
+        (CorpusSpec(vocab_size=2, span_frames=(1, 20), gap_frames=(1, 1), words_per_utt=(1, 6)),
+         "1629f253429ba15735ab4955b0ad29f599e06d1fd5d2605b59e9079de69660d0"),
+    ], ids=["default", "pfr", "repeat-rejection"])
+    def test_output_bytes_pinned(self, spec, digest):
+        assert corpus_digest(generate_corpus(spec)) == digest
 
     def test_noiseless_spans_constant_and_separable(self):
         # with zero noise, single-piece words are constant across their span
