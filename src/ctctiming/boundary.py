@@ -13,14 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import BLANK_ID, LabelSequence, LogitMatrix, TokenSpan, _integer, log_softmax_rows
+from .ctc import (BLANK_ID, LabelSequence, LogitMatrix, TokenSpan, _integer, _number,
+                  log_softmax_rows)
+from .metrics import _pair_times, _times_report, match_words
 
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class WordTiming:
-    """A word with start/end in milliseconds."""
+    """A word with start/end in milliseconds, stored as floats."""
 
     word: str
     start_ms: float
@@ -29,6 +31,9 @@ class WordTiming:
     def __post_init__(self):
         if not isinstance(self.word, str):
             raise TypeError(f"word text must be a string, got {self.word!r}")
+        if type(self.start_ms) is not float or type(self.end_ms) is not float:  # floats pass fast
+            object.__setattr__(self, "start_ms", _number(self.start_ms, "start_ms"))
+            object.__setattr__(self, "end_ms", _number(self.end_ms, "end_ms"))
         if not (0.0 <= self.start_ms <= self.end_ms < math.inf):  # also rejects nan
             raise ValueError(
                 f"{self.word!r}: need 0 <= start <= end < inf, got ({self.start_ms}, {self.end_ms})"
@@ -265,8 +270,6 @@ def gridsearch_offset(
     applied when writing timing files. Both are computed from the matched
     pairs' time arrays; no shifted word is built.
     """
-    from .metrics import _pair_times, _times_report, match_words
-
     n_offsets = offset_count(range_ms, step_ms)
     common = sorted(set(pred) & set(ref))
     matched, n_hyp, n_ref = match_words(pred, {utt: ref[utt] for utt in common})

@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -46,7 +47,9 @@ USAGE_ERROR, DATA_ERROR, NUMERICAL_ERROR = 1, 2, 3
 
 
 class UsageError(Exception):
-    """Flag combination that argparse alone cannot reject."""
+    """A malformed, missing or unknown flag or command, as argparse finds it,
+    or a flag combination that argparse alone cannot reject; main returns
+    USAGE_ERROR for either."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+[\d.:]*$")
 
     def error(self, message):
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+        raise UsageError(message)
 
 
 def _flag_type(parse):
@@ -125,16 +128,24 @@ _CORPUS_SETTINGS = _settings(CorpusSpec)
 _TRAIN_SETTINGS = _settings(TrainConfig)
 
 
-def _write_errors(out: str, errors: list[dict]) -> None:
-    """Replace the <out>.errors sidecar with one {utt, error} record per
-    failure; a run without failures leaves none."""
-    sidecar = Path(out + ".errors")
-    sidecar.unlink(missing_ok=True)
-    if errors:
-        with open(sidecar, "w", encoding="utf-8") as handle:
-            for err in errors:
-                handle.write(json.dumps(err) + "\n")
-        print(f"{len(errors)} failure(s); see {sidecar}", file=sys.stderr)
+@contextmanager
+def _sidecar(out: str):
+    """Yield the list of a run's failures, one {utt, error} record each, and
+    on exit replace the <out>.errors sidecar with them. A run that aborts,
+    wherever it does, ends them with an {utt: null, error: "aborted: ..."}
+    record; a run without failures leaves no sidecar."""
+    failures = []
+    try:
+        yield failures
+    except BaseException as err:
+        failures.append({"utt": None, "error": f"aborted: {str(err) or type(err).__name__}"})
+        raise
+    finally:
+        sidecar = Path(out + ".errors")
+        sidecar.unlink(missing_ok=True)
+        if failures:
+            sidecar.write_text("".join(json.dumps(f) + "\n" for f in failures), encoding="utf-8")
+            print(f"{len(failures)} failure(s); see {sidecar}", file=sys.stderr)
 
 
 @dataclass(frozen=True)
@@ -203,10 +214,11 @@ def _align_in_worker(byte_range) -> list[tuple]:
 
 
 @contextmanager
-def _alignments(job: _AlignJob):
-    """Iterator over (utt, frame_ms, n_frames, outcome) for each record of
-    job.logits, in file order, that raises the run's first error in file
-    order; see _align_range.
+def _alignments(job: _AlignJob, failures: list[dict]):
+    """Iterator over (utt, frame_ms, n_frames, spans) for each aligned record
+    of job.logits, in file order, that appends each utterance it skips to
+    failures as an {utt, error} record and raises the run's first error in
+    file order; see _align_range.
 
     With more than one usable CPU and fork available, byte ranges of the
     file (about four per CPU) go to a pool of forked workers as each frees
@@ -222,7 +234,7 @@ def _alignments(job: _AlignJob):
         if "fork" in multiprocessing.get_all_start_methods():
             ranges = dataio.line_ranges(job.logits, 4 * cpus)
     if len(ranges) < 2:
-        yield _in_file_order(job, (_align_range(job, byte_range) for byte_range in ranges))
+        yield _in_file_order(job, (_align_range(job, r) for r in ranges), failures)
         return
     from concurrent.futures import ProcessPoolExecutor
 
@@ -231,12 +243,12 @@ def _alignments(job: _AlignJob):
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_start_worker, initargs=(job,))
     try:
-        yield _in_file_order(job, pool.map(_align_in_worker, ranges))
+        yield _in_file_order(job, pool.map(_align_in_worker, ranges), failures)
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _in_file_order(job: _AlignJob, chunks):
+def _in_file_order(job: _AlignJob, chunks, failures: list[dict]):
     # a range sees only its own ids: repeats across ranges are found here
     seen: dict[str, int] = {}
     for chunk in chunks:
@@ -248,48 +260,44 @@ def _in_file_order(job: _AlignJob, chunks):
                                           f"{utt!r} (first on line {first})")
             if isinstance(outcome, Exception):
                 raise outcome
-            yield utt, frame_ms, n_frames, outcome
+            if isinstance(outcome, str):
+                failures.append({"utt": utt, "error": outcome})
+            else:
+                yield utt, frame_ms, n_frames, outcome
 
 
 def cmd_align(args) -> int:
-    vocab = dataio.read_vocab(args.vocab)
-    label_map = dataio.read_labels_jsonl(args.labels)
-    job = _AlignJob(args.logits, args.frame_ms, args.gamma_inf, label_map, n_vocab=len(vocab))
     n_written = 0
-    errors = []
-    target = Path(args.out)
-    if target.exists() and not target.is_file():  # a device or a FIFO: written in place
-        partial, out = None, open(target, "w", encoding="utf-8")
-    else:
-        # a regular --out is replaced only by a complete run; an abort leaves
-        # it as it was. The partial file's name is this run's own.
-        import tempfile  # here, not at the top: it costs start-up time
+    with _sidecar(args.out) as failures:
+        n_vocab = len(dataio.read_vocab(args.vocab))
+        label_map = dataio.read_labels_jsonl(args.labels)
+        job = _AlignJob(args.logits, args.frame_ms, args.gamma_inf, label_map, n_vocab=n_vocab)
+        target = Path(args.out)
+        if target.exists() and not target.is_file():  # a device or a FIFO: written in place
+            partial, out = None, open(target, "w", encoding="utf-8")
+        else:
+            # a regular --out is replaced only by a complete run; an abort leaves
+            # it as it was. The partial file's name is this run's own.
+            import tempfile  # here, not at the top: it costs start-up time
 
-        fd, name = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)  # the mode open() would give a new file
-        partial, out = Path(name), open(fd, "w", encoding="utf-8")
-    try:
-        with out, _alignments(job) as results:
-            for utt, frame_ms, n_frames, spans in results:
-                if isinstance(spans, str):
-                    errors.append({"utt": utt, "error": spans})
-                    continue
-                words = words_from_spans(
-                    spans, label_map[utt][1], frame_ms, args.offset_ms, n_frames=n_frames
-                )
-                out.write(dataio.timings_line(utt, words))
-                n_written += 1
-        if partial:
-            partial.replace(target)
-    except (ValueError, OSError) as err:
-        errors.append({"utt": None, "error": f"aborted: {err}"})
-        raise
-    finally:
-        if partial:
-            partial.unlink(missing_ok=True)
-        _write_errors(args.out, errors)
+            fd, name = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open() would give a new file
+            partial, out = Path(name), open(fd, "w", encoding="utf-8")
+        try:
+            with out, _alignments(job, failures) as results:
+                for utt, frame_ms, n_frames, spans in results:
+                    words = words_from_spans(
+                        spans, label_map[utt][1], frame_ms, args.offset_ms, n_frames=n_frames
+                    )
+                    out.write(dataio.timings_line(utt, words))
+                    n_written += 1
+            if partial:
+                partial.replace(target)
+        finally:
+            if partial:
+                partial.unlink(missing_ok=True)
     print(f"wrote {n_written} utterances to {args.out}")
     return 0
 
@@ -347,20 +355,16 @@ def cmd_analyze_peaks(args) -> int:
         raise UsageError("--bins must be >= 1")
     if not args.range_lo < args.range_hi:
         raise UsageError(f"--range-lo {args.range_lo:g} must be below --range-hi {args.range_hi:g}")
-    label_map = dataio.read_labels_jsonl(args.labels)
-    ref = dataio.read_timings_jsonl(args.ref)
-    job = _AlignJob(args.logits, args.frame_ms, args.gamma_inf, label_map, refs=ref)
-    items = []
-    errors = []
-    with _alignments(job) as results:
-        for utt, frame_ms, _, spans in results:
-            if isinstance(spans, str):
-                errors.append({"utt": utt, "error": spans})
-            else:
+    with _sidecar(args.out) as failures:
+        label_map = dataio.read_labels_jsonl(args.labels)
+        ref = dataio.read_timings_jsonl(args.ref)
+        job = _AlignJob(args.logits, args.frame_ms, args.gamma_inf, label_map, refs=ref)
+        items = []
+        with _alignments(job, failures) as results:
+            for utt, frame_ms, _, spans in results:
                 items.extend(peak_items(spans, label_map[utt][1], ref[utt], frame_ms))
-    hist = peak_histogram(items, args.bins, (args.range_lo, args.range_hi))
-    dataio.write_histogram_csv(args.out, hist.counts, hist.bin_edges)
-    _write_errors(args.out, errors)
+        hist = peak_histogram(items, args.bins, (args.range_lo, args.range_hi))
+        dataio.write_histogram_csv(args.out, hist.counts, hist.bin_edges)
     mean = "nan" if hist.mean_rel_pos is None else f"{hist.mean_rel_pos:.6g}"
     print(f"mean_rel_pos {mean}  scored {hist.n_scored}  skipped {hist.n_skipped}")
     return 0
@@ -511,6 +515,7 @@ def cmd_synth_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # argparse keeps no state between parses: one parser per process
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="ctctiming",
@@ -533,7 +538,7 @@ def build_parser() -> _Parser:
                    help="override the per-file frame duration")
     p.add_argument("--offset-ms", type=_parse_number, default=0.0)
     p.add_argument("--out", required=True, help="hypothesis timings JSONL")
-    p.set_defaults(func=cmd_align)
+    p.set_defaults(func="cmd_align")
 
     p = sub.add_parser("metrics", help="score hypothesis timings against a reference")
     p.add_argument("--hyp", required=True)
@@ -542,7 +547,7 @@ def build_parser() -> _Parser:
                    help="comma-separated ms thresholds")
     p.add_argument("--out", default=None, help="metrics report JSON")
     p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(func=cmd_metrics)
+    p.set_defaults(func="cmd_metrics")
 
     p = sub.add_parser("gridsearch", help="search the constant offset maximizing accuracy")
     p.add_argument("--hyp", required=True)
@@ -552,7 +557,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="offset,score curve CSV")
     p.add_argument("--report", default=None, help="metrics JSON at the best offset")
     p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(func=cmd_gridsearch)
+    p.set_defaults(func="cmd_gridsearch")
 
     p = sub.add_parser("analyze-peaks", help="histogram of peak positions within words")
     p.add_argument("--logits", required=True)
@@ -564,7 +569,7 @@ def build_parser() -> _Parser:
     p.add_argument("--range-lo", type=_parse_number, default=-1.0)
     p.add_argument("--range-hi", type=_parse_number, default=2.0)
     p.add_argument("--out", required=True, help="histogram CSV")
-    p.set_defaults(func=cmd_analyze_peaks)
+    p.set_defaults(func="cmd_analyze_peaks")
 
     synth = sub.add_parser("synth", help="synthetic corpus generation, training, evaluation")
     ssub = synth.add_subparsers(dest="synth_command", required=True)
@@ -590,7 +595,7 @@ def build_parser() -> _Parser:
     p = ssub.add_parser("gen", help="generate a corpus directory")
     corpus_flags(p)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_synth_gen)
+    p.set_defaults(func="cmd_synth_gen")
 
     p = ssub.add_parser("train", help="train a classifier on a corpus directory")
     p.add_argument("--corpus-dir", required=True)
@@ -598,7 +603,7 @@ def build_parser() -> _Parser:
     p.add_argument("--holdout-every", type=int, default=0,
                    help="train on all but every N-th utterance")
     p.add_argument("--model-out", required=True, help="classifier .npz path")
-    p.set_defaults(func=cmd_synth_train)
+    p.set_defaults(func="cmd_synth_train")
 
     p = ssub.add_parser("eval", help="evaluate a trained classifier")
     p.add_argument("--corpus-dir", required=True)
@@ -613,22 +618,23 @@ def build_parser() -> _Parser:
     p.add_argument("--dump-hyp", default=None, help="write hypothesis timings as JSONL")
     p.add_argument("--dump-ref", default=None, help="write reference timings as JSONL")
     p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(func=cmd_synth_eval)
+    p.set_defaults(func="cmd_synth_eval")
 
     p = ssub.add_parser("sweep", help="run the label-prior or peak-regularizer grid")
     p.add_argument("--kind", choices=["gamma", "pfr"], required=True)
     corpus_flags(p)
     p.add_argument("--out", required=True, help="sweep table CSV")
-    p.set_defaults(func=cmd_synth_sweep)
+    p.set_defaults(func="cmd_synth_sweep")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # by name, so that a command rebound after the parser was built (a
+        # tracer's wrapper) is the one that runs
+        return globals()[args.func](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

@@ -52,14 +52,21 @@ class LogitMatrix:
     frame_ms: float
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
+        frames = np.asarray(self.frames)  # numpy's own dtype, which shows strings and bools
+        if frames.dtype.kind == "O":  # such as None, or an integer wider than 64 bits
+            for value in frames.flat:
+                _number(value, f"{self.utt_id}: logit")
+        elif frames.dtype.kind not in "iuf":
+            raise TypeError(f"{self.utt_id}: logits must be numbers, got dtype {frames.dtype}")
+        self.frames = frames.astype(np.float64, copy=False)
+        self.frame_ms = _number(self.frame_ms, "frame_ms")
         if self.frames.ndim != 2:
             raise ValueError(f"{self.utt_id}: frames must be 2-D, got shape {self.frames.shape}")
         t, v = self.frames.shape
         if t < 1 or v < 2:
             raise ValueError(f"{self.utt_id}: need T >= 1 and V >= 2, got T={t}, V={v}")
-        if not (self.frame_ms > 0):
-            raise ValueError(f"{self.utt_id}: frame_ms must be positive, got {self.frame_ms}")
+        if not 0 < self.frame_ms < np.inf:  # also rejects nan
+            raise ValueError(f"{self.utt_id}: frame_ms must be finite and > 0, got {self.frame_ms}")
         if not np.isfinite(self.frames).all():
             t, v = np.argwhere(~np.isfinite(self.frames))[0]
             raise NonFiniteError(self.utt_id, int(t), int(v))
@@ -79,6 +86,15 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def _number(value, what: str) -> float:
+    """value as a float: ints, floats and numpy's pass, while bool, str and
+    anything else raise TypeError naming what, so no text or truth value is
+    read as a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

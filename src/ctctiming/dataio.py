@@ -14,6 +14,7 @@ import numpy as np
 
 from .boundary import WordMap, WordTiming
 from .ctc import LabelSequence, LogitMatrix
+from .synth import Classifier
 
 BLANK_TOKEN = "<blank>"
 
@@ -84,7 +85,9 @@ def _records(path: str | Path, keys: tuple[str, ...], build,
                 missing = [k for k in keys if k not in record]
                 if missing:
                     raise ValueError(f"missing keys {missing}")
-                utt = str(record["utt"])
+                utt = record["utt"]
+                if not isinstance(utt, str):
+                    raise TypeError(f"utt must be a string, got {utt!r}")
                 value = build(utt, record)
                 first = seen.setdefault(utt, lineno)
                 if first != lineno:
@@ -107,9 +110,7 @@ def numbered_logits(path: str | Path, frame_ms: float | None = None,
     """
     def build(utt: str, record: dict) -> LogitMatrix:
         return LogitMatrix(
-            utt,
-            np.asarray(record["frames"], dtype=np.float64),
-            float(frame_ms if frame_ms is not None else record["frame_ms"]),
+            utt, record["frames"], frame_ms if frame_ms is not None else record["frame_ms"]
         )
 
     keys = ("utt", "frames") if frame_ms is not None else ("utt", "frame_ms", "frames")
@@ -162,10 +163,7 @@ def write_labels_jsonl(
 def read_timings_jsonl(path: str | Path) -> dict[str, list[WordTiming]]:
     """{"utt", "words": [{"w", "start_ms", "end_ms"}]} records."""
     def build(utt: str, record: dict) -> list[WordTiming]:
-        return [
-            WordTiming(w["w"], float(w["start_ms"]), float(w["end_ms"]))
-            for w in record["words"]
-        ]
+        return [WordTiming(w["w"], w["start_ms"], w["end_ms"]) for w in record["words"]]
 
     return {utt: value for _, utt, value in _records(path, ("utt", "words"), build)}
 
@@ -244,8 +242,6 @@ def save_classifier(path: str | Path, clf) -> None:
     np.savez(path, **clf.params())
 
 
-def load_classifier(path: str | Path):
-    from .synth import Classifier
-
+def load_classifier(path: str | Path) -> Classifier:
     with np.load(path) as data:
-        return Classifier(**{k: data[k].copy() for k in ("w1", "b1", "w2", "b2", "w3", "b3")})
+        return Classifier(**{k: data[k].copy() for k in Classifier.PARAMS})

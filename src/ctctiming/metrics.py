@@ -10,7 +10,6 @@ from typing import Iterator
 import numpy as np
 
 from .ctc import BLANK_ID, TokenSpan
-from .boundary import WordMap, WordTiming
 
 
 def _norm(word: str) -> str:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .ctc import (
     NonFiniteError,
     NoValidPathError,
     TokenSpan,
+    _integer,
     align_spans,
     ctc_grad_batch,
     log_softmax_rows,
@@ -83,12 +85,14 @@ class CorpusSpec:
     seed: int = 20240601
 
     def __post_init__(self):
+        for name in ("n_utts", "vocab_size", "feature_dim", "context_window", "seed"):
+            setattr(self, name, _integer(getattr(self, name), name))
         # features are stored in the logits format, which needs two columns
         for name, least in (("n_utts", 1), ("vocab_size", 2), ("feature_dim", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"need {name} >= {least}, got {getattr(self, name)}")
         for name in ("pieces_per_word", "words_per_utt", "span_frames", "gap_frames"):
-            lo, hi = (int(x) for x in getattr(self, name))
+            lo, hi = (_integer(x, name) for x in getattr(self, name))
             setattr(self, name, (lo, hi))
             if not 0 < lo <= hi:
                 raise ValueError(f"{name}: invalid range ({lo}, {hi})")
@@ -206,6 +210,7 @@ class Classifier:
     w3: np.ndarray
     b3: np.ndarray
     version: int = 0
+    PARAMS: ClassVar[tuple[str, ...]] = ("w1", "b1", "w2", "b2", "w3", "b3")
 
     @classmethod
     def init(cls, input_dim: int, hidden: int, n_classes: int, seed: int) -> "Classifier":
@@ -227,8 +232,7 @@ class Classifier:
         return self.w3.shape[1]
 
     def params(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
-                "w3": self.w3, "b3": self.b3}
+        return {name: getattr(self, name) for name in self.PARAMS}
 
     def apply_update(self, grads: dict[str, np.ndarray], learning_rate: float) -> None:
         for name, param in self.params().items():
@@ -305,6 +309,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        for name in ("hidden", "epochs", "batch_size", "seed"):
+            setattr(self, name, _integer(getattr(self, name), name))
+        if self.mu is not None:
+            self.mu = _integer(self.mu, "mu")
         given = {k: v for k in METHOD_KEYS if (v := getattr(self, k)) is not None}
         for key in given:
             if self.method not in METHOD_KEYS[key]:

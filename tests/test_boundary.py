@@ -225,6 +225,21 @@ class TestWordTiming:
         with pytest.raises(TypeError, match="word text must be a string"):
             WordTiming(word, 0.0, 10.0)
 
+    @pytest.mark.parametrize("start, end, message", [
+        ("0", 10.0, "start_ms must be a number, got '0'"),
+        (0.0, True, "end_ms must be a number, got True"),
+        (False, 10.0, "start_ms must be a number, got False"),
+        (None, 10.0, "start_ms must be a number, got None"),
+    ], ids=["start-string", "end-bool", "start-bool", "start-none"])
+    def test_non_number_time_rejected(self, start, end, message):
+        with pytest.raises(TypeError, match=message):
+            WordTiming("a", start, end)
+
+    def test_times_stored_as_floats(self):
+        word = WordTiming("a", 0, np.int64(10))
+        assert (word.start_ms, word.end_ms) == (0.0, 10.0)
+        assert (type(word.start_ms), type(word.end_ms)) == (float, float)
+
 
 def make_timings(words, starts, duration=100.0):
     return [

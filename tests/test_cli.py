@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import re
 import stat
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -130,6 +132,33 @@ class TestAlign:
         assert rc == 2
         assert "logits.jsonl:1: " in capsys.readouterr().err
         assert not (tmp_path / "hyp.jsonl").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.update(frame_ms="10"), "frame_ms must be a number, got '10'"),
+        (lambda r: r.update(frame_ms=True), "frame_ms must be a number, got True"),
+        (lambda r: r.update(frame_ms=float("inf")), "frame_ms must be finite and > 0"),
+        (lambda r: r["frames"][0].__setitem__(0, "-4.0"), "logits must be numbers, got dtype <U"),
+        (lambda r: r.update(frames=[[True, False, False]] * 4),
+         "logits must be numbers, got dtype bool"),
+        (lambda r: r.update(utt=1), "utt must be a string, got 1"),
+    ], ids=["frame-ms-string", "frame-ms-true", "frame-ms-inf", "frame-string", "frame-bools",
+            "utt-int"])
+    @pytest.mark.parametrize("command", ["align", "analyze-peaks"])
+    def test_non_number_logit_or_non_string_utt_exit_2(self, tmp_path, capsys, command,
+                                                       edit, message):
+        write_fixture(tmp_path)
+        logits = tmp_path / "logits.jsonl"
+        records = [json.loads(line) for line in logits.read_text().splitlines()]
+        edit(records[1])
+        logits.write_text("".join(json.dumps(record) + "\n" for record in records))
+        source = ["--vocab", str(tmp_path / "vocab.txt")] if command == "align" else [
+            "--ref", str(tmp_path / "ref.jsonl")]
+        rc = main([command, "--logits", str(logits), "--labels", str(tmp_path / "labels.jsonl"),
+                   *source, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "logits.jsonl:2: " in capsys.readouterr().err
+        assert message in (tmp_path / "out.errors").read_text()
+        assert not (tmp_path / "out").exists()
 
     def test_frame_ms_flag_stands_in_for_missing_field(self, tmp_path):
         write_fixture(tmp_path)
@@ -372,6 +401,26 @@ class TestMetricsCommand:
         assert "hyp.jsonl:1: word text must be a string" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("start, end, utt, message", [
+        ('"0"', "10", '"a"', "start_ms must be a number, got '0'"),
+        ("0", "true", '"a"', "end_ms must be a number, got True"),
+        ("false", "10", '"a"', "start_ms must be a number, got False"),
+        ("0", "10", "5", "utt must be a string, got 5"),
+        ("0", "10", "null", "utt must be a string, got None"),
+    ], ids=["start-string", "end-true", "start-false", "utt-int", "utt-null"])
+    @pytest.mark.parametrize("command", ["metrics", "gridsearch"])
+    def test_non_number_time_or_non_string_utt_exit_2(self, tmp_path, capsys, command,
+                                                      start, end, utt, message):
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": [WordTiming("a", 0.0, 10.0)]})
+        (tmp_path / "hyp.jsonl").write_text(
+            '{"utt": %s, "words": [{"w": "a", "start_ms": %s, "end_ms": %s}]}\n'
+            % (utt, start, end))
+        rc = main([command, "--hyp", str(tmp_path / "hyp.jsonl"),
+                   "--ref", str(tmp_path / "ref.jsonl"), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"hyp.jsonl:1: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestGridsearchCommand:
     def test_bias_recovery(self, tmp_path, capsys):
@@ -459,6 +508,27 @@ class TestAnalyzePeaks:
         assert main(argv) == 0
         assert not sidecar.exists()
 
+    def test_abort_replaces_sidecar(self, tmp_path, capsys):
+        write_fixture(tmp_path)
+        labels = dataio.read_labels_jsonl(tmp_path / "labels.jsonl")
+        dataio.write_labels_jsonl(tmp_path / "partial.jsonl", [("u2", *labels["u2"])])
+        argv = ["analyze-peaks", "--logits", str(tmp_path / "logits.jsonl"),
+                "--labels", str(tmp_path / "partial.jsonl"), "--ref", str(tmp_path / "ref.jsonl"),
+                "--gamma-inf", "0.0", "--out", str(tmp_path / "hist.csv")]
+        assert main(argv) == 0
+        sidecar = tmp_path / "hist.csv.errors"
+        assert [json.loads(line)["utt"] for line in sidecar.read_text().splitlines()] == ["u1"]
+        logits = tmp_path / "logits.jsonl"
+        logits.write_text(logits.read_text().splitlines()[0] + "\n{broken\n")
+        assert main(argv) == 2
+        records = [json.loads(line) for line in sidecar.read_text().splitlines()]
+        assert records[0] == {"utt": "u1", "error": "no labels for utterance"}
+        assert records[1]["utt"] is None
+        assert records[1]["error"].startswith("aborted: ")
+        assert "logits.jsonl:2: malformed JSON" in records[1]["error"]
+        assert len(records) == 2
+        assert "2 failure(s)" in capsys.readouterr().err
+
     def test_bins_validation_exit_1(self, tmp_path):
         write_fixture(tmp_path)
         rc = main(["analyze-peaks", "--logits", str(tmp_path / "logits.jsonl"),
@@ -500,6 +570,81 @@ def test_non_integer_label_field_exit_2(tmp_path, capsys, command, edit, message
     assert rc == 2
     assert f"labels.jsonl:1: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, source", [
+    ("align", "labels"), ("align", "vocab"), ("analyze-peaks", "labels"),
+    ("analyze-peaks", "ref"),
+])
+def test_abort_on_an_input_file_replaces_sidecar(tmp_path, capsys, command, source):
+    """A run that aborts before it aligns anything still replaces the
+    sidecar of an earlier run, with only its aborted: record."""
+    write_fixture(tmp_path)
+    out = tmp_path / "out"
+    sidecar = tmp_path / "out.errors"
+    sidecar.write_text('{"utt": "u1", "error": "no labels for utterance"}\n')
+    paths = {name: str(tmp_path / file) for name, file in (
+        ("labels", "labels.jsonl"), ("vocab", "vocab.txt"), ("ref", "ref.jsonl"))}
+    paths[source] = str(tmp_path / "bad")
+    (tmp_path / "bad").write_text("{broken\n" if source != "vocab" else "t1\n<blank>\n")
+    other = ["--vocab", paths["vocab"]] if command == "align" else ["--ref", paths["ref"]]
+    rc = main([command, "--logits", str(tmp_path / "logits.jsonl"), "--labels", paths["labels"],
+               *other, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    records = [json.loads(line) for line in sidecar.read_text().splitlines()]
+    assert len(records) == 1 and records[0]["utt"] is None
+    reason = "line 0 must be '<blank>'" if source == "vocab" else "bad:1: malformed JSON"
+    assert records[0]["error"].startswith("aborted: ") and reason in records[0]["error"]
+    assert f"1 failure(s); see {sidecar}" in err and reason in err
+    assert not out.exists()
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        write_fixture(tmp_path)
+        argv = ["metrics", "--hyp", str(tmp_path / "ref.jsonl"),
+                "--ref", str(tmp_path / "ref.jsonl")]
+        assert main(argv) == 0
+        n_parsers = len(built)
+        assert n_parsers > 0
+        assert main(argv) == 0
+        assert main(["metrics", "--hyp", "h", "--ref", "r", "--thresholds", "abc"]) == 1
+        assert len(built) == n_parsers
+    finally:
+        cli.build_parser.cache_clear()  # later tests build theirs with the real __init__
+
+
+def test_process_exit_codes(tmp_path):
+    """The codes a shell sees from `python -m ctctiming.cli`."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    write_fixture(tmp_path)
+    ref = str(tmp_path / "ref.jsonl")
+    for argv, code, flag in [
+        (["--help"], 0, None),
+        (["metrics", "--hyp", ref, "--ref", ref, "--thresholds", "abc"], 1, "--thresholds"),
+        (["analyze-peaks", "--logits", "l", "--labels", "b", "--ref", ref,
+          "--range-lo", "2", "--range-hi", "1", "--out", "p.csv"], 1, "--range-lo"),
+        (["metrics", "--hyp", str(tmp_path / "missing.jsonl"), "--ref", ref], 2, None),
+        (["metrics", "--hyp", ref, "--ref", ref], 0, None),
+    ]:
+        done = subprocess.run([sys.executable, "-m", "ctctiming.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, (argv, done.stderr)
+        if flag:
+            assert flag in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -548,18 +693,24 @@ def test_non_integer_label_field_exit_2(tmp_path, capsys, command, edit, message
      "--range"),
     (["gridsearch", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--range=0:5:-10", "--out", "c.csv"],
      "--range"),
+    (["analyze-peaks", "--logits", "l.jsonl", "--labels", "b.jsonl", "--ref", "r.jsonl",
+      "--bins", "2.5", "--out", "p.csv"], "--bins"),
+    (["align", "--logits", "l.jsonl"], "--labels"),
+    (["metrics", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--no-such-flag"], "--no-such-flag"),
+    ([], "command"),
+    (["bogus"], "bogus"),
 ], ids=["thresholds", "range", "span-frames", "range-inf", "range-nan", "thresholds-nan",
         "thresholds-negative", "thresholds-zero", "threshold-nan", "threshold-negative",
         "range-offsets-infinite", "range-offsets-above-bound", "align-offset-inf",
         "align-gamma-nan", "align-frame-ms-zero", "peaks-gamma-inf", "peaks-frame-ms-nan",
         "peaks-range-lo-inf", "peaks-range-hi-nan", "eval-offset-inf", "eval-gamma-nan",
-        "range-step-zero", "range-step-negative"])
+        "range-step-zero", "range-step-negative", "bins-not-int", "missing-flag",
+        "unknown-flag", "no-command", "unknown-command"])
 def test_malformed_flag_value_exit_1(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv)
-    assert exit_info.value.code == 1
-    assert flag in capsys.readouterr().err
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
     assert not list(tmp_path.iterdir())
 
 

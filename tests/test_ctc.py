@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -88,6 +89,30 @@ class TestLogSoftmax:
         assert info.value.utt_id == "u7"
         assert (info.value.frame, info.value.vocab) == (frame, vocab)
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("frames, frame_ms, message", [
+        ([["1.5", 0.0]], 10.0, "u: logits must be numbers, got dtype <U"),
+        (np.array([[True, False]]), 10.0, "u: logits must be numbers, got dtype bool"),
+        (np.array([[1.0, 2.0]], dtype=complex), 10.0, "u: logits must be numbers, got dtype "),
+        ([[None, 0.0]], 10.0, "u: logit must be a number, got None"),
+        ([[0.0, 1.0]], "10", "frame_ms must be a number, got '10'"),
+        ([[0.0, 1.0]], True, "frame_ms must be a number, got True"),
+    ], ids=["string", "bool", "complex", "none", "frame-ms-string", "frame-ms-bool"])
+    def test_non_number_rejected(self, frames, frame_ms, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            LogitMatrix("u", frames, frame_ms)
+
+    @pytest.mark.parametrize("frame_ms", [0.0, -10.0, np.inf, np.nan])
+    def test_frame_ms_positive_and_finite(self, frame_ms):
+        with pytest.raises(ValueError, match=r"u: frame_ms must be finite and > 0"):
+            LogitMatrix("u", np.zeros((2, 2)), frame_ms)
+
+    def test_numbers_stored_as_float64(self):
+        mat = LogitMatrix("u", [[0, 1], [2, 3]], np.int64(10))
+        assert mat.frames.dtype == np.float64 and type(mat.frame_ms) is float
+        assert LogitMatrix("u", np.ones((2, 2), dtype=np.float32), 10.0).frames.dtype == np.float64
+        frames = np.ones((2, 2))
+        assert LogitMatrix("u", frames, 10.0).frames is frames  # float64 is not copied
 
     def test_nonfinite_error_pickles(self):
         # a worker process hands it back to the parent through pickle

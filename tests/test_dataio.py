@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -205,6 +206,72 @@ class TestTimingsJsonl:
         path.write_text(json.dumps(first) + "\n\n" + json.dumps(second) + "\n")
         with pytest.raises(DataFormatError, match=r"timings.jsonl:3: duplicate .*'a'.* line 1"):
             dataio.read_timings_jsonl(path)
+
+
+class TestValueTypes:
+    """Times and logits are JSON numbers and utt ids JSON strings: nothing is
+    converted from text or from true/false."""
+
+    LOGITS = {"utt": "u", "frame_ms": 10.0, "frames": [[0.0, 1.5], [2.0, -1.0]]}
+    TIMINGS = {"utt": "u", "words": [{"w": "a", "start_ms": 0.0, "end_ms": 10.0}]}
+    LABELS = {"utt": "u", "pieces": [1], "words": [{"w": "a", "first": 0, "last": 0}]}
+
+    @staticmethod
+    def _write(path, good, edit):
+        bad = json.loads(json.dumps(good))
+        edit(bad)
+        path.write_text(json.dumps(dict(good, utt="first")) + "\n" + json.dumps(bad) + "\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.update(frame_ms="10"), "frame_ms must be a number, got '10'"),
+        (lambda r: r.update(frame_ms=True), "frame_ms must be a number, got True"),
+        (lambda r: r["frames"][0].__setitem__(1, "1.5"), "logits must be numbers, got dtype <U"),
+        (lambda r: r.update(frames=[[True, False], [False, True]]),
+         "logits must be numbers, got dtype bool"),
+        (lambda r: r["frames"][1].__setitem__(0, None), "logit must be a number, got None"),
+        (lambda r: r.update(utt=5), "utt must be a string, got 5"),
+        (lambda r: r.update(utt=None), "utt must be a string, got None"),
+    ], ids=["frame-ms-string", "frame-ms-bool", "frame-string", "frames-bool", "frame-null",
+            "utt-int", "utt-null"])
+    def test_logits(self, tmp_path, edit, message):
+        path = tmp_path / "logits.jsonl"
+        self._write(path, self.LOGITS, edit)
+        with pytest.raises(DataFormatError, match=r"logits.jsonl:2: .*" + re.escape(message)):
+            list(dataio.iter_logits_jsonl(path))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r["words"][0].update(start_ms="0"), "start_ms must be a number, got '0'"),
+        (lambda r: r["words"][0].update(end_ms=True), "end_ms must be a number, got True"),
+        (lambda r: r["words"][0].update(start_ms=False), "start_ms must be a number, got False"),
+        (lambda r: r["words"][0].update(end_ms="10.0"), "end_ms must be a number, got '10.0'"),
+        (lambda r: r.update(utt=5), "utt must be a string, got 5"),
+        (lambda r: r.update(utt=["u"]), "utt must be a string, got ['u']"),
+    ], ids=["start-string", "end-bool", "start-bool", "end-string", "utt-int", "utt-list"])
+    def test_timings(self, tmp_path, edit, message):
+        path = tmp_path / "timings.jsonl"
+        self._write(path, self.TIMINGS, edit)
+        with pytest.raises(DataFormatError, match=r"timings.jsonl:2: " + re.escape(message)):
+            dataio.read_timings_jsonl(path)
+
+    @pytest.mark.parametrize("utt", [5, None, 1.5])
+    def test_labels_utt(self, tmp_path, utt):
+        path = tmp_path / "labels.jsonl"
+        self._write(path, self.LABELS, lambda r: r.update(utt=utt))
+        with pytest.raises(DataFormatError, match=r"labels.jsonl:2: utt must be a string"):
+            dataio.read_labels_jsonl(path)
+
+    def test_numbers_read_as_floats(self, tmp_path):
+        """JSON integers stay valid numbers, stored and written back as floats."""
+        path = tmp_path / "timings.jsonl"
+        path.write_text('{"utt": "u", "words": [{"w": "a", "start_ms": 0, "end_ms": 10}]}\n')
+        word = dataio.read_timings_jsonl(path)["u"][0]
+        assert (type(word.start_ms), type(word.end_ms)) == (float, float)
+        assert dataio.timings_line("u", [word]) == (
+            '{"utt": "u", "words": [{"w": "a", "start_ms": 0.0, "end_ms": 10.0}]}\n')
+        path.write_text('{"utt": "u", "frame_ms": 10, "frames": [[0, 1], [2, 3]]}\n')
+        mat = next(dataio.iter_logits_jsonl(path))
+        assert type(mat.frame_ms) is float and mat.frames.dtype == np.float64
+        assert np.array_equal(mat.frames, [[0.0, 1.0], [2.0, 3.0]])
 
 
 class TestVocab:

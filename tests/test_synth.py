@@ -131,6 +131,29 @@ class TestGenerateCorpus:
         with pytest.raises(ValueError, match="feature_dim >= 2"):
             CorpusSpec(feature_dim=1)
 
+    @pytest.mark.parametrize("key", ["n_utts", "vocab_size", "feature_dim", "context_window",
+                                     "seed"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "4", None])
+    def test_non_integer_setting_rejected(self, key, value):
+        with pytest.raises(TypeError, match=rf"^{key} must be an integer, got {value!r}"):
+            CorpusSpec(**{key: value})
+
+    @pytest.mark.parametrize("key", ["pieces_per_word", "words_per_utt", "span_frames",
+                                     "gap_frames"])
+    @pytest.mark.parametrize("bounds", [(2.7, 5), (True, 2), (1, "3"), (1, 3.0)])
+    def test_non_integer_range_rejected(self, key, bounds):
+        """Nothing is truncated: (2.7, 5) used to read as (2, 5)."""
+        with pytest.raises(TypeError, match=rf"^{key} must be an integer"):
+            CorpusSpec(**{key: bounds})
+
+    def test_numpy_integers_read_as_int(self):
+        spec = CorpusSpec(n_utts=np.int64(3), span_frames=(np.int32(3), np.int64(8)))
+        assert type(spec.n_utts) is int
+        assert [type(x) for x in spec.span_frames] == [int, int]
+        same = generate_corpus(CorpusSpec(n_utts=3))
+        for a, b in zip(generate_corpus(spec), same, strict=True):
+            assert np.array_equal(a.features_lo, b.features_lo) and a.labels == b.labels
+
 
 class TestSplit:
     def test_deterministic_partition(self):
@@ -313,6 +336,23 @@ class TestTrain:
     def test_non_finite_setting_rejected(self, settings, key):
         with pytest.raises(ValueError, match=rf"^{key} must be finite"):
             TrainConfig(**settings)
+
+    @pytest.mark.parametrize("settings, key", [
+        ({"method": "npc", "hidden": 8.0}, "hidden"),
+        ({"method": "npc", "epochs": 2.5}, "epochs"),
+        ({"method": "npc", "batch_size": True}, "batch_size"),
+        ({"method": "npc", "seed": "7"}, "seed"),
+        ({"method": "pfr", "lambda_pfr": 1.0, "mu": 0.5}, "mu"),
+        ({"method": "pfr", "lambda_pfr": 1.0, "mu": False}, "mu"),
+    ])
+    def test_non_integer_setting_rejected(self, settings, key):
+        with pytest.raises(TypeError, match=rf"^{key} must be an integer, got "):
+            TrainConfig(**settings)
+
+    def test_numpy_integer_settings_read_as_int(self):
+        config = TrainConfig(method="pfr", lambda_pfr=1.0, mu=np.int64(1), epochs=np.int32(3))
+        assert (config.mu, config.pfr.mu, config.epochs) == (1, 1, 3)
+        assert type(config.epochs) is int and type(config.pfr.mu) is int
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
