@@ -11,6 +11,7 @@ from .boundary import (
     CetcParams,
     GuidedTargets,
     WordMap,
+    WordTimes,
     WordTiming,
     cetc_boundaries,
     cetc_guided_targets,

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ctc import (BLANK_ID, LabelSequence, LogitMatrix, TokenSpan, _integer, _number,
                   log_softmax_rows)
-from .metrics import _pair_times, _times_report, match_words
+from .metrics import _matched_times, _times_report
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +43,53 @@ class WordTiming:
     @property
     def duration_ms(self) -> float:
         return self.end_ms - self.start_ms
+
+
+class WordTimes(Sequence):
+    """One utterance's word timings as columns: `texts`, a tuple of the n
+    word texts, and `times`, a read-only (2, n) float64 array whose rows are
+    the start and end times in ms.
+
+    Built from WordTimings, it is a sequence of them: indexing and iteration
+    build WordTimings from the columns, and it equals any sequence of the
+    same WordTimings.
+    """
+
+    __slots__ = ("texts", "times")
+
+    def __init__(self, words: Iterable[WordTiming] = ()):
+        rows = [(w.word, w.start_ms, w.end_ms) for w in words]
+        texts, starts, ends = zip(*rows) if rows else ((), (), ())
+        self._set(texts, np.array((starts, ends), dtype=np.float64))
+
+    @classmethod
+    def _checked(cls, texts: tuple[str, ...], times: np.ndarray) -> WordTimes:
+        """From columns that already meet WordTiming's checks, building no WordTiming."""
+        words = cls.__new__(cls)
+        words._set(texts, times)
+        return words
+
+    def _set(self, texts: tuple[str, ...], times: np.ndarray) -> None:
+        times.flags.writeable = False
+        self.texts, self.times = texts, times
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, index: int) -> WordTiming:
+        start, end = self.times[:, index].tolist()
+        return WordTiming(self.texts[index], start, end)
+
+    def __iter__(self):
+        return map(WordTiming, self.texts, *self.times.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"WordTimes({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -256,8 +304,8 @@ def offset_count(range_ms: tuple[float, float], step_ms: float) -> int:
 
 
 def gridsearch_offset(
-    pred: dict[str, list[WordTiming]],
-    ref: dict[str, list[WordTiming]],
+    pred: dict[str, Sequence[WordTiming]],
+    ref: dict[str, Sequence[WordTiming]],
     range_ms: tuple[float, float],
     step_ms: float,
     threshold_ms: float,
@@ -268,14 +316,13 @@ def gridsearch_offset(
     Ties prefer the smallest |offset|, then the smaller offset. The curve and
     the reported metrics clamp shifted times at 0, matching how offsets are
     applied when writing timing files. Both are computed from the matched
-    pairs' time arrays; no shifted word is built.
+    words' time columns; no word object is built.
     """
     n_offsets = offset_count(range_ms, step_ms)
     common = sorted(set(pred) & set(ref))
-    matched, n_hyp, n_ref = match_words(pred, {utt: ref[utt] for utt in common})
-    if not matched:
+    hyp, ref_times, n_hyp, n_ref = _matched_times(pred, {utt: ref[utt] for utt in common})
+    if not hyp.shape[1]:
         raise ValueError("nothing to score: no matched word pairs")
-    hyp, ref_times = _pair_times(matched)
 
     offsets = range_ms[0] + step_ms * np.arange(n_offsets)
     curve = []
@@ -290,6 +337,6 @@ def gridsearch_offset(
     best_offset = best[1]
 
     report = _times_report(
-        np.maximum(hyp + best_offset, 0.0), ref_times, [threshold_ms], n_hyp, n_ref
+        np.maximum(hyp + best_offset, 0.0), ref_times, n_hyp, n_ref, [threshold_ms]
     )
     return best_offset, report, curve

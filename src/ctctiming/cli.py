@@ -21,7 +21,7 @@ from . import dataio
 from .boundary import gridsearch_offset, offset_count, words_from_spans
 from .ctc import LogitMatrix, NoValidPathError, align_spans
 from .dataio import DataFormatError
-from .metrics import match_words, peak_histogram, peak_items, timing_metrics
+from .metrics import _matched_times, _times_report, peak_histogram, peak_items
 from .synth import (
     FRAME_MS,
     METHODS,
@@ -52,11 +52,36 @@ class UsageError(Exception):
     USAGE_ERROR for either."""
 
 
+# the namespace entry, during one parse, of the flags given so far
+_GIVEN = "_flags_given"
+
+
+def _store_once(action_class):
+    """action_class, refusing its flag a second time in one parse: a repeated
+    flag is a usage error, not a silent override. What it has seen lives in
+    the parse's namespace, so the cached parser keeps no state between parses."""
+    class StoreOnce(action_class):
+        def __call__(self, parser, namespace, values, option_string=None):
+            given = vars(namespace).setdefault(_GIVEN, set())
+            if self.dest in given:
+                raise argparse.ArgumentError(self, "given twice")
+            given.add(self.dest)
+            super().__call__(parser, namespace, values, option_string)
+    return StoreOnce
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # let values like -200:200:10 pass as arguments, not flags
         self._negative_number_matcher = re.compile(r"^-\d+[\d.:]*$")
+        for name in (None, "store", "store_const", "store_true"):  # None: the default action
+            self.register("action", name, _store_once(self._registry_get("action", name)))
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        vars(namespace).pop(_GIVEN, None)
+        return namespace, extras
 
     def error(self, message):
         raise UsageError(message)
@@ -328,8 +353,7 @@ def _read_hyp_ref(args) -> tuple[dict, dict]:
 
 def cmd_metrics(args) -> int:
     hyp, ref = _read_hyp_ref(args)
-    pairs, n_hyp, n_ref = match_words(hyp, dict(sorted(ref.items())))
-    report = timing_metrics(pairs, args.thresholds, n_hyp=n_hyp, n_ref=n_ref)
+    report = _times_report(*_matched_times(hyp, dict(sorted(ref.items()))), args.thresholds)
     if args.out:
         dataio.write_metrics_json(args.out, report, timestamp=not args.no_timestamp)
     print(_summary_row(report, args.thresholds[0]))
@@ -490,8 +514,7 @@ def cmd_synth_eval(args) -> int:
     clf = dataio.load_classifier(args.model)
     hyp = predict_timings(clf, corpus, args.gamma_inf, args.offset_ms)
     ref = reference_timings(corpus)
-    pairs, n_hyp, n_ref = match_words(hyp, ref)
-    report = timing_metrics(pairs, args.thresholds, n_hyp=n_hyp, n_ref=n_ref)
+    report = _times_report(*_matched_times(hyp, ref), args.thresholds)
     if args.report:
         dataio.write_metrics_json(args.report, report, timestamp=not args.no_timestamp)
     if args.dump_logits:

@@ -6,13 +6,14 @@ malformed line raises with its file and line number.
 from __future__ import annotations
 
 import json
+import operator
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from .boundary import WordMap, WordTiming
+from .boundary import WordMap, WordTimes, WordTiming
 from .ctc import LabelSequence, LogitMatrix
 from .synth import Classifier
 
@@ -160,10 +161,32 @@ def write_labels_jsonl(
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def read_timings_jsonl(path: str | Path) -> dict[str, list[WordTiming]]:
-    """{"utt", "words": [{"w", "start_ms", "end_ms"}]} records."""
-    def build(utt: str, record: dict) -> list[WordTiming]:
-        return [WordTiming(w["w"], w["start_ms"], w["end_ms"]) for w in record["words"]]
+_WORD_FIELDS = operator.itemgetter("w", "start_ms", "end_ms")
+
+
+def read_timings_jsonl(path: str | Path) -> dict[str, WordTimes]:
+    """{"utt", "words": [{"w", "start_ms", "end_ms"}]} records, each read
+    into one WordTimes.
+
+    A record's words are checked as WordTiming checks each word, but over
+    the whole record at once: texts are str, times int or float (not bool)
+    and 0 <= start <= end < inf. When a check fails, the record's words are
+    built as WordTimings in order, so the first bad word raises its own error.
+    """
+    def build(utt: str, record: dict) -> WordTimes:
+        words = record["words"]
+        try:
+            rows = list(map(_WORD_FIELDS, words))
+            texts, starts, ends = zip(*rows) if rows else ((), (), ())
+            if (set(map(type, texts)) <= {str}
+                    and set(map(type, starts)) | set(map(type, ends)) <= {int, float}):
+                times = np.array((starts, ends), dtype=np.float64)
+                start, end = times
+                if (0.0 <= start).all() and (start <= end).all() and (end < np.inf).all():
+                    return WordTimes._checked(texts, times)
+        except (KeyError, TypeError, OverflowError):  # a word without its keys, a huge integer
+            pass
+        return WordTimes([WordTiming(w["w"], w["start_ms"], w["end_ms"]) for w in words])
 
     return {utt: value for _, utt, value in _records(path, ("utt", "words"), build)}
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import asdict, dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -144,15 +144,17 @@ def edit_distance(hyp_words: list[str], ref_words: list[str]) -> int:
     return len(ref) + vp.bit_count() - vn.bit_count()
 
 
-def match_words(
-    hyp: dict[str, list[WordTiming]], ref: dict[str, list[WordTiming]]
-) -> tuple[list[MatchedPair], int, int]:
-    """Equal-text word pairs of every reference utterance, in `ref` order.
+def _pairings(
+    hyp: dict[str, Sequence[WordTiming]], ref: dict[str, Sequence[WordTiming]]
+) -> tuple[list[tuple[WordTimes, WordTimes, list[tuple[int, int]]]], int, int]:
+    """edit_align's equal-text index pairs of every reference utterance that
+    `hyp` has, in `ref` order, each with both utterances' words as WordTimes:
+    (hyp words, ref words, pairs). Returns them with n_hyp and n_ref; an
+    utterance missing from `hyp` adds its reference words to n_ref and
+    nothing else."""
+    from .boundary import WordTimes  # here: boundary imports this module
 
-    Returns (pairs, n_hyp, n_ref). An utterance missing from `hyp` adds its
-    reference words to n_ref and nothing else.
-    """
-    pairs: list[MatchedPair] = []
+    matched = []
     n_hyp = n_ref = 0
     for utt, ref_words in ref.items():
         n_ref += len(ref_words)
@@ -160,9 +162,40 @@ def match_words(
         if hyp_words is None:
             continue
         n_hyp += len(hyp_words)
-        for hid, rid in edit_align([w.word for w in hyp_words], [w.word for w in ref_words]):
-            pairs.append(MatchedPair(hyp_words[hid], ref_words[rid]))
+        # a plain sequence of WordTimings becomes columns once, here
+        hyp_words, ref_words = (words if isinstance(words, WordTimes) else WordTimes(words)
+                                for words in (hyp_words, ref_words))
+        matched.append((hyp_words, ref_words, edit_align(hyp_words.texts, ref_words.texts)))
+    return matched, n_hyp, n_ref
+
+
+def match_words(
+    hyp: dict[str, Sequence[WordTiming]], ref: dict[str, Sequence[WordTiming]]
+) -> tuple[list[MatchedPair], int, int]:
+    """Equal-text word pairs of every reference utterance, in `ref` order.
+
+    Returns (pairs, n_hyp, n_ref). An utterance missing from `hyp` adds its
+    reference words to n_ref and nothing else.
+    """
+    matched, n_hyp, n_ref = _pairings(hyp, ref)
+    pairs = [MatchedPair(hyp_words[hid], ref_words[rid])
+             for hyp_words, ref_words, ids in matched for hid, rid in ids]
     return pairs, n_hyp, n_ref
+
+
+def _matched_times(
+    hyp: dict[str, Sequence[WordTiming]], ref: dict[str, Sequence[WordTiming]]
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The times of match_words' pairs, in its order, read off the words'
+    columns without building a pair: (hyp times, ref times, n_hyp, n_ref),
+    each times array (2, n) with the starts and the ends as rows."""
+    matched, n_hyp, n_ref = _pairings(hyp, ref)
+    hyp_times, ref_times = [np.empty((2, 0))], [np.empty((2, 0))]
+    for hyp_words, ref_words, ids in matched:
+        hids, rids = np.array(ids, dtype=np.intp).reshape(-1, 2).T
+        hyp_times.append(hyp_words.times[:, hids])
+        ref_times.append(ref_words.times[:, rids])
+    return np.concatenate(hyp_times, axis=1), np.concatenate(ref_times, axis=1), n_hyp, n_ref
 
 
 def _pair_times(pairs: list[MatchedPair]) -> tuple[np.ndarray, np.ndarray]:
@@ -185,14 +218,15 @@ def timing_metrics(
     percentage of pairs with |start delta| strictly below t (same for ends).
     Signed means (hyp - ref) are kept as a diagnostic.
     """
-    return _times_report(*_pair_times(pairs), thresholds_ms, n_hyp, n_ref)
+    return _times_report(*_pair_times(pairs), n_hyp, n_ref, thresholds_ms)
 
 
 def _times_report(
-    hyp: np.ndarray, ref: np.ndarray, thresholds_ms: list[float], n_hyp: int | None,
-    n_ref: int | None,
+    hyp: np.ndarray, ref: np.ndarray, n_hyp: int | None, n_ref: int | None,
+    thresholds_ms: list[float],
 ) -> MetricsReport:
-    """timing_metrics on the (start, end) rows of _pair_times."""
+    """timing_metrics on the (start, end) rows of the matched words' times, as
+    _pair_times and _matched_times give them."""
     n = hyp.shape[1]
     report = MetricsReport(
         n_matched=n, n_hyp=n if n_hyp is None else n_hyp, n_ref=n if n_ref is None else n_ref
@@ -223,6 +257,7 @@ def peak_items(
     its equal-text words; on the aligned transcript itself the pairing is the
     identity.
     """
+    ref_words = list(ref_words)  # a WordTimes builds each of its words once, here
     items = []
     for wid, rid in edit_align(word_map.texts(), [w.word for w in ref_words]):
         _, first, last = word_map.words[wid]

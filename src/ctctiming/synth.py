@@ -41,13 +41,7 @@ from .ctc import (
     ctc_grad_batch,
     log_softmax_rows,
 )
-from .metrics import (
-    blank_occupancy,
-    match_words,
-    peak_histogram,
-    peak_items,
-    timing_metrics,
-)
+from .metrics import _matched_times, _times_report, blank_occupancy, peak_histogram, peak_items
 from .pfr import PfrParams, pfr_loss_grad
 
 log = logging.getLogger(__name__)
@@ -568,8 +562,7 @@ def _sweep_scores(
     subset of corpus), the offset search and the peak histogram."""
     aligned = _align_corpus(clf, corpus, gamma_inf)
     pred = _word_timings(aligned)
-    pairs, n_hyp, n_ref = match_words(pred, reference_timings(heldout))
-    report = timing_metrics(pairs, list(thresholds), n_hyp=n_hyp, n_ref=n_ref)
+    report = _times_report(*_matched_times(pred, reference_timings(heldout)), list(thresholds))
     offset, _, _ = gridsearch_offset(
         pred, reference_timings(corpus), OFFSET_RANGE, OFFSET_STEP, OFFSET_THRESHOLD
     )

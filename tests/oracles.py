@@ -4,7 +4,9 @@ Everything here is deliberately brute-force: path enumeration instead of
 forward-backward, central finite differences instead of analytic gradients,
 a plain DP for edit distance. None of it shares code with the package,
 except gridsearch_rebuilt, which checks the offset search's arrays against
-the package's own word-timing objects.
+the package's own word-timing objects, and the object path of scoring
+(read_timings_objects to object_gridsearch_offset), which scores word
+timings as one WordTiming per word and one MatchedPair per matched word.
 """
 from __future__ import annotations
 
@@ -346,3 +348,104 @@ def token_spans_flatnonzero(
         column = [float(posteriors[t, token]) for t in range(start, end + 1)]
         spans.append((start, end, start + column.index(max(column))))
     return spans
+
+
+# The object path of scoring, kept as the package had it before it scored
+# each utterance's words as columns: the outputs of `metrics` and
+# `gridsearch` must not change. It uses the package's edit_align, word and
+# report types and offset_count.
+
+def read_timings_objects(path) -> dict:
+    """A timings JSONL file as one WordTiming per word, read line by line."""
+    import json
+
+    from ctctiming.boundary import WordTiming
+
+    timings = {}
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            if line.strip():
+                record = json.loads(line)
+                timings[record["utt"]] = [
+                    WordTiming(w["w"], w["start_ms"], w["end_ms"]) for w in record["words"]
+                ]
+    return timings
+
+
+def object_match_words(hyp, ref):
+    from ctctiming.metrics import MatchedPair, edit_align
+
+    pairs = []
+    n_hyp = n_ref = 0
+    for utt, ref_words in ref.items():
+        n_ref += len(ref_words)
+        hyp_words = hyp.get(utt)
+        if hyp_words is None:
+            continue
+        n_hyp += len(hyp_words)
+        for hid, rid in edit_align([w.word for w in hyp_words], [w.word for w in ref_words]):
+            pairs.append(MatchedPair(hyp_words[hid], ref_words[rid]))
+    return pairs, n_hyp, n_ref
+
+
+def object_pair_times(pairs):
+    rows = [(p.hyp.start_ms, p.hyp.end_ms, p.ref.start_ms, p.ref.end_ms) for p in pairs]
+    times = np.array(rows, dtype=np.float64).reshape(-1, 4).T.copy()
+    return times[:2], times[2:]
+
+
+def object_times_report(hyp, ref, thresholds_ms, n_hyp, n_ref):
+    from ctctiming.metrics import MetricsReport
+
+    n = hyp.shape[1]
+    report = MetricsReport(
+        n_matched=n, n_hyp=n if n_hyp is None else n_hyp, n_ref=n if n_ref is None else n_ref
+    )
+    if not n:
+        return report
+    d_start, d_end = hyp - ref
+    abs_start, abs_end = np.abs(d_start), np.abs(d_end)
+    report.ave_st_delta_ms = float(abs_start.mean())
+    report.ave_ed_delta_ms = float(abs_end.mean())
+    report.signed_st_delta_ms = float(d_start.mean())
+    report.signed_ed_delta_ms = float(d_end.mean())
+    for tau in thresholds_ms:
+        report.pct_ws[float(tau)] = float(100.0 * np.mean(abs_start < tau))
+        report.pct_we[float(tau)] = float(100.0 * np.mean(abs_end < tau))
+    report.mean_ref_duration_ms = float(np.mean(ref[1] - ref[0]))
+    report.mean_hyp_duration_ms = float(np.mean(hyp[1] - hyp[0]))
+    return report
+
+
+def object_metrics(hyp, ref, thresholds_ms):
+    """The report of `ctctiming metrics`: every reference utterance in id order."""
+    pairs, n_hyp, n_ref = object_match_words(hyp, dict(sorted(ref.items())))
+    return object_times_report(*object_pair_times(pairs), thresholds_ms, n_hyp, n_ref)
+
+
+def object_gridsearch_offset(pred, ref, range_ms, step_ms, threshold_ms):
+    from ctctiming.boundary import offset_count
+
+    n_offsets = offset_count(range_ms, step_ms)
+    common = sorted(set(pred) & set(ref))
+    matched, n_hyp, n_ref = object_match_words(pred, {utt: ref[utt] for utt in common})
+    if not matched:
+        raise ValueError("nothing to score: no matched word pairs")
+    hyp, ref_times = object_pair_times(matched)
+
+    offsets = range_ms[0] + step_ms * np.arange(n_offsets)
+    curve = []
+    best = None
+    for offset in offsets:
+        hits = np.abs(np.maximum(hyp + offset, 0.0) - ref_times) < threshold_ms
+        score = float(100.0 * np.mean(hits[0]) + 100.0 * np.mean(hits[1]))
+        curve.append((float(offset), score))
+        key = (-score, abs(offset), offset)
+        if best is None or key < best[0]:
+            best = (key, float(offset))
+    best_offset = best[1]
+
+    report = object_times_report(
+        np.maximum(hyp + best_offset, 0.0), ref_times, [threshold_ms], n_hyp, n_ref
+    )
+    return best_offset, report, curve

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from ctctiming import cli, dataio
 from ctctiming.boundary import (
     CetcParams,
     GuidedTargets,
@@ -305,10 +306,13 @@ class TestGridsearchOffset:
             tied_best += scores.count(max(scores)) > 1
         assert clamped == 12 and tied == 12 and tied_best >= 3
 
-    def test_builds_no_word_objects_beyond_match_words(self, monkeypatch):
-        """The report comes from arrays: the only objects built are
-        match_words' pairs, one per matched word."""
+    def test_builds_no_word_objects_beyond_match_words(self, tmp_path, monkeypatch, capsys):
+        """Matching and scoring read the words' time columns: gridsearch_offset,
+        `metrics` and `gridsearch` build no WordTiming and no MatchedPair."""
         pred, ref = edited_documents(0)
+        dataio.write_timings_jsonl(tmp_path / "hyp.jsonl", pred)
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)
+        files = ["--hyp", str(tmp_path / "hyp.jsonl"), "--ref", str(tmp_path / "ref.jsonl")]
         built = Counter()
         for cls in (WordTiming, MatchedPair):
             def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -317,7 +321,10 @@ class TestGridsearchOffset:
             monkeypatch.setattr(cls, "__init__", counting_init)
         _, report, _ = gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
         assert report.n_matched > 0
-        assert dict(built) == {"MatchedPair": report.n_matched}
+        assert cli.main(["metrics", *files]) == 0
+        assert cli.main(["gridsearch", *files, "--out", str(tmp_path / "curve.csv")]) == 0
+        assert "ST " in capsys.readouterr().out
+        assert dict(built) == {}
 
     def test_recovers_injected_bias(self):
         # 40 ms early with +/-10 ms jitter: only +40 centers every word

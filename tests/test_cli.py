@@ -7,17 +7,19 @@ import stat
 import subprocess
 import sys
 import threading
+import unicodedata
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctctiming import cli, dataio, synth
-from ctctiming.boundary import WordTiming
+from ctctiming.boundary import WordTimes, WordTiming, gridsearch_offset
 from ctctiming.cli import main
 from ctctiming.ctc import LabelSequence, LogitMatrix, align_spans
 from ctctiming.boundary import WordMap, words_from_spans
-from ctctiming.metrics import peak_histogram, peak_items
+from ctctiming.metrics import (_matched_times, _times_report, match_words, peak_histogram,
+                               peak_items)
 from ctctiming.synth import (
     FRAME_MS,
     CorpusSpec,
@@ -27,6 +29,9 @@ from ctctiming.synth import (
     model_forward,
     split_corpus,
 )
+
+from oracles import (object_gridsearch_offset, object_match_words, object_metrics,
+                     object_pair_times, object_times_report, read_timings_objects)
 
 
 def write_fixture(tmp_path):
@@ -465,6 +470,118 @@ class TestGridsearchCommand:
         assert not (tmp_path / "curve.csv").exists()
 
 
+def planted_documents(seed, n_utts=5):
+    """Seeded reference and hypothesis timings with planted edits.
+
+    Words come from 10 types, two with accents that the hypothesis spells
+    decomposed (NFD) about half the time. The hypothesis drops, substitutes
+    or inserts about one word in seven, and moves each word by a planted
+    offset of -60..60 ms plus jitter, floored at 0 ms.
+    """
+    rng = np.random.default_rng(seed)
+    types = [f"w{i}" for i in range(8)] + ["caf\u00e9", "\u00fcber"]
+    offset = 10.0 * rng.integers(-6, 7)
+    pred, ref = {}, {}
+    for u in range(n_utts):
+        n = int(rng.integers(20, 60))
+        starts = np.cumsum(rng.integers(0, 150, size=n)).astype(float)
+        ends = starts + rng.integers(0, 200, size=n)
+        words = [types[t] for t in rng.integers(0, len(types), size=n)]
+        ref[f"u{u}"] = [WordTiming(w, s, e) for w, s, e in zip(words, starts, ends)]
+        hyp = []
+        for w, s, e in zip(words, starts, ends):
+            edit = rng.random()
+            if edit < 0.05:
+                continue
+            if edit < 0.1:
+                w = "sub"
+            elif not w.isascii() and rng.random() < 0.5:
+                w = unicodedata.normalize("NFD", w)
+            jitter = rng.integers(-4, 5) if rng.random() < 0.8 else rng.integers(-120, 121)
+            shift = offset + jitter
+            hyp.append(WordTiming(w, max(s + shift, 0.0), max(e + shift, 0.0)))
+            if edit > 0.95:
+                hyp.append(WordTiming("ins", max(e + shift, 0.0), max(e + shift, 0.0) + 50.0))
+        pred[f"u{u}"] = hyp
+    return pred, ref
+
+
+class TestObjectPathIdentity:
+    """`metrics` and `gridsearch` write what the object path of scoring (one
+    WordTiming per word, one MatchedPair per matched word) writes."""
+
+    THRESHOLDS = [20.0, 80.0, 200.0]
+
+    @staticmethod
+    def _run(tmp_path, pred, ref):
+        dataio.write_timings_jsonl(tmp_path / "hyp.jsonl", pred)
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)
+        files = ["--hyp", str(tmp_path / "hyp.jsonl"), "--ref", str(tmp_path / "ref.jsonl"),
+                 "--no-timestamp"]
+        assert main(["metrics", *files, "--thresholds", "20,80,200",
+                     "--out", str(tmp_path / "metrics.json")]) == 0
+        return main(["gridsearch", *files, "--range=-150:150:10", "--threshold", "25",
+                     "--out", str(tmp_path / "curve.csv"), "--report", str(tmp_path / "grid.json")])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reports_and_curve(self, tmp_path, seed):
+        pred, ref = planted_documents(seed)
+        assert self._run(tmp_path, pred, ref) == 0
+        hyp_words = read_timings_objects(tmp_path / "hyp.jsonl")
+        ref_words = read_timings_objects(tmp_path / "ref.jsonl")
+        want = tmp_path / "want"
+        want.mkdir()
+        dataio.write_metrics_json(want / "metrics.json",
+                                  object_metrics(hyp_words, ref_words, self.THRESHOLDS),
+                                  timestamp=False)
+        best, report, curve = object_gridsearch_offset(
+            hyp_words, ref_words, (-150.0, 150.0), 10.0, 25.0)
+        dataio.write_curve_csv(want / "curve.csv", curve)
+        dataio.write_metrics_json(want / "grid.json", report, extra={"best_offset_ms": best},
+                                  timestamp=False)
+        for name in ("metrics.json", "curve.csv", "grid.json"):
+            assert (tmp_path / name).read_bytes() == (want / name).read_bytes(), name
+        assert json.loads((want / "metrics.json").read_text())["n_matched"] > 100
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_library_with_an_utterance_missing(self, seed):
+        """gridsearch_offset, match_words and the report of _matched_times
+        equal the object path's when the hypothesis lacks an utterance, for
+        word lists and for the reader's columns alike."""
+        pred, ref = planted_documents(seed)
+        del pred["u2"]
+        columns = {utt: WordTimes(words) for utt, words in pred.items()}
+        want_best, want_report, want_curve = object_gridsearch_offset(
+            pred, ref, (-150.0, 150.0), 10.0, 25.0)
+        pairs, n_hyp, n_ref = object_match_words(pred, ref)
+        want_metrics = object_times_report(*object_pair_times(pairs), self.THRESHOLDS,
+                                           n_hyp, n_ref)
+        assert n_ref > want_metrics.n_matched > 0
+        for hyp in (pred, columns):
+            best, report, curve = gridsearch_offset(hyp, ref, (-150.0, 150.0), 10.0, 25.0)
+            assert (best, report.to_dict(), curve) == (
+                want_best, want_report.to_dict(), want_curve)
+            assert match_words(hyp, ref) == (pairs, n_hyp, n_ref)
+            got = _times_report(*_matched_times(hyp, ref), self.THRESHOLDS)
+            assert got.to_dict() == want_metrics.to_dict()
+
+    def test_nothing_to_score(self, tmp_path, capsys):
+        pred = {"u": [WordTiming("a", 0.0, 10.0)]}
+        ref = {"u": [WordTiming("b", 0.0, 10.0)]}
+        with pytest.raises(ValueError) as want:
+            object_gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
+        with pytest.raises(ValueError) as got:
+            gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
+        assert str(got.value) == str(want.value)
+        assert self._run(tmp_path, pred, ref) == 2
+        out, err = capsys.readouterr()
+        assert out == "no matched words\n" and err == f"error: {want.value}\n"
+        dataio.write_metrics_json(tmp_path / "want.json",
+                                  object_metrics(pred, ref, self.THRESHOLDS), timestamp=False)
+        assert (tmp_path / "metrics.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        assert not (tmp_path / "curve.csv").exists()
+
+
 class TestAnalyzePeaks:
     def test_histogram_and_mean(self, tmp_path, capsys):
         write_fixture(tmp_path)
@@ -712,6 +829,24 @@ def test_malformed_flag_value_exit_1(tmp_path, monkeypatch, capsys, argv, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, given", [
+    (["metrics", "--hyp", "h.jsonl"], ["--ref", "r.jsonl"]),
+    (["align", "--logits", "l.jsonl", "--labels", "b.jsonl", "--vocab", "v.txt",
+      "--out", "h.jsonl"], ["--gamma-inf", "0"]),
+    (["gridsearch", "--hyp", "h.jsonl", "--ref", "r.jsonl", "--out", "c.csv"],
+     ["--no-timestamp"]),
+], ids=["metrics-ref", "align-gamma-inf", "gridsearch-no-timestamp"])
+def test_flag_given_twice_exit_1(tmp_path, monkeypatch, capsys, command, given):
+    """A repeated flag is a usage error, not a silent override."""
+    monkeypatch.chdir(tmp_path)
+    assert main(command + given + given) == 1
+    assert capsys.readouterr().err == f"error: argument {given[0]}: given twice\n"
+    assert not list(tmp_path.iterdir())
+    # the cached parser kept nothing of that parse, and leaves nothing in the next
+    args = cli.build_parser().parse_args(command + given)
+    assert not [key for key in vars(args) if key.startswith("_")]
 
 
 @pytest.mark.parametrize("command", [

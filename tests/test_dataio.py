@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctctiming import dataio
-from ctctiming.boundary import WordMap, WordTiming
+from ctctiming.boundary import WordMap, WordTimes, WordTiming
 from ctctiming.ctc import LabelSequence, LogitMatrix
 from ctctiming.dataio import DataFormatError
 from ctctiming.synth import Classifier
@@ -206,6 +206,107 @@ class TestTimingsJsonl:
         path.write_text(json.dumps(first) + "\n\n" + json.dumps(second) + "\n")
         with pytest.raises(DataFormatError, match=r"timings.jsonl:3: duplicate .*'a'.* line 1"):
             dataio.read_timings_jsonl(path)
+
+
+def first_word_error(words) -> str | None:
+    """The message of the first word that fails to build as a WordTiming, in
+    order, as a timings record's words were once read one object at a time."""
+    try:
+        for w in words:
+            WordTiming(w["w"], w["start_ms"], w["end_ms"])
+    except (ValueError, KeyError, TypeError, OverflowError) as err:
+        return str(err)
+    return None
+
+
+class TestTimingsColumns:
+    """read_timings_jsonl checks a record's words in bulk and builds no word
+    object; a bad word raises the error its own WordTiming raises."""
+
+    N_WORDS = 200
+
+    @classmethod
+    def _words_text(cls, bad_at: int, bad_word: str) -> str:
+        # integer and float times alternate; the words are spelled as JSON text
+        # so that NaN, Infinity, 1e400 and a 400-digit integer reach the reader
+        words = [
+            f'{{"w": "w{i}", "start_ms": {10 * i if i % 2 else 10.0 * i}, "end_ms": {10 * i + 5}}}'
+            for i in range(cls.N_WORDS)
+        ]
+        words[bad_at] = bad_word
+        return "[" + ", ".join(words) + "]"
+
+    BAD_TIMES = {"string": '"0"', "null": "null", "true": "true", "false": "false",
+                 "nan": "NaN", "inf": "Infinity", "1e400": "1e400", "10**400": "1" + "0" * 400}
+    BAD_WORDS = {
+        **{f"text-{name}": f'{{"w": {text}, "start_ms": 0, "end_ms": 10}}'
+           for name, text in [("int", "5"), ("null", "null"), ("list", '["a"]'),
+                              ("true", "true")]},
+        **{f"start-{name}": f'{{"w": "a", "start_ms": {value}, "end_ms": 10}}'
+           for name, value in BAD_TIMES.items()},
+        **{f"end-{name}": f'{{"w": "a", "start_ms": 0, "end_ms": {value}}}'
+           for name, value in BAD_TIMES.items()},
+        "negative-start": '{"w": "a", "start_ms": -5, "end_ms": 10}',
+        "start-after-end": '{"w": "a", "start_ms": 50.5, "end_ms": 10}',
+        "missing-key": '{"w": "a", "start_ms": 0}',
+        "not-an-object": '["a", 0, 10]',
+    }
+
+    @pytest.mark.parametrize("bad_at", [0, 100, 199], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad_word", BAD_WORDS.values(), ids=BAD_WORDS.keys())
+    def test_bad_word_raises_its_own_error(self, tmp_path, bad_at, bad_word):
+        path = tmp_path / "timings.jsonl"
+        words = self._words_text(bad_at, bad_word)
+        path.write_text('{"utt": "a", "words": []}\n{"utt": "u", "words": %s}\n' % words)
+        message = first_word_error(json.loads(words))
+        assert message is not None
+        with pytest.raises(DataFormatError) as err:
+            dataio.read_timings_jsonl(path)
+        assert str(err.value) == f"{path}:2: {message}"
+
+    @pytest.mark.parametrize("words, expect", [
+        # a bad word before a word without its keys raises its own error
+        ('[{"w": "a", "start_ms": 9, "end_ms": 1}, {"w": "b"}]', "need 0 <= start"),
+        ('[{"w": 5, "start_ms": 0, "end_ms": 1}, 7]', "word text must be a string"),
+        ('[{"w": "a", "start_ms": 0, "end_ms": 1}, {"start_ms": true}]', "'w'"),
+        ("5", "'int' object is not iterable"),
+        ("null", "'NoneType' object is not iterable"),
+        ('{"w": "a"}', "string indices must be integers"),
+    ], ids=["range-before-missing-key", "text-before-non-object", "missing-text",
+            "words-int", "words-null", "words-object"])
+    def test_record_errors_in_word_order(self, tmp_path, words, expect):
+        path = tmp_path / "timings.jsonl"
+        path.write_text('{"utt": "u", "words": %s}\n' % words)
+        message = first_word_error(json.loads(words))
+        assert expect in message
+        with pytest.raises(DataFormatError) as err:
+            dataio.read_timings_jsonl(path)
+        assert str(err.value) == f"{path}:1: {message}"
+
+    def test_builds_no_word_objects(self, tmp_path, monkeypatch):
+        path = tmp_path / "timings.jsonl"
+        path.write_text(
+            '{"utt": "u", "words": %s}\n{"utt": "e", "words": []}\n' % self._words_text(
+                0, '{"w": "caf\\u00e9", "start_ms": 0, "end_ms": 0}')
+        )
+        want = {r["utt"]: [WordTiming(w["w"], w["start_ms"], w["end_ms"]) for w in r["words"]]
+                for r in map(json.loads, path.read_text().splitlines())}
+        built = []
+        init = WordTiming.__init__
+        monkeypatch.setattr(WordTiming, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        timings = dataio.read_timings_jsonl(path)
+        assert built == []
+        monkeypatch.undo()
+        assert timings == want and list(timings) == ["u", "e"]
+        words = timings["u"]
+        assert isinstance(words, WordTimes) and len(words) == self.N_WORDS
+        assert words.texts[:2] == ("caf\u00e9", "w1")
+        assert words.times.dtype == np.float64 and words.times.shape == (2, self.N_WORDS)
+        assert words.times[:, 1].tolist() == [10.0, 15.0]
+        assert not words.times.flags.writeable
+        assert words[-1] == WordTiming("w199", 1990.0, 1995.0)
+        assert (type(words[1].start_ms), type(words[1].end_ms)) == (float, float)
 
 
 class TestValueTypes:
