@@ -13,7 +13,10 @@ is one float64 array that starts out holding its own emissions, so a
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,9 +70,7 @@ class LogitMatrix:
             raise ValueError(f"{self.utt_id}: need T >= 1 and V >= 2, got T={t}, V={v}")
         if not 0 < self.frame_ms < np.inf:  # also rejects nan
             raise ValueError(f"{self.utt_id}: frame_ms must be finite and > 0, got {self.frame_ms}")
-        if not np.isfinite(self.frames).all():
-            t, v = np.argwhere(~np.isfinite(self.frames))[0]
-            raise NonFiniteError(self.utt_id, int(t), int(v))
+        _check_finite(self.utt_id, self.frames)
 
     @property
     def n_frames(self) -> int:
@@ -78,6 +79,13 @@ class LogitMatrix:
     @property
     def n_vocab(self) -> int:
         return self.frames.shape[1]
+
+
+def _check_finite(utt_id: str, frames: np.ndarray) -> None:
+    """Raise NonFiniteError at the first NaN or infinity of frames, if any."""
+    if not np.isfinite(frames).all():
+        t, v = np.argwhere(~np.isfinite(frames))[0]
+        raise NonFiniteError(utt_id, int(t), int(v))
 
 
 def _integer(value, what: str) -> int:
@@ -97,6 +105,17 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+class _Topology(NamedTuple):
+    """What the lattice code reads off a label sequence of length U."""
+
+    syms: np.ndarray  # vocab id emitted by each of the S = 2U + 1 states
+    # additive s - 2 -> s masks (0 legal, -inf not) behind two -inf columns,
+    # for the states in order and for the lattice reversed in states and time
+    skip: np.ndarray
+    skip_reversed: np.ndarray
+    max_id: int
+
+
 @dataclass(frozen=True)
 class LabelSequence:
     """Token id sequence; ids live in [1, V-1], blank (0) is never a label."""
@@ -113,10 +132,41 @@ class LabelSequence:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
+    @cached_property
     def n_repeats(self) -> int:
         """Count of adjacent equal labels; each one forces a mandatory blank."""
         return sum(1 for a, b in zip(self.tokens, self.tokens[1:]) if a == b)
+
+    @cached_property
+    def _topology(self) -> _Topology:
+        """The lattice arrays of this sequence, built on first use and kept."""
+        n_states = 2 * len(self.tokens) + 1
+        syms = np.full(n_states, BLANK_ID, dtype=np.int64)
+        syms[1::2] = self.tokens
+        skip = np.full(n_states + 2, NEG_INF)
+        skip[5::2][syms[3::2] != syms[1:-2:2]] = 0.0
+        # reversed row r = S-1-s takes the backward s+2 -> s term, legal when skip[s+4] is 0
+        skip_reversed = np.full(n_states + 2, NEG_INF)
+        skip_reversed[4:] = skip[:3:-1]
+        for array in (syms, skip, skip_reversed):
+            array.flags.writeable = False  # shared by every lattice of this sequence
+        return _Topology(syms, skip, skip_reversed, max(self.tokens))
+
+    @cached_property
+    def _occupancy(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The CTC gradient's occupancy passes, built on first use and kept:
+        pass r holds the (label ids, odd states) of every label's r-th
+        occurrence, so no label repeats within a pass."""
+        seen: dict[int, int] = defaultdict(int)
+        passes: list[tuple[list[int], list[int]]] = []
+        for u, token in enumerate(self.tokens):
+            rank = seen[token]
+            seen[token] += 1
+            if rank == len(passes):
+                passes.append(([], []))
+            passes[rank][0].append(token)
+            passes[rank][1].append(2 * u + 1)
+        return [(np.array(ids), np.array(states)) for ids, states in passes]
 
 
 @dataclass(eq=False)
@@ -174,88 +224,94 @@ def _symbols(log_probs: np.ndarray, labels: LabelSequence) -> np.ndarray:
     log-prob matrix. Raises ValueError for a label id >= V, then
     NoValidPathError when T < U + repeats, the fewest frames a path needs."""
     n_frames, n_vocab = log_probs.shape
-    if max(labels.tokens) >= n_vocab:
-        raise ValueError(f"label id {max(labels.tokens)} out of range for V={n_vocab}")
+    topology = labels._topology
+    if topology.max_id >= n_vocab:
+        raise ValueError(f"label id {topology.max_id} out of range for V={n_vocab}")
     needed = len(labels) + labels.n_repeats
     if n_frames < needed:
         raise NoValidPathError(
             f"no valid path: T={n_frames} < U + repeats = {needed} "
             f"for labels of length {len(labels)}"
         )
-    syms = np.full(2 * len(labels) + 1, BLANK_ID, dtype=np.int64)
-    syms[1::2] = labels.tokens
-    return syms
-
-
-def _skip_mask(syms: np.ndarray) -> np.ndarray:
-    """Additive mask: 0 where s-2 -> s is legal (distinct labels), else -inf."""
-    mask = np.full(len(syms), NEG_INF)
-    mask[3::2][syms[3::2] != syms[1:-2:2]] = 0.0
-    return mask
+    return topology.syms
 
 
 def _recursion(lattice: np.ndarray, jump_mask: np.ndarray, combine) -> np.ndarray:
-    """Fill a (T, R, S + 2) lattice in place, given (R, S) skip masks.
+    """Fill a C-contiguous (T, R, S + 2) lattice in place, given (R, S + 2)
+    skip masks whose two leading columns are -inf.
 
     The lattice arrives holding its own emissions: state s of row r at frame
     t sits in column s + 2, the two leading columns and all padding are -inf,
     and at frame 0 only states 0 and 1 are finite. Each later cell becomes
     emit + combine(combine(stay, step), skip): np.logaddexp sums over paths,
-    np.maximum keeps the best. The leading -inf columns turn the s-1 and s-2
-    predecessors into views.
+    np.maximum keeps the best. Each frame is one contiguous vector of its R
+    rows, so stay, step and skip are the previous frame's vector shifted by
+    0, 1 and 2. A row's leading -inf columns are the step and skip
+    predecessors of its first states; they are computed too, from the row
+    before, but their -inf emission keeps them -inf.
     """
-    best = np.empty(jump_mask.shape)
-    jump = np.empty(jump_mask.shape)
+    frames = lattice.reshape(len(lattice), -1)
+    mask = jump_mask.reshape(-1)[2:]
+    best = np.empty(mask.shape)
+    jump = np.empty(mask.shape)
     # iterating an array yields one frame view at a time, so no per-frame
     # view list is ever held; zip pairs frame t - 1's three views with t's
-    states = lattice[:, :, 2:]
-    for stay, step, skip, cur in zip(states, lattice[:, :, 1:-1], lattice[:, :, :-2], states[1:]):
+    states = frames[:, 2:]
+    for stay, step, skip, cur in zip(states, frames[:, 1:-1], frames[:, :-2], states[1:]):
         combine(stay, step, out=best)
-        np.add(skip, jump_mask, out=jump)
+        np.add(skip, mask, out=jump)
         combine(best, jump, out=best)
         cur += best
     return lattice
 
 
-def _lattices(
-    log_probs: list[np.ndarray], syms: list[np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _forward_backward(log_probs: list[np.ndarray], labels: list[LabelSequence]):
     """Forward and backward lattices of a batch from one padded recursion.
 
-    log_probs[i] is utterance i's T_i x V log-prob matrix and syms[i] the
-    vocab id of each of its S_i states. Each utterance fills two rows of one
-    (T_max, 2B, S_max + 2) lattice: itself, and a copy reversed in both
-    states and time, whose forward recursion is the backward one. Emissions
-    are written straight into those rows. Padding is -inf and only ever
-    feeds padded cells (higher states, later frames), so every real cell is
-    computed by the same operations as an unpadded single-utterance
-    recursion. Returns one (alpha, beta) pair of S_i x T_i arrays per
-    utterance, copied out so that a kept result does not hold on to the
-    whole batch.
+    log_probs[i] is utterance i's T_i x V log-prob matrix. Each utterance
+    with enough frames fills two rows of one (T_max, 2B, S_max + 2) lattice:
+    row k, itself, and row B + k, a copy reversed in both states and time,
+    whose forward recursion is the backward one. Emissions are written
+    straight into those rows. Padding is -inf and only ever feeds padded
+    cells (higher states, later frames), so every real cell is computed by
+    the same operations as an unpadded single-utterance recursion.
+
+    Returns (results, live, lattice): results holds the NoValidPathError of
+    each utterance without a valid path and None elsewhere; live lists
+    (i, forward row, backward row, log-likelihood) for the others.
     """
-    n_utts = len(log_probs)
-    n_frames = max(len(lp) for lp in log_probs)
-    n_states = max(len(sym) for sym in syms)
-    lattice = np.full((n_frames, 2 * n_utts, n_states + 2), NEG_INF)
-    jump_mask = np.full((2 * n_utts, n_states), NEG_INF)
-    for i, (lp, sym) in enumerate(zip(log_probs, syms)):
-        t_i, s_i = len(lp), len(sym)
-        lattice[:t_i, i, 2 : 2 + s_i] = lp[:, sym]
-        lattice[:t_i, n_utts + i, 2 : 2 + s_i] = lattice[t_i - 1 :: -1, i, 1 + s_i : 1 : -1]
-        mask = _skip_mask(sym)
-        jump_mask[i, :s_i] = mask
-        # reversed row r = S-1-s takes the backward s+2 -> s term, legal when mask[s+2] is 0
-        jump_mask[n_utts + i, 2:s_i] = mask[:1:-1]
+    results: list = [None] * len(log_probs)
+    todo = []
+    for i, (lp, lab) in enumerate(zip(log_probs, labels, strict=True)):
+        try:
+            _symbols(lp, lab)
+            todo.append(i)
+        except NoValidPathError as err:
+            results[i] = err
+    if not todo:
+        return results, [], None
+    n_rows = len(todo)
+    ends = np.array([(len(log_probs[i]), 2 * len(labels[i]) + 1) for i in todo])
+    lattice = np.full((ends[:, 0].max(), 2 * n_rows, ends[:, 1].max() + 2), NEG_INF)
+    jump_mask = np.full(lattice.shape[1:], NEG_INF)
+    for k, (i, (t, s)) in enumerate(zip(todo, ends.tolist())):
+        topology = labels[i]._topology
+        lattice[:t, k, 2 : 2 + s] = log_probs[i][:, topology.syms]
+        lattice[:t, n_rows + k, 2 : 2 + s] = lattice[t - 1 :: -1, k, 1 + s : 1 : -1]
+        jump_mask[k, : s + 2] = topology.skip
+        jump_mask[n_rows + k, : s + 2] = topology.skip_reversed
     lattice[0, :, 4:] = NEG_INF
 
     _recursion(lattice, jump_mask, np.logaddexp)
-    out = []
-    for i, (lp, sym) in enumerate(zip(log_probs, syms)):
-        t_i, s_i = len(lp), len(sym)
-        alpha = np.ascontiguousarray(lattice[:t_i, i, 2 : 2 + s_i].T)
-        beta = np.ascontiguousarray(lattice[:t_i, n_utts + i, 2 : 2 + s_i][::-1, ::-1].T)
-        out.append((alpha, beta))
-    return out
+    last = (ends[:, 0] - 1, np.arange(n_rows))
+    log_likes = np.logaddexp(lattice[(*last, ends[:, 1] + 1)], lattice[(*last, ends[:, 1])])
+    live = []
+    for k, (i, log_like) in enumerate(zip(todo, log_likes.tolist())):
+        if np.isfinite(log_like):
+            live.append((i, k, n_rows + k, log_like))
+        else:
+            results[i] = NoValidPathError("no valid path: zero total path probability")
+    return results, live, lattice
 
 
 def ctc_loss_batch(
@@ -266,24 +322,61 @@ def ctc_loss_batch(
     Runs one padded forward-backward recursion over the whole batch. Each
     entry is (loss, lattice) as from ctc_loss, or the NoValidPathError of an
     utterance that has no valid path; the other utterances are unaffected.
+    Each lattice is copied out, so that a kept result does not hold on to
+    the whole batch.
     """
-    results: list = [None] * len(log_probs)
-    todo = []
-    for i, (lp, lab) in enumerate(zip(log_probs, labels, strict=True)):
-        lp = np.asarray(lp, dtype=np.float64)
-        try:
-            todo.append((i, lp, _symbols(lp, lab)))
-        except NoValidPathError as err:
-            results[i] = err
-    if todo:
-        lattices = _lattices([lp for _, lp, _ in todo], [syms for _, _, syms in todo])
-        for (i, _, _), (alpha, beta) in zip(todo, lattices):
-            log_like = float(np.logaddexp(alpha[-1, -1], alpha[-2, -1]))
-            if np.isfinite(log_like):
-                results[i] = (-log_like, CtcLattice(alpha, beta, log_like))
-            else:
-                results[i] = NoValidPathError("no valid path: zero total path probability")
+    log_probs = [np.asarray(lp, dtype=np.float64) for lp in log_probs]
+    results, live, lattice = _forward_backward(log_probs, labels)
+    for i, fwd, bwd, log_like in live:
+        t, s = len(log_probs[i]), 2 * len(labels[i]) + 1
+        alpha = np.ascontiguousarray(lattice[:t, fwd, 2 : 2 + s].T)
+        beta = np.ascontiguousarray(lattice[:t, bwd, 2 : 2 + s][::-1, ::-1].T)
+        results[i] = (-log_like, CtcLattice(alpha, beta, log_like))
     return results
+
+
+def _stacked(
+    logits: list[LogitMatrix], gamma: float
+) -> list[tuple[list[int], list[int], np.ndarray]]:
+    """A batch's logits stacked as one (sum T, V) array per vocab width, and
+    label-prior-adjusted when gamma is not 0. Each entry is (batch indices,
+    row bounds, stack); utterance idx[j] holds rows bounds[j]:bounds[j + 1].
+
+    A prior that overflows raises NonFiniteError for the first such
+    utterance in batch order, at its own frame and vocab.
+    """
+    by_width = defaultdict(list)
+    for i, x in enumerate(logits):
+        by_width[x.n_vocab].append(i)
+    stacks = []
+    for idx in by_width.values():
+        bounds = np.cumsum([0] + [logits[i].n_frames for i in idx]).tolist()
+        frames = np.concatenate([logits[i].frames for i in idx])
+        if gamma:
+            frames = _minus_prior(frames, bounds, gamma)
+        stacks.append((idx, bounds, frames))
+    if gamma and not all(np.isfinite(frames).all() for _, _, frames in stacks):
+        views = {i: frames[lo:hi] for idx, bounds, frames in stacks
+                 for i, lo, hi in zip(idx, bounds, bounds[1:])}
+        for i in sorted(views):
+            _check_finite(logits[i].utt_id, views[i])
+    return stacks
+
+
+def _subtract_occupancy(grad: np.ndarray, post: np.ndarray, labels: LabelSequence) -> None:
+    """grad[:, v] -= occupancy(v, t), from the (S, T) state posteriors.
+
+    A column's occupancy is its states' posteriors added in state order, as
+    np.add.at would add them: the blank's are the even states, and each
+    pass adds every label's next occurrence.
+    """
+    occ = np.zeros((grad.shape[1], post.shape[1]))
+    np.add.reduce(post[::2], axis=0, out=occ[BLANK_ID])
+    (ids, states), *later = labels._occupancy
+    occ[ids] = post[states]  # 0.0 + p is p
+    for ids, states in later:
+        occ[ids] += post[states]
+    grad -= occ.T
 
 
 def ctc_grad_batch(
@@ -294,25 +387,43 @@ def ctc_grad_batch(
     With gamma_train != 0 the loss is taken on label-prior-adjusted logits
     and the gradient chains through the per-label mean (see prior_ctc_grad).
     Entries are (loss, grad) or the utterance's NoValidPathError.
+
+    The batch's logits are stacked into one (sum T, V) array (one per vocab
+    width), so the prior, softmax, exp and chain-rule correction each run
+    once over it; each utterance's log-probs and returned gradient are row
+    slices of the stacked arrays.
     """
-    if gamma_train:
-        logits = [apply_label_prior(x, gamma_train) for x in logits]
-    log_probs = [log_softmax_rows(x.frames) for x in logits]
-    results = ctc_loss_batch(log_probs, labels)
-    for i, (lp, lab, result) in enumerate(zip(log_probs, labels, results, strict=True)):
-        if isinstance(result, NoValidPathError):
-            continue
-        loss, lattice = result
+    log_probs: list = [None] * len(logits)
+    grads: list = [None] * len(logits)
+    stacks = []
+    for idx, bounds, frames in _stacked(logits, gamma_train):
+        lp = log_softmax_rows(frames)
         # grad[t, v] = softmax(logits)[t, v] - occupancy(v, t); rows sum to zero
-        syms = _symbols(lp, lab)
-        joint = lattice.log_alpha + lattice.log_beta - lp[:, syms].T
-        state_post = np.exp(joint - lattice.log_likelihood)
-        occ = np.zeros_like(lp)
-        np.add.at(occ.T, syms, state_post)
-        g = np.exp(lp) - occ
-        if gamma_train:
-            g = g - (gamma_train / lp.shape[0]) * g.sum(axis=0, keepdims=True)
-        results[i] = (loss, g)
+        grad = np.exp(lp)
+        for i, lo, hi in zip(idx, bounds, bounds[1:]):
+            log_probs[i], grads[i] = lp[lo:hi], grad[lo:hi]
+        stacks.append((idx, bounds, grad))
+
+    results, live, lattice = _forward_backward(log_probs, labels)
+    for i, fwd, bwd, log_like in live:
+        topology = labels[i]._topology
+        t, s = len(log_probs[i]), len(topology.syms)
+        alpha = lattice[:t, fwd, 2 : 2 + s].T
+        beta = lattice[t - 1 :: -1, bwd, 1 + s : 1 : -1].T
+        post = np.add(alpha, beta, out=np.empty((s, t)))
+        post -= log_probs[i][:, topology.syms].T
+        post -= log_like
+        _subtract_occupancy(grads[i], np.exp(post, out=post), labels[i])
+        results[i] = (-log_like, grads[i])
+
+    if gamma_train:
+        # d/dO[t, v] = g[t, v] - (gamma/T) * sum_t' g[t', v], per utterance
+        for idx, bounds, grad in stacks:
+            n_frames = np.diff(bounds)
+            sums = np.empty((len(idx), grad.shape[1]))
+            for row, lo, hi in zip(sums, bounds, bounds[1:]):
+                np.add.reduce(grad[lo:hi], axis=0, out=row)
+            grad -= np.repeat((gamma_train / n_frames)[:, None] * sums, n_frames, axis=0)
     return results
 
 
@@ -340,6 +451,20 @@ def ctc_grad(logits: LogitMatrix, labels: LabelSequence) -> tuple[float, np.ndar
     return _single(ctc_grad_batch([logits], [labels]))
 
 
+def _minus_prior(frames: np.ndarray, bounds: list[int], gamma: float) -> np.ndarray:
+    """frames minus gamma times each segment's per-label time-mean; segment j
+    is rows bounds[j]:bounds[j + 1]. The one form of the label prior."""
+    if not np.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
+    prior = np.empty((len(bounds) - 1, frames.shape[1]))
+    for row, lo, hi in zip(prior, bounds, bounds[1:]):
+        np.add.reduce(frames[lo:hi], axis=0, out=row)
+    n_frames = np.diff(bounds)
+    prior /= n_frames[:, None]  # ndarray.mean's own sum and division
+    prior *= gamma
+    return frames - np.repeat(prior, n_frames, axis=0)
+
+
 def apply_label_prior(logits: LogitMatrix, gamma: float) -> LogitMatrix:
     """Subtract gamma times the per-label time-mean of the raw logits.
 
@@ -347,12 +472,10 @@ def apply_label_prior(logits: LogitMatrix, gamma: float) -> LogitMatrix:
     vocabulary entry; gamma=0 returns logits itself. Otherwise the result is
     a new LogitMatrix, so a mean that overflows raises NonFiniteError.
     """
-    if not np.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
     if gamma == 0:
         return logits
-    prior = logits.frames.mean(axis=0, keepdims=True)
-    return LogitMatrix(logits.utt_id, logits.frames - gamma * prior, logits.frame_ms)
+    frames = _minus_prior(logits.frames, [0, logits.n_frames], gamma)
+    return LogitMatrix(logits.utt_id, frames, logits.frame_ms)
 
 
 def prior_ctc_grad(
@@ -376,7 +499,7 @@ def forced_align(log_probs: np.ndarray, labels: LabelSequence) -> AlignmentPath:
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
     syms = _symbols(log_probs, labels)
-    mask = _skip_mask(syms)
+    mask = labels._topology.skip
     n_frames = len(log_probs)
     # gather the emissions into the lattice itself; mode="clip" writes out
     # directly (_symbols checked the label range), "raise" would buffer it
@@ -396,7 +519,7 @@ def forced_align(log_probs: np.ndarray, labels: LabelSequence) -> AlignmentPath:
     # skip term prev + 0.0 equals prev, elsewhere it is -inf and never wins.
     width = len(syms) + 2
     flat = lattice.reshape(-1).data
-    skippable = (mask == 0).tolist()
+    skippable = (mask[2:] == 0).tolist()
     for t in range(n_frames - 2, -1, -1):
         i = t * width + state
         stay, step = flat[i + 2], flat[i + 1]

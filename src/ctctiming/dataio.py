@@ -54,8 +54,8 @@ def line_ranges(path: str | Path, n: int) -> list[tuple[int, int, int]]:
 def _records(path: str | Path, keys: tuple[str, ...], build,
              byte_range: tuple[int, int | None, int] = WHOLE_FILE,
              ) -> Iterator[tuple[int, str, Any]]:
-    """(line number, utt, build(utt, record)) for each JSON object line that
-    has keys, over the byte_range (start, end, first line number) of path,
+    """(line number, utt, build(utt, record, line)) for each JSON object line
+    that has keys, over the byte_range (start, end, first line number) of path,
     which must start on a line boundary; the default is the whole file.
 
     A malformed line, a missing key, a record that build rejects with
@@ -89,7 +89,7 @@ def _records(path: str | Path, keys: tuple[str, ...], build,
                 utt = record["utt"]
                 if not isinstance(utt, str):
                     raise TypeError(f"utt must be a string, got {utt!r}")
-                value = build(utt, record)
+                value = build(utt, record, raw)
                 first = seen.setdefault(utt, lineno)
                 if first != lineno:
                     raise ValueError(f"duplicate utterance id {utt!r} (first on line {first})")
@@ -108,11 +108,20 @@ def numbered_logits(path: str | Path, frame_ms: float | None = None,
     record in the byte_range of path (see _records).
 
     A frame_ms given here overrides the records', which may then omit it.
+    A JSON true or false among the numbers of frames raises TypeError: numpy
+    would read it as 1.0 or 0.0. Only a line that spells one is walked.
     """
-    def build(utt: str, record: dict) -> LogitMatrix:
-        return LogitMatrix(
+    def build(utt: str, record: dict, raw: bytes) -> LogitMatrix:
+        logits = LogitMatrix(
             utt, record["frames"], frame_ms if frame_ms is not None else record["frame_ms"]
         )
+        if b"true" in raw or b"false" in raw:
+            # frames passed LogitMatrix, so it is a table of numbers and bools
+            for row in record["frames"]:
+                for value in row:
+                    if type(value) is bool:
+                        raise TypeError(f"{utt}: logit must be a number, got {value!r}")
+        return logits
 
     keys = ("utt", "frames") if frame_ms is not None else ("utt", "frame_ms", "frames")
     for lineno, _, logits in _records(path, keys, build, byte_range):
@@ -138,7 +147,7 @@ def write_logits_jsonl(path: str | Path, mats: Iterable[LogitMatrix]) -> None:
 
 def read_labels_jsonl(path: str | Path) -> dict[str, tuple[LabelSequence, WordMap]]:
     """{"utt", "pieces", "words": [{"w", "first", "last"}]} records."""
-    def build(utt: str, record: dict) -> tuple[LabelSequence, WordMap]:
+    def build(utt: str, record: dict, _raw: bytes) -> tuple[LabelSequence, WordMap]:
         labels = LabelSequence(tuple(record["pieces"]))
         word_map = WordMap(tuple((w["w"], w["first"], w["last"]) for w in record["words"]))
         if word_map.n_pieces != len(labels):
@@ -173,7 +182,7 @@ def read_timings_jsonl(path: str | Path) -> dict[str, WordTimes]:
     and 0 <= start <= end < inf. When a check fails, the record's words are
     built as WordTimings in order, so the first bad word raises its own error.
     """
-    def build(utt: str, record: dict) -> WordTimes:
+    def build(utt: str, record: dict, _raw: bytes) -> WordTimes:
         words = record["words"]
         try:
             rows = list(map(_WORD_FIELDS, words))

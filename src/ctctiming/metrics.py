@@ -146,13 +146,16 @@ def edit_distance(hyp_words: list[str], ref_words: list[str]) -> int:
 
 def _pairings(
     hyp: dict[str, Sequence[WordTiming]], ref: dict[str, Sequence[WordTiming]]
-) -> tuple[list[tuple[WordTimes, WordTimes, list[tuple[int, int]]]], int, int]:
+) -> tuple[list[tuple[Sequence, Sequence, list[tuple[int, int]]]], int, int]:
     """edit_align's equal-text index pairs of every reference utterance that
-    `hyp` has, in `ref` order, each with both utterances' words as WordTimes:
+    `hyp` has, in `ref` order, each with both utterances' words as given:
     (hyp words, ref words, pairs). Returns them with n_hyp and n_ref; an
     utterance missing from `hyp` adds its reference words to n_ref and
     nothing else."""
     from .boundary import WordTimes  # here: boundary imports this module
+
+    def texts(words):
+        return words.texts if isinstance(words, WordTimes) else [w.word for w in words]
 
     matched = []
     n_hyp = n_ref = 0
@@ -162,11 +165,19 @@ def _pairings(
         if hyp_words is None:
             continue
         n_hyp += len(hyp_words)
-        # a plain sequence of WordTimings becomes columns once, here
-        hyp_words, ref_words = (words if isinstance(words, WordTimes) else WordTimes(words)
-                                for words in (hyp_words, ref_words))
-        matched.append((hyp_words, ref_words, edit_align(hyp_words.texts, ref_words.texts)))
+        matched.append((hyp_words, ref_words, edit_align(texts(hyp_words), texts(ref_words))))
     return matched, n_hyp, n_ref
+
+
+def _times(utterances: list[Sequence[WordTiming]]) -> np.ndarray:
+    """The (2, N) start and end rows of every word of the utterances, in
+    order: WordTimes columns are joined, other words read in one pass."""
+    from .boundary import WordTimes
+
+    if all(isinstance(words, WordTimes) for words in utterances):
+        return np.concatenate([np.empty((2, 0)), *(words.times for words in utterances)], axis=1)
+    rows = [(w.start_ms, w.end_ms) for words in utterances for w in words]
+    return np.array(rows, dtype=np.float64).reshape(-1, 2).T
 
 
 def match_words(
@@ -188,14 +199,20 @@ def _matched_times(
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """The times of match_words' pairs, in its order, read off the words'
     columns without building a pair: (hyp times, ref times, n_hyp, n_ref),
-    each times array (2, n) with the starts and the ends as rows."""
+    each times array (2, n) with the starts and the ends as rows. The pairs
+    index the words of all matched utterances at once, so the numpy calls
+    do not grow with the number of utterances."""
     matched, n_hyp, n_ref = _pairings(hyp, ref)
-    hyp_times, ref_times = [np.empty((2, 0))], [np.empty((2, 0))]
+    hids, rids = [], []
+    n_hyp_words = n_ref_words = 0
     for hyp_words, ref_words, ids in matched:
-        hids, rids = np.array(ids, dtype=np.intp).reshape(-1, 2).T
-        hyp_times.append(hyp_words.times[:, hids])
-        ref_times.append(ref_words.times[:, rids])
-    return np.concatenate(hyp_times, axis=1), np.concatenate(ref_times, axis=1), n_hyp, n_ref
+        hids += [n_hyp_words + hid for hid, _ in ids]
+        rids += [n_ref_words + rid for _, rid in ids]
+        n_hyp_words += len(hyp_words)
+        n_ref_words += len(ref_words)
+    hyp_times = np.take(_times([words for words, _, _ in matched]), hids, axis=1)
+    ref_times = np.take(_times([words for _, words, _ in matched]), rids, axis=1)
+    return hyp_times, ref_times, n_hyp, n_ref
 
 
 def _pair_times(pairs: list[MatchedPair]) -> tuple[np.ndarray, np.ndarray]:

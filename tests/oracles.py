@@ -147,6 +147,50 @@ def log_softmax(rows: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+class NonFinitePrior(ArithmeticError):
+    """The label prior made logit (frame, vocab) non-finite."""
+
+    def __init__(self, frame: int, vocab: int):
+        super().__init__(frame, vocab)
+        self.frame, self.vocab = frame, vocab
+
+
+def per_utterance_ctc_grad(frames: np.ndarray, labels: tuple[int, ...], gamma: float):
+    """CTC loss and gradient w.r.t. raw logits of one utterance, by the
+    per-utterance chain: label prior, log-softmax, the cell-wise lattices,
+    np.add.at occupancy, then the prior's chain rule.
+
+    Returns (loss, grad), or None when no path is valid (too few frames, or
+    zero total probability). Raises NonFinitePrior at the first logit the
+    prior makes non-finite.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    if gamma:
+        prior = frames.mean(axis=0, keepdims=True)
+        frames = frames - gamma * prior
+        bad = np.argwhere(~np.isfinite(frames))
+        if len(bad):
+            raise NonFinitePrior(int(bad[0][0]), int(bad[0][1]))
+    log_probs = log_softmax(frames)
+    repeats = sum(1 for a, b in zip(labels, labels[1:]) if a == b)
+    if len(log_probs) < len(labels) + repeats:
+        return None
+    alpha, beta = cellwise_lattices(log_probs, labels)
+    log_like = float(np.logaddexp(alpha[-1, -1], alpha[-2, -1]))
+    if not np.isfinite(log_like):
+        return None
+    syms = np.zeros(2 * len(labels) + 1, dtype=np.int64)
+    syms[1::2] = labels
+    joint = alpha + beta - log_probs[:, syms].T
+    state_post = np.exp(joint - log_like)
+    occ = np.zeros_like(log_probs)
+    np.add.at(occ.T, syms, state_post)
+    grad = np.exp(log_probs) - occ
+    if gamma:
+        grad = grad - (gamma / log_probs.shape[0]) * grad.sum(axis=0, keepdims=True)
+    return -log_like, grad
+
+
 def frozen_teacher_kd_loss(
     frames: np.ndarray, mu: int, tau: float, teacher_frames: np.ndarray
 ) -> float:

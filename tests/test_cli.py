@@ -145,9 +145,13 @@ class TestAlign:
         (lambda r: r["frames"][0].__setitem__(0, "-4.0"), "logits must be numbers, got dtype <U"),
         (lambda r: r.update(frames=[[True, False, False]] * 4),
          "logits must be numbers, got dtype bool"),
+        # numpy would promote a bool beside numbers to 1.0 or 0.0
+        (lambda r: r["frames"].__setitem__(0, [True, False, False]),
+         "logit must be a number, got True"),
+        (lambda r: r["frames"][-1].__setitem__(2, False), "logit must be a number, got False"),
         (lambda r: r.update(utt=1), "utt must be a string, got 1"),
     ], ids=["frame-ms-string", "frame-ms-true", "frame-ms-inf", "frame-string", "frame-bools",
-            "utt-int"])
+            "frame-true-among-numbers", "frame-false-among-numbers", "utt-int"])
     @pytest.mark.parametrize("command", ["align", "analyze-peaks"])
     def test_non_number_logit_or_non_string_utt_exit_2(self, tmp_path, capsys, command,
                                                        edit, message):

@@ -25,6 +25,7 @@ from ctctiming.ctc import (
 )
 
 from oracles import (
+    NonFinitePrior,
     brute_force_ctc_loss,
     cellwise_lattices,
     central_difference_grad,
@@ -35,6 +36,7 @@ from oracles import (
     grad_relative_error,
     logsumexp,
     path_score,
+    per_utterance_ctc_grad,
     sample_valid_path,
     token_spans_flatnonzero,
 )
@@ -209,6 +211,25 @@ def mixed_batch(rng, n_random=5):
     return [batch[i] for i in rng.permutation(len(batch))]
 
 
+def oracle_batch(rng):
+    """mixed_batch plus labels that repeat tokens apart (occupancy columns
+    added in two and three passes), a long label sequence at its fewest
+    frames, a short utterance with no valid path and one whose only paths
+    underflow to zero probability at gamma 0."""
+    batch = mixed_batch(rng, n_random=3) + [
+        (rng.normal(size=(7, 4)), LabelSequence((1, 2, 1))),
+        (rng.normal(size=(12, 5)), LabelSequence((3, 1, 3, 2, 3))),
+        (rng.normal(size=(5, 3)), LabelSequence((2, 2, 1, 2))),
+        (rng.normal(size=(24, 6)), LabelSequence(rng.integers(1, 3, size=16))),
+    ]
+    batch = [batch[i] for i in rng.permutation(len(batch))]
+    batch.insert(3, (rng.normal(size=(2, 3)), LabelSequence((1, 1))))
+    # the forced path emits label 2 at frames 0 and 2, each at log-prob -1e308
+    batch.insert(6, (np.array([[1e308, 0.0, 0.0], [0.0] * 3, [0.0, 1e308, 0.0]]),
+                     LabelSequence((2, 1, 2))))
+    return batch
+
+
 class TestCtcBatch:
     def test_lattices_loss_match_one_at_a_time(self):
         rng = np.random.default_rng(21)
@@ -242,18 +263,45 @@ class TestCtcBatch:
                 assert np.array_equal(lattice.log_alpha, alpha)
                 assert np.array_equal(lattice.log_beta, beta)
 
-    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 1.0])
     def test_grads_match_one_at_a_time(self, gamma):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            batch = mixed_batch(rng)
+        # bit for bit against the per-utterance chain in oracles.py
+        rng = np.random.default_rng(31)
+        n_invalid = 0
+        for _ in range(8):
+            batch = oracle_batch(rng)
             logits = [LogitMatrix(f"u{i}", x, 10.0) for i, (x, _) in enumerate(batch)]
-            labels = [lab for _, lab in batch]
-            results = ctc_grad_batch(logits, labels, gamma)
-            for lg, lab, (loss, grad) in zip(logits, labels, results):
-                single = prior_ctc_grad(lg, lab, gamma) if gamma else ctc_grad(lg, lab)
-                assert loss == single[0]
-                assert np.array_equal(grad, single[1])
+            # the underflowing utterance overflows its lattice sums to -inf
+            with np.errstate(over="ignore"):
+                results = ctc_grad_batch(logits, [lab for _, lab in batch], gamma)
+                expected = [per_utterance_ctc_grad(x, lab.tokens, gamma) for x, lab in batch]
+            assert len(results) == len(batch)
+            for result, want in zip(results, expected):
+                if want is None:
+                    assert isinstance(result, NoValidPathError)
+                    n_invalid += 1
+                else:
+                    assert result[0] == want[0]
+                    assert np.array_equal(result[1], want[1])
+        assert isinstance(results[3], NoValidPathError)
+        if gamma == 0:
+            assert "zero total" in str(results[6])
+        assert n_invalid >= 8
+
+    def test_prior_overflow_raises_for_first_utterance_in_batch_order(self):
+        # u1 and u2 overflow their column means; u2 shares u0's vocab width
+        rng = np.random.default_rng(32)
+        frames = [rng.normal(size=(5, 4)), np.tile([0.0, 1e308, -1e308], (4, 1)),
+                  np.tile([1e308, 1e308, 0.0, 0.0], (3, 1))]
+        labels = [LabelSequence((1,))] * 3
+        logits = [LogitMatrix(f"u{i}", x, 10.0) for i, x in enumerate(frames)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFinitePrior) as want:
+                per_utterance_ctc_grad(frames[1], labels[1].tokens, 0.5)
+            with pytest.raises(NonFiniteError) as info:
+                ctc_grad_batch(logits, labels, 0.5)
+        assert (info.value.utt_id, info.value.frame, info.value.vocab) == (
+            "u1", want.value.frame, want.value.vocab)
 
     def test_losses_match_brute_force(self):
         rng = np.random.default_rng(24)

@@ -279,6 +279,27 @@ class TestTrain:
         assert np.array_equal(clf_a.w3, clf_b.w3)
         assert [r.mean_loss for r in rec_a] == [r.mean_loss for r in rec_b]
 
+    # the trainer's bytes: parameters and per-epoch losses of a short run of
+    # each CTC method. Seven utterances in batches of 3 mix lengths in every
+    # batch and end on a partial one; five-token labels repeat tokens
+    @pytest.mark.parametrize("settings, digest", [
+        ({"method": "peaky"}, "ba3bab9ceb0e4d1a7209c4f0cf149db3251312044ad6970d34e2158819833649"),
+        ({"method": "npc", "gamma_train": 0.5},
+         "d5f539fe36a2327c0fb4fba004743c70613924939e19ee2c5a61c1501cc7da60"),
+        ({"method": "pfr", "lambda_pfr": 1.0},
+         "3448365dcfd5593dd361a483474390af046de84d46a18ddd07b6c15154c95e0f"),
+        ({"method": "cetc"}, "6c218c6c266d4771025f6fdde9d7e06d472e2b96acf5f551ab7716956809bd2d"),
+    ], ids=["peaky", "npc", "pfr", "cetc"])
+    def test_trained_bytes_pinned(self, settings, digest):
+        corpus = generate_corpus(small_spec(n_utts=7))
+        clf, records = train(TrainConfig(epochs=3, batch_size=3, seed=1, **settings), corpus)
+        h = hashlib.sha256()
+        for name, value in clf.params().items():
+            h.update(name.encode())
+            h.update(value.tobytes())
+        h.update(np.array([r.mean_loss for r in records]).tobytes())
+        assert h.hexdigest() == digest
+
     def test_forward_once_per_utterance_per_epoch(self, monkeypatch):
         """Training runs the model forward only for its own updates."""
         from ctctiming import synth
