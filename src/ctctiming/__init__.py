@@ -40,13 +40,11 @@ from .ctc import (
     token_spans,
 )
 from .metrics import (
-    MatchedPair,
     MetricsReport,
     PeakHistogram,
     blank_occupancy,
     edit_align,
     edit_distance,
-    match_words,
     peak_histogram,
     peak_items,
     timing_metrics,

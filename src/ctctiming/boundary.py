@@ -48,11 +48,12 @@ class WordTiming:
 class WordTimes(Sequence):
     """One utterance's word timings as columns: `texts`, a tuple of the n
     word texts, and `times`, a read-only (2, n) float64 array whose rows are
-    the start and end times in ms.
+    the start and end times in ms. It is the word-timing type the package
+    produces and scores.
 
-    Built from WordTimings, it is a sequence of them: indexing and iteration
-    build WordTimings from the columns, and it equals any sequence of the
-    same WordTimings.
+    It is also a sequence of WordTimings: indexing and iteration build them
+    from the columns, and it equals any sequence of the same WordTimings.
+    `WordTimes(words)` builds one from WordTimings.
     """
 
     __slots__ = ("texts", "times")
@@ -63,8 +64,14 @@ class WordTimes(Sequence):
         self._set(texts, np.array((starts, ends), dtype=np.float64))
 
     @classmethod
-    def _checked(cls, texts: tuple[str, ...], times: np.ndarray) -> WordTimes:
-        """From columns that already meet WordTiming's checks, building no WordTiming."""
+    def _columns(cls, texts: tuple[str, ...], times: np.ndarray) -> WordTimes:
+        """From string texts and a (2, n) float64 times array. The times are
+        checked as WordTiming checks one word's, over all words at once, and
+        no WordTiming is built when they pass; otherwise the words are built
+        as WordTimings in order, so the first bad word raises its own error."""
+        start, end = times
+        if not ((0.0 <= start).all() and (start <= end).all() and (end < np.inf).all()):
+            return cls(map(WordTiming, texts, *times.tolist()))
         words = cls.__new__(cls)
         words._set(texts, times)
         return words
@@ -76,7 +83,9 @@ class WordTimes(Sequence):
     def __len__(self) -> int:
         return len(self.texts)
 
-    def __getitem__(self, index: int) -> WordTiming:
+    def __getitem__(self, index: int | slice) -> WordTiming | WordTimes:
+        if isinstance(index, slice):
+            return WordTimes._columns(self.texts[index], self.times[:, index])
         start, end = self.times[:, index].tolist()
         return WordTiming(self.texts[index], start, end)
 
@@ -258,7 +267,7 @@ def words_from_spans(
     frame_ms: float,
     offset_ms: float = 0.0,
     n_frames: int | None = None,
-) -> list[WordTiming]:
+) -> WordTimes:
     """Word timings from per-piece spans: first piece start to last piece end.
 
     The end time uses the exclusive frame edge ((end_frame + 1) * frame_ms);
@@ -270,12 +279,11 @@ def words_from_spans(
             f"word map references {word_map.n_pieces} pieces but {len(spans)} spans given"
         )
     hi = float("inf") if n_frames is None else n_frames * frame_ms
-    out = []
-    for word, first, last in word_map.words:
-        start = spans[first].start_frame * frame_ms + offset_ms
-        end = (spans[last].end_frame + 1) * frame_ms + offset_ms
-        out.append(WordTiming(word, min(max(start, 0.0), hi), min(max(end, 0.0), hi)))
-    return out
+    texts, firsts, lasts = zip(*word_map.words)
+    frames = np.array(([spans[u].start_frame for u in firsts],
+                       [spans[u].end_frame + 1 for u in lasts]), dtype=np.float64)
+    times = np.minimum(np.maximum(frames * frame_ms + offset_ms, 0.0), hi)
+    return WordTimes._columns(texts, times)
 
 
 # most offsets one gridsearch_offset call tries: each costs a pass over the
@@ -304,8 +312,8 @@ def offset_count(range_ms: tuple[float, float], step_ms: float) -> int:
 
 
 def gridsearch_offset(
-    pred: dict[str, Sequence[WordTiming]],
-    ref: dict[str, Sequence[WordTiming]],
+    pred: dict[str, WordTimes],
+    ref: dict[str, WordTimes],
     range_ms: tuple[float, float],
     step_ms: float,
     threshold_ms: float,

@@ -21,7 +21,7 @@ from . import dataio
 from .boundary import gridsearch_offset, offset_count, words_from_spans
 from .ctc import LogitMatrix, NoValidPathError, align_spans
 from .dataio import DataFormatError
-from .metrics import _matched_times, _times_report, peak_histogram, peak_items
+from .metrics import peak_histogram, peak_items, timing_metrics
 from .synth import (
     FRAME_MS,
     METHODS,
@@ -353,7 +353,7 @@ def _read_hyp_ref(args) -> tuple[dict, dict]:
 
 def cmd_metrics(args) -> int:
     hyp, ref = _read_hyp_ref(args)
-    report = _times_report(*_matched_times(hyp, dict(sorted(ref.items()))), args.thresholds)
+    report = timing_metrics(hyp, dict(sorted(ref.items())), args.thresholds)
     if args.out:
         dataio.write_metrics_json(args.out, report, timestamp=not args.no_timestamp)
     print(_summary_row(report, args.thresholds[0]))
@@ -386,7 +386,7 @@ def cmd_analyze_peaks(args) -> int:
         items = []
         with _alignments(job, failures) as results:
             for utt, frame_ms, _, spans in results:
-                items.extend(peak_items(spans, label_map[utt][1], ref[utt], frame_ms))
+                items.append(peak_items(spans, label_map[utt][1], ref[utt], frame_ms))
         hist = peak_histogram(items, args.bins, (args.range_lo, args.range_hi))
         dataio.write_histogram_csv(args.out, hist.counts, hist.bin_edges)
     mean = "nan" if hist.mean_rel_pos is None else f"{hist.mean_rel_pos:.6g}"
@@ -514,7 +514,7 @@ def cmd_synth_eval(args) -> int:
     clf = dataio.load_classifier(args.model)
     hyp = predict_timings(clf, corpus, args.gamma_inf, args.offset_ms)
     ref = reference_timings(corpus)
-    report = _times_report(*_matched_times(hyp, ref), args.thresholds)
+    report = timing_metrics(hyp, ref, args.thresholds)
     if args.report:
         dataio.write_metrics_json(args.report, report, timestamp=not args.no_timestamp)
     if args.dump_logits:

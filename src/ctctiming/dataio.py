@@ -178,36 +178,39 @@ def read_timings_jsonl(path: str | Path) -> dict[str, WordTimes]:
     into one WordTimes.
 
     A record's words are checked as WordTiming checks each word, but over
-    the whole record at once: texts are str, times int or float (not bool)
-    and 0 <= start <= end < inf. When a check fails, the record's words are
-    built as WordTimings in order, so the first bad word raises its own error.
+    the whole record at once: `words` is a JSON array, texts are str, times
+    int or float (not bool) and 0 <= start <= end < inf. When a check fails,
+    the record's words are built as WordTimings in order, so the first bad
+    word raises its own error; `words` that is not an array and holds no bad
+    word (an empty object or string) is refused as a whole.
     """
     def build(utt: str, record: dict, _raw: bytes) -> WordTimes:
         words = record["words"]
         try:
             rows = list(map(_WORD_FIELDS, words))
             texts, starts, ends = zip(*rows) if rows else ((), (), ())
-            if (set(map(type, texts)) <= {str}
+            if (type(words) is list and set(map(type, texts)) <= {str}
                     and set(map(type, starts)) | set(map(type, ends)) <= {int, float}):
-                times = np.array((starts, ends), dtype=np.float64)
-                start, end = times
-                if (0.0 <= start).all() and (start <= end).all() and (end < np.inf).all():
-                    return WordTimes._checked(texts, times)
+                return WordTimes._columns(texts, np.array((starts, ends), dtype=np.float64))
         except (KeyError, TypeError, OverflowError):  # a word without its keys, a huge integer
             pass
-        return WordTimes([WordTiming(w["w"], w["start_ms"], w["end_ms"]) for w in words])
+        built = WordTimes([WordTiming(w["w"], w["start_ms"], w["end_ms"]) for w in words])
+        if type(words) is not list:
+            raise TypeError(f"words must be a JSON array, got {words!r}")
+        return built
 
     return {utt: value for _, utt, value in _records(path, ("utt", "words"), build)}
 
 
-def timings_line(utt_id: str, words: list[WordTiming]) -> str:
+def timings_line(utt_id: str, words: WordTimes) -> str:
     """One utterance's record of a timings file, newline included; word
     texts are written as they are, not as ASCII escapes."""
-    words = [{"w": w.word, "start_ms": w.start_ms, "end_ms": w.end_ms} for w in words]
+    words = [{"w": w, "start_ms": start, "end_ms": end}
+             for w, start, end in zip(words.texts, *words.times.tolist())]
     return json.dumps({"utt": utt_id, "words": words}, ensure_ascii=False) + "\n"
 
 
-def write_timings_jsonl(path: str | Path, timings: dict[str, list[WordTiming]]) -> None:
+def write_timings_jsonl(path: str | Path, timings: dict[str, WordTimes]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for utt_id, words in timings.items():
             handle.write(timings_line(utt_id, words))

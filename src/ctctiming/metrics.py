@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -14,18 +14,6 @@ from .ctc import BLANK_ID, TokenSpan
 
 def _norm(word: str) -> str:
     return unicodedata.normalize("NFC", word)
-
-
-@dataclass(frozen=True)
-class MatchedPair:
-    """Hypothesis/reference word pair from an equal-text alignment slot.
-
-    The two words are equal after NFC by construction: match_words builds
-    pairs only from edit_align's equal-text slots.
-    """
-
-    hyp: WordTiming
-    ref: WordTiming
 
 
 @dataclass
@@ -145,18 +133,13 @@ def edit_distance(hyp_words: list[str], ref_words: list[str]) -> int:
 
 
 def _pairings(
-    hyp: dict[str, Sequence[WordTiming]], ref: dict[str, Sequence[WordTiming]]
-) -> tuple[list[tuple[Sequence, Sequence, list[tuple[int, int]]]], int, int]:
+    hyp: dict[str, WordTimes], ref: dict[str, WordTimes]
+) -> tuple[list[tuple[WordTimes, WordTimes, list[tuple[int, int]]]], int, int]:
     """edit_align's equal-text index pairs of every reference utterance that
-    `hyp` has, in `ref` order, each with both utterances' words as given:
+    `hyp` has, in `ref` order, each with both utterances' words:
     (hyp words, ref words, pairs). Returns them with n_hyp and n_ref; an
     utterance missing from `hyp` adds its reference words to n_ref and
     nothing else."""
-    from .boundary import WordTimes  # here: boundary imports this module
-
-    def texts(words):
-        return words.texts if isinstance(words, WordTimes) else [w.word for w in words]
-
     matched = []
     n_hyp = n_ref = 0
     for utt, ref_words in ref.items():
@@ -165,43 +148,23 @@ def _pairings(
         if hyp_words is None:
             continue
         n_hyp += len(hyp_words)
-        matched.append((hyp_words, ref_words, edit_align(texts(hyp_words), texts(ref_words))))
+        matched.append((hyp_words, ref_words, edit_align(hyp_words.texts, ref_words.texts)))
     return matched, n_hyp, n_ref
 
 
-def _times(utterances: list[Sequence[WordTiming]]) -> np.ndarray:
-    """The (2, N) start and end rows of every word of the utterances, in
-    order: WordTimes columns are joined, other words read in one pass."""
-    from .boundary import WordTimes
-
-    if all(isinstance(words, WordTimes) for words in utterances):
-        return np.concatenate([np.empty((2, 0)), *(words.times for words in utterances)], axis=1)
-    rows = [(w.start_ms, w.end_ms) for words in utterances for w in words]
-    return np.array(rows, dtype=np.float64).reshape(-1, 2).T
-
-
-def match_words(
-    hyp: dict[str, Sequence[WordTiming]], ref: dict[str, Sequence[WordTiming]]
-) -> tuple[list[MatchedPair], int, int]:
-    """Equal-text word pairs of every reference utterance, in `ref` order.
-
-    Returns (pairs, n_hyp, n_ref). An utterance missing from `hyp` adds its
-    reference words to n_ref and nothing else.
-    """
-    matched, n_hyp, n_ref = _pairings(hyp, ref)
-    pairs = [MatchedPair(hyp_words[hid], ref_words[rid])
-             for hyp_words, ref_words, ids in matched for hid, rid in ids]
-    return pairs, n_hyp, n_ref
+def _times(utterances: list[WordTimes]) -> np.ndarray:
+    """The (2, N) start and end rows of every word of the utterances, in order."""
+    return np.concatenate([np.empty((2, 0)), *(words.times for words in utterances)], axis=1)
 
 
 def _matched_times(
-    hyp: dict[str, Sequence[WordTiming]], ref: dict[str, Sequence[WordTiming]]
+    hyp: dict[str, WordTimes], ref: dict[str, WordTimes]
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """The times of match_words' pairs, in its order, read off the words'
-    columns without building a pair: (hyp times, ref times, n_hyp, n_ref),
-    each times array (2, n) with the starts and the ends as rows. The pairs
-    index the words of all matched utterances at once, so the numpy calls
-    do not grow with the number of utterances."""
+    """The times of _pairings' matched words, in its order, read off the
+    words' columns: (hyp times, ref times, n_hyp, n_ref), each times array
+    (2, n) with the starts and the ends as rows. The pairs index the words
+    of all matched utterances at once, so the numpy calls do not grow with
+    the number of utterances."""
     matched, n_hyp, n_ref = _pairings(hyp, ref)
     hids, rids = [], []
     n_hyp_words = n_ref_words = 0
@@ -215,39 +178,28 @@ def _matched_times(
     return hyp_times, ref_times, n_hyp, n_ref
 
 
-def _pair_times(pairs: list[MatchedPair]) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs' hypothesis and reference times in ms, read in one pass:
-    two (2, n) arrays whose rows are the starts and the ends."""
-    rows = [(p.hyp.start_ms, p.hyp.end_ms, p.ref.start_ms, p.ref.end_ms) for p in pairs]
-    times = np.array(rows, dtype=np.float64).reshape(-1, 4).T.copy()
-    return times[:2], times[2:]
-
-
 def timing_metrics(
-    pairs: list[MatchedPair],
-    thresholds_ms: list[float],
-    n_hyp: int | None = None,
-    n_ref: int | None = None,
+    hyp: dict[str, WordTimes], ref: dict[str, WordTimes], thresholds_ms: list[float]
 ) -> MetricsReport:
-    """Offset statistics over matched pairs.
+    """Offset statistics over the words edit_align matches in every reference
+    utterance that `hyp` has, in `ref` order.
 
     Deltas are mean absolute start/end differences; pct_ws[t] is the
-    percentage of pairs with |start delta| strictly below t (same for ends).
-    Signed means (hyp - ref) are kept as a diagnostic.
+    percentage of matched words with |start delta| strictly below t (same
+    for ends). Signed means (hyp - ref) are kept as a diagnostic. n_hyp
+    counts the words of the hypothesis utterances that have a reference,
+    n_ref every reference word.
     """
-    return _times_report(*_pair_times(pairs), n_hyp, n_ref, thresholds_ms)
+    return _times_report(*_matched_times(hyp, ref), thresholds_ms)
 
 
 def _times_report(
-    hyp: np.ndarray, ref: np.ndarray, n_hyp: int | None, n_ref: int | None,
-    thresholds_ms: list[float],
+    hyp: np.ndarray, ref: np.ndarray, n_hyp: int, n_ref: int, thresholds_ms: list[float],
 ) -> MetricsReport:
     """timing_metrics on the (start, end) rows of the matched words' times, as
-    _pair_times and _matched_times give them."""
+    _matched_times gives them."""
     n = hyp.shape[1]
-    report = MetricsReport(
-        n_matched=n, n_hyp=n if n_hyp is None else n_hyp, n_ref=n if n_ref is None else n_ref
-    )
+    report = MetricsReport(n_matched=n, n_hyp=n_hyp, n_ref=n_ref)
     if not n:
         return report
     d_start, d_end = hyp - ref
@@ -265,52 +217,50 @@ def _times_report(
 
 
 def peak_items(
-    spans: list[TokenSpan], word_map: WordMap, ref_words: list[WordTiming], frame_ms: float
-) -> list[tuple[float, WordTiming]]:
-    """(peak_ms, reference word) for every piece of every matched word.
+    spans: list[TokenSpan], word_map: WordMap, ref_words: WordTimes, frame_ms: float
+) -> np.ndarray:
+    """A (3, n) array over every piece of every matched word: its peak time
+    in ms, and the start and end of its reference word.
 
     The word map's words are paired with the reference words by edit_align,
     so a reference transcript that differs from the aligned one scores only
     its equal-text words; on the aligned transcript itself the pairing is the
     identity.
     """
-    ref_words = list(ref_words)  # a WordTimes builds each of its words once, here
-    items = []
-    for wid, rid in edit_align(word_map.texts(), [w.word for w in ref_words]):
+    pieces, rids = [], []
+    for wid, rid in edit_align(word_map.texts(), ref_words.texts):
         _, first, last = word_map.words[wid]
-        for span in spans[first : last + 1]:
-            items.append((span.peak_frame * frame_ms, ref_words[rid]))
-    return items
+        pieces += range(first, last + 1)
+        rids += [rid] * (last + 1 - first)
+    peaks = np.array([spans[u].peak_frame for u in pieces], dtype=np.float64) * frame_ms
+    return np.vstack((peaks, ref_words.times[:, rids]))
 
 
 def peak_histogram(
-    items: list[tuple[float, WordTiming]],
+    items: list[np.ndarray],
     n_bins: int,
     value_range: tuple[float, float] = (-1.0, 2.0),
 ) -> PeakHistogram:
     """Distribution of peak position relative to the reference word.
 
-    Each item is (peak_ms, reference word timing); the relative position is
-    (peak - ref.start) / ref.duration, so 0 sits at the word start and 1 at
-    its end. Zero-duration references are skipped and counted. Values outside
-    value_range land in the edge bins so every scored item is counted.
+    items are peak_items' arrays, one per utterance; each piece's relative
+    position is (peak - ref start) / (ref end - ref start), so 0 sits at the
+    word start and 1 at its end. Zero-duration references are skipped and
+    counted. Values outside value_range land in the edge bins so every
+    scored item is counted.
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     lo, hi = value_range
     if not lo < hi:
         raise ValueError(f"empty histogram range [{lo}, {hi}]")
-    rel = []
-    skipped = 0
-    for peak_ms, ref in items:
-        if ref.duration_ms <= 0:
-            skipped += 1
-            continue
-        rel.append((peak_ms - ref.start_ms) / ref.duration_ms)
-    values = np.asarray(rel)
+    peak, start, end = np.concatenate([np.empty((3, 0)), *items], axis=1)
+    duration = end - start
+    scored = duration > 0
+    values = (peak[scored] - start[scored]) / duration[scored]
     counts, edges = np.histogram(np.clip(values, lo, hi), bins=n_bins, range=(lo, hi))
     mean = float(values.mean()) if len(values) else None
-    return PeakHistogram(counts, edges, mean, len(values), skipped)
+    return PeakHistogram(counts, edges, mean, len(values), len(peak) - len(values))
 
 
 def blank_occupancy(posteriors: np.ndarray) -> float:

@@ -23,7 +23,7 @@ from .boundary import (
     CetcParams,
     GuidedTargets,
     WordMap,
-    WordTiming,
+    WordTimes,
     cetc_boundaries,
     cetc_guided_targets,
     gridsearch_offset,
@@ -41,7 +41,7 @@ from .ctc import (
     ctc_grad_batch,
     log_softmax_rows,
 )
-from .metrics import _matched_times, _times_report, blank_occupancy, peak_histogram, peak_items
+from .metrics import blank_occupancy, peak_histogram, peak_items, timing_metrics
 from .pfr import PfrParams, pfr_loss_grad
 
 log = logging.getLogger(__name__)
@@ -105,7 +105,7 @@ class SynthUtterance:
     features_hi: np.ndarray
     labels: LabelSequence
     word_map: WordMap
-    ref_timings: list[WordTiming]
+    ref_timings: WordTimes
 
     @property
     def n_frames(self) -> int:
@@ -437,7 +437,7 @@ def _align_corpus(
     return aligned
 
 
-def _word_timings(aligned: dict, offset_ms: float = 0.0) -> dict[str, list[WordTiming]]:
+def _word_timings(aligned: dict, offset_ms: float = 0.0) -> dict[str, WordTimes]:
     return {
         utt.utt_id: words_from_spans(spans, utt.word_map, FRAME_MS, offset_ms, utt.n_frames)
         for utt, spans in aligned.items()
@@ -522,7 +522,7 @@ def predict_timings(
     corpus: list[SynthUtterance],
     gamma_inf: float,
     offset_ms: float = 0.0,
-) -> dict[str, list[WordTiming]]:
+) -> dict[str, WordTimes]:
     """Forced-alignment word timings for every utterance (oracle transcript).
 
     Utterances with no valid path are skipped with a warning and omitted.
@@ -530,8 +530,8 @@ def predict_timings(
     return _word_timings(_align_corpus(clf, corpus, gamma_inf), offset_ms)
 
 
-def reference_timings(corpus: list[SynthUtterance]) -> dict[str, list[WordTiming]]:
-    return {utt.utt_id: list(utt.ref_timings) for utt in corpus}
+def reference_timings(corpus: list[SynthUtterance]) -> dict[str, WordTimes]:
+    return {utt.utt_id: utt.ref_timings for utt in corpus}
 
 
 def pfr_corpus_spec() -> CorpusSpec:
@@ -562,12 +562,12 @@ def _sweep_scores(
     subset of corpus), the offset search and the peak histogram."""
     aligned = _align_corpus(clf, corpus, gamma_inf)
     pred = _word_timings(aligned)
-    report = _times_report(*_matched_times(pred, reference_timings(heldout)), list(thresholds))
+    report = timing_metrics(pred, reference_timings(heldout), list(thresholds))
     offset, _, _ = gridsearch_offset(
         pred, reference_timings(corpus), OFFSET_RANGE, OFFSET_STEP, OFFSET_THRESHOLD
     )
-    items = [item for utt, spans in aligned.items()
-             for item in peak_items(spans, utt.word_map, utt.ref_timings, FRAME_MS)]
+    items = [peak_items(spans, utt.word_map, utt.ref_timings, FRAME_MS)
+             for utt, spans in aligned.items()]
     hist = peak_histogram(items, 10, (-1.0, 2.0))
     row = {
         "ave_st_ms": report.ave_st_delta_ms,

@@ -4,15 +4,18 @@ Everything here is deliberately brute-force: path enumeration instead of
 forward-backward, central finite differences instead of analytic gradients,
 a plain DP for edit distance. None of it shares code with the package,
 except gridsearch_rebuilt, which checks the offset search's arrays against
-the package's own word-timing objects, and the object path of scoring
-(read_timings_objects to object_gridsearch_offset), which scores word
-timings as one WordTiming per word and one MatchedPair per matched word.
+word-timing objects scored by the package's timing_metrics, and the object
+path of scoring (read_timings_objects to object_gridsearch_offset), which
+scores word timings as one WordTiming per word and one WordPair per matched
+word.
 """
 from __future__ import annotations
 
 import itertools
 import unicodedata
+from dataclasses import replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -257,27 +260,29 @@ def edit_align_cellwise(hyp_words: list[str], ref_words: list[str]) -> list[tupl
 
 def gridsearch_rebuilt(pred, ref, range_ms, step_ms, threshold_ms):
     """gridsearch_offset from word-timing objects: each offset b is scored by
-    the package's timing_metrics over the matched pairs with every hypothesis
-    word rebuilt as WordTiming(w, max(s + b, 0), max(e + b, 0)).
+    the package's timing_metrics over the matched pairs, as one utterance of
+    their reference words against one of their hypothesis words, each rebuilt
+    as WordTiming(w, max(s + b, 0), max(e + b, 0)). The report keeps the
+    word counts of pred and ref.
 
     Returns (best offset, its report, curve); the best offset has the highest
     %WS<t + %WE<t, then the smallest |b|, then the smaller b.
     """
-    from ctctiming.boundary import WordTiming, offset_count
-    from ctctiming.metrics import MatchedPair, match_words, timing_metrics
+    from ctctiming.boundary import WordTimes, WordTiming, offset_count
+    from ctctiming.metrics import timing_metrics
 
     common = sorted(set(pred) & set(ref))
-    matched, n_hyp, n_ref = match_words(pred, {utt: ref[utt] for utt in common})
+    matched, n_hyp, n_ref = object_match_words(pred, {utt: ref[utt] for utt in common})
+    ref_words = {"matched": WordTimes(p.ref for p in matched)}
 
     def report_at(b: float):
-        pairs = [
-            MatchedPair(
-                WordTiming(p.hyp.word, max(p.hyp.start_ms + b, 0.0), max(p.hyp.end_ms + b, 0.0)),
-                p.ref,
-            )
+        hyp_words = WordTimes(
+            WordTiming(p.hyp.word, max(p.hyp.start_ms + b, 0.0), max(p.hyp.end_ms + b, 0.0))
             for p in matched
-        ]
-        return timing_metrics(pairs, [threshold_ms], n_hyp=n_hyp, n_ref=n_ref)
+        )
+        report = timing_metrics({"matched": hyp_words}, ref_words, [threshold_ms])
+        assert report.n_matched == len(matched)
+        return replace(report, n_hyp=n_hyp, n_ref=n_ref)
 
     curve = []
     for k in range(offset_count(range_ms, step_ms)):
@@ -397,7 +402,14 @@ def token_spans_flatnonzero(
 # The object path of scoring, kept as the package had it before it scored
 # each utterance's words as columns: the outputs of `metrics` and
 # `gridsearch` must not change. It uses the package's edit_align, word and
-# report types and offset_count.
+# report types and offset_count, and a pair type of its own.
+
+class WordPair(NamedTuple):
+    """A hypothesis word and the reference word edit_align matched it to."""
+
+    hyp: object
+    ref: object
+
 
 def read_timings_objects(path) -> dict:
     """A timings JSONL file as one WordTiming per word, read line by line."""
@@ -417,7 +429,9 @@ def read_timings_objects(path) -> dict:
 
 
 def object_match_words(hyp, ref):
-    from ctctiming.metrics import MatchedPair, edit_align
+    """(WordPairs of every reference utterance that hyp has, in ref order,
+    n_hyp, n_ref) over sequences of WordTimings."""
+    from ctctiming.metrics import edit_align
 
     pairs = []
     n_hyp = n_ref = 0
@@ -428,7 +442,7 @@ def object_match_words(hyp, ref):
             continue
         n_hyp += len(hyp_words)
         for hid, rid in edit_align([w.word for w in hyp_words], [w.word for w in ref_words]):
-            pairs.append(MatchedPair(hyp_words[hid], ref_words[rid]))
+            pairs.append(WordPair(hyp_words[hid], ref_words[rid]))
     return pairs, n_hyp, n_ref
 
 

@@ -3,12 +3,13 @@
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they
 complete. The synthetic sweeps are session fixtures shared across criteria.
 """
+import hashlib
 import time
 
 import numpy as np
 import pytest
 
-from ctctiming.boundary import WordTiming
+from ctctiming.boundary import WordTimes, WordTiming
 from ctctiming.ctc import (
     LabelSequence,
     LogitMatrix,
@@ -20,7 +21,7 @@ from ctctiming.ctc import (
     prior_ctc_grad,
 )
 from ctctiming.boundary import GuidedTargets, guided_ce_grad
-from ctctiming.metrics import MatchedPair, edit_distance, match_words, timing_metrics
+from ctctiming.metrics import edit_distance, timing_metrics
 from ctctiming.pfr import PfrParams, pfr_loss_grad
 from ctctiming.synth import (
     Classifier,
@@ -82,8 +83,7 @@ def fusion_pair():
         config = TrainConfig(method="npc", fuse_features=fused)
         clf, _ = train(config, train_split, n_classes=CorpusSpec().vocab_size + 1)
         pred = predict_timings(clf, heldout, gamma_inf=1.0)
-        pairs, n_hyp, n_ref = match_words(pred, reference_timings(heldout))
-        reports[fused] = timing_metrics(pairs, [20.0, 80.0], n_hyp=n_hyp, n_ref=n_ref)
+        reports[fused] = timing_metrics(pred, reference_timings(heldout), [20.0, 80.0])
     return reports
 
 
@@ -248,8 +248,8 @@ def test_criterion_5_timing_ordering(gamma_sweep, fusion_pair):
 def test_criterion_6_offset_recovery(npc_predictions, gamma_sweep, tmp_path, capsys):
     pred, ref = npc_predictions
     shifted = {
-        utt: [WordTiming(w.word, max(w.start_ms - 40.0, 0.0), max(w.end_ms - 40.0, 0.0))
-              for w in words]
+        utt: WordTimes(WordTiming(w.word, max(w.start_ms - 40.0, 0.0), max(w.end_ms - 40.0, 0.0))
+                       for w in words)
         for utt, words in pred.items()
     }
     dataio.write_timings_jsonl(tmp_path / "hyp.jsonl", shifted)
@@ -287,15 +287,13 @@ def test_criterion_7_pfr_peak_delay(pfr_sweep):
 
 
 def test_criterion_8_metrics_exactness():
-    perfect = [
-        MatchedPair(WordTiming("a", 100, 200), WordTiming("a", 100, 200)),
-        MatchedPair(WordTiming("b", 300, 450), WordTiming("b", 300, 450)),
-    ]
-    r1 = timing_metrics(perfect, [80.0, 200.0])
-    shifted = [MatchedPair(WordTiming("a", 200, 300), WordTiming("a", 100, 200))]
-    r2 = timing_metrics(shifted, [80.0, 200.0])
-    boundary = [MatchedPair(WordTiming("a", 180, 280), WordTiming("a", 100, 200))]
-    r3 = timing_metrics(boundary, [80.0])
+    def document(*words):
+        return {"u": WordTimes(WordTiming(*word) for word in words)}
+
+    perfect = document(("a", 100, 200), ("b", 300, 450))
+    r1 = timing_metrics(perfect, perfect, [80.0, 200.0])
+    r2 = timing_metrics(document(("a", 200, 300)), document(("a", 100, 200)), [80.0, 200.0])
+    r3 = timing_metrics(document(("a", 180, 280)), document(("a", 100, 200)), [80.0])
     exact = (
         r1.ave_st_delta_ms == 0.0 and r1.pct_ws[80.0] == 100.0
         and r2.ave_st_delta_ms == 100.0 and r2.ave_ed_delta_ms == 100.0
@@ -328,3 +326,12 @@ def test_criterion_9_determinism(gamma_sweep, pfr_sweep):
         f"gamma csv {len(gamma_csv)}B identical: {gamma_csv == gamma_again}, "
         f"pfr csv {len(pfr_csv)}B identical: {pfr_csv == pfr_again}",
     )
+
+
+def test_default_sweep_csvs_pinned(gamma_sweep, pfr_sweep):
+    """The default sweeps' CSVs, byte for byte (md5 of the UTF-8 text). A
+    change that moves them, even in low bits, updates these digests and
+    records the CSVs before and after it."""
+    digests = [hashlib.md5(sweep_rows_to_csv(rows).encode("utf-8")).hexdigest()
+               for rows, _ in (gamma_sweep, pfr_sweep)]
+    assert digests == ["0a1a2e6b865c84321138ebe6d7b66b41", "4c656170a996f64bbb9715091c933d33"]

@@ -1,6 +1,6 @@
 import math
+import os
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from ctctiming.boundary import (
     CetcParams,
     GuidedTargets,
     WordMap,
+    WordTimes,
     WordTiming,
     cetc_boundaries,
     cetc_guided_targets,
@@ -20,9 +21,11 @@ from ctctiming.boundary import (
     words_from_spans,
 )
 from ctctiming.ctc import LabelSequence, LogitMatrix, TokenSpan
-from ctctiming.metrics import MatchedPair, match_words
+from ctctiming.synth import (Classifier, CorpusSpec, _sweep_scores, generate_corpus,
+                             split_corpus)
 
-from oracles import central_difference_grad, grad_relative_error, gridsearch_rebuilt, log_softmax
+from oracles import (central_difference_grad, grad_relative_error, gridsearch_rebuilt,
+                     log_softmax, object_match_words)
 
 
 def span(u, start, end, peak=None):
@@ -188,6 +191,52 @@ class TestWordsFromSpans:
                 assert math.isclose(wb.start_ms - wa.start_ms, delta)
                 assert math.isclose(wb.end_ms - wa.end_ms, delta)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_columns_equal_the_per_word_rule(self, seed):
+        """The columns hold, bit for bit, what one WordTiming per word gets
+        from float arithmetic on each word's spans, clamped as
+        min(max(t, 0), n_frames * frame_ms)."""
+        rng = np.random.default_rng(seed)
+        n_pieces = int(rng.integers(1, 30))
+        edges = np.cumsum(rng.integers(0, 5, size=2 * n_pieces))
+        spans = [span(u, int(edges[2 * u]), int(edges[2 * u + 1])) for u in range(n_pieces)]
+        cuts = sorted(set(rng.integers(1, n_pieces + 1, size=4).tolist()) | {n_pieces})
+        word_map = WordMap(tuple((f"w{k}", a, b - 1)
+                                 for k, (a, b) in enumerate(zip([0] + cuts, cuts))))
+        frame_ms = float(rng.choice([10.0, 20.0, 40.0, 33.3]))
+        n_frames = int(edges[-1]) + 1 - int(rng.integers(0, 3))
+        for offset_ms in (0.0, -55.5, 17.25, float(rng.uniform(-500, 500))):
+            for frames in (n_frames, None):
+                hi = float("inf") if frames is None else frames * frame_ms
+                want = []
+                for word, first, last in word_map.words:
+                    start = spans[first].start_frame * frame_ms + offset_ms
+                    end = (spans[last].end_frame + 1) * frame_ms + offset_ms
+                    want.append((word, min(max(start, 0.0), hi), min(max(end, 0.0), hi)))
+                words = words_from_spans(spans, word_map, frame_ms, offset_ms, frames)
+                assert isinstance(words, WordTimes)
+                assert words.times.dtype == np.float64 and not words.times.flags.writeable
+                assert list(zip(words.texts, *words.times.tolist())) == want
+
+    def test_bad_spans_raise_the_word_error(self):
+        """Spans whose word would end before it starts raise WordTiming's error."""
+        spans = [span(0, 5, 5), span(1, 1, 1)]
+        with pytest.raises(ValueError, match=re.escape("'ab': need 0 <= start <= end < inf")):
+            words_from_spans(spans, WordMap((("ab", 0, 1),)), 10.0)
+
+
+class TestWordTimes:
+    def test_sequence_view(self):
+        words = WordTimes([WordTiming("a", 0.0, 10.0), WordTiming("b", 10.0, 25.0),
+                           WordTiming("c", 30.0, 30.0)])
+        assert words[1] == WordTiming("b", 10.0, 25.0) and words[-1].word == "c"
+        assert words[1:] == [WordTiming("b", 10.0, 25.0), WordTiming("c", 30.0, 30.0)]
+        tail = words[::2]
+        assert isinstance(tail, WordTimes) and tail.texts == ("a", "c")
+        assert tail.times.tolist() == [[0.0, 30.0], [10.0, 30.0]]
+        assert not tail.times.flags.writeable
+        assert words[3:] == [] and len(words[3:]) == 0
+
 
 class TestWordMap:
     def test_gap_rejected(self):
@@ -243,9 +292,9 @@ class TestWordTiming:
 
 
 def make_timings(words, starts, duration=100.0):
-    return [
+    return WordTimes(
         WordTiming(w, float(s), float(s) + duration) for w, s in zip(words, starts)
-    ]
+    )
 
 
 def edited_documents(seed, n_utts=4):
@@ -264,7 +313,7 @@ def edited_documents(seed, n_utts=4):
         starts = np.cumsum(rng.integers(0, 120, size=n)).astype(float)
         starts -= starts[0]
         ends = starts + rng.integers(0, 200, size=n)
-        ref[f"u{u}"] = [WordTiming(w, s, e) for w, s, e in zip(words, starts, ends)]
+        ref[f"u{u}"] = WordTimes(WordTiming(w, s, e) for w, s, e in zip(words, starts, ends))
         hyp = []
         for w, s, e in zip(words, starts, ends):
             edit = rng.random()
@@ -272,7 +321,7 @@ def edited_documents(seed, n_utts=4):
                 continue
             shift = max(float(rng.integers(-60, 61)), -s)
             hyp.append(WordTiming("x" if edit < 0.12 else w, s + shift, e + shift))
-        pred[f"u{u}"] = hyp
+        pred[f"u{u}"] = WordTimes(hyp)
     return pred, ref
 
 
@@ -298,7 +347,7 @@ class TestGridsearchOffset:
         clamped = tied = tied_best = 0
         for seed in range(12):
             pred, ref = edited_documents(seed)
-            matched, _, _ = match_words(pred, ref)
+            matched, _, _ = object_match_words(pred, ref)
             clamped += any(p.hyp.start_ms - 150.0 < 0.0 for p in matched)
             _, _, curve = gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
             scores = [score for _, score in curve]
@@ -306,25 +355,45 @@ class TestGridsearchOffset:
             tied_best += scores.count(max(scores)) > 1
         assert clamped == 12 and tied == 12 and tied_best >= 3
 
-    def test_builds_no_word_objects_beyond_match_words(self, tmp_path, monkeypatch, capsys):
-        """Matching and scoring read the words' time columns: gridsearch_offset,
-        `metrics` and `gridsearch` build no WordTiming and no MatchedPair."""
+    def test_builds_no_word_objects(self, tmp_path, monkeypatch, capsys):
+        """Alignment, matching and scoring produce and read word-time columns:
+        on valid input gridsearch_offset, `align`, `analyze-peaks`, `metrics`,
+        `gridsearch`, `synth eval` and the sweeps' scoring build no WordTiming."""
         pred, ref = edited_documents(0)
         dataio.write_timings_jsonl(tmp_path / "hyp.jsonl", pred)
         dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)
         files = ["--hyp", str(tmp_path / "hyp.jsonl"), "--ref", str(tmp_path / "ref.jsonl")]
-        built = Counter()
-        for cls in (WordTiming, MatchedPair):
-            def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-                built[_name] += 1
-                _init(self, *args, **kwargs)
-            monkeypatch.setattr(cls, "__init__", counting_init)
+        spec = CorpusSpec(n_utts=10, vocab_size=4, words_per_utt=(1, 3), seed=11)
+        corpus = generate_corpus(spec)
+        clf = Classifier.init(corpus[0].features_hi.shape[1], 8, spec.vocab_size + 1, seed=0)
+        corpus_dir = tmp_path / "corpus"
+        assert cli.main(["synth", "gen", "--n-utts", "6", "--out-dir", str(corpus_dir)]) == 0
+        dataio.save_classifier(tmp_path / "m.npz", Classifier.init(
+            corpus[0].features_hi.shape[1], 8, CorpusSpec().vocab_size + 1, seed=0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # count in this process
+        built = []
+        init = WordTiming.__init__
+        monkeypatch.setattr(WordTiming, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+
         _, report, _ = gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
         assert report.n_matched > 0
         assert cli.main(["metrics", *files]) == 0
         assert cli.main(["gridsearch", *files, "--out", str(tmp_path / "curve.csv")]) == 0
         assert "ST " in capsys.readouterr().out
-        assert dict(built) == {}
+        assert cli.main(["synth", "eval", "--corpus-dir", str(corpus_dir),
+                         "--model", str(tmp_path / "m.npz"),
+                         "--dump-logits", str(tmp_path / "logits.jsonl")]) == 0
+        align = ["--logits", str(tmp_path / "logits.jsonl"),
+                 "--labels", str(corpus_dir / "labels.jsonl")]
+        assert cli.main(["align", *align, "--vocab", str(corpus_dir / "vocab.txt"),
+                         "--out", str(tmp_path / "aligned.jsonl")]) == 0
+        assert cli.main(["analyze-peaks", *align, "--ref", str(corpus_dir / "ref_timings.jsonl"),
+                         "--out", str(tmp_path / "hist.csv")]) == 0
+        assert "scored " in capsys.readouterr().out
+        row = _sweep_scores(clf, corpus, split_corpus(corpus)[1], 1.0, (20.0, 80.0))
+        assert row["mean_peak_rel"] is not None
+        assert built == []
 
     def test_recovers_injected_bias(self):
         # 40 ms early with +/-10 ms jitter: only +40 centers every word

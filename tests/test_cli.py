@@ -18,8 +18,7 @@ from ctctiming.boundary import WordTimes, WordTiming, gridsearch_offset
 from ctctiming.cli import main
 from ctctiming.ctc import LabelSequence, LogitMatrix, align_spans
 from ctctiming.boundary import WordMap, words_from_spans
-from ctctiming.metrics import (_matched_times, _times_report, match_words, peak_histogram,
-                               peak_items)
+from ctctiming.metrics import _matched_times, peak_histogram, peak_items, timing_metrics
 from ctctiming.synth import (
     FRAME_MS,
     CorpusSpec,
@@ -32,6 +31,10 @@ from ctctiming.synth import (
 
 from oracles import (object_gridsearch_offset, object_match_words, object_metrics,
                      object_pair_times, object_times_report, read_timings_objects)
+
+
+def one_word(text, start_ms, end_ms):
+    return WordTimes([WordTiming(text, start_ms, end_ms)])
 
 
 def write_fixture(tmp_path):
@@ -61,7 +64,7 @@ def write_fixture(tmp_path):
                 piece += 1
         mats.append(LogitMatrix(utt, logits + 0.01 * rng.normal(size=logits.shape), FRAME_MS))
         labels_items.append((utt, LabelSequence(tuple(tokens)), WordMap(tuple(words))))
-        ref[utt] = timings
+        ref[utt] = WordTimes(timings)
     dataio.write_logits_jsonl(tmp_path / "logits.jsonl", mats)
     dataio.write_labels_jsonl(tmp_path / "labels.jsonl", labels_items)
     dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)
@@ -332,22 +335,22 @@ class TestAlign:
 
 class TestMetricsCommand:
     def test_id_mismatch_exit_2(self, tmp_path, capsys):
-        dataio.write_timings_jsonl(tmp_path / "a.jsonl", {"u1": [WordTiming("x", 0, 10)]})
-        dataio.write_timings_jsonl(tmp_path / "b.jsonl", {"u2": [WordTiming("x", 0, 10)]})
+        dataio.write_timings_jsonl(tmp_path / "a.jsonl", {"u1": one_word("x", 0, 10)})
+        dataio.write_timings_jsonl(tmp_path / "b.jsonl", {"u2": one_word("x", 0, 10)})
         rc = main(["metrics", "--hyp", str(tmp_path / "a.jsonl"),
                    "--ref", str(tmp_path / "b.jsonl")])
         assert rc == 2
         assert "u2" in capsys.readouterr().err
 
     def test_directory_path_exit_2(self, tmp_path, capsys):
-        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"u": [WordTiming("x", 0, 10)]})
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"u": one_word("x", 0, 10)})
         rc = main(["metrics", "--hyp", str(tmp_path), "--ref", str(tmp_path / "ref.jsonl")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_constructed_shift(self, tmp_path):
-        ref = {"u": [WordTiming("a", 100.0, 200.0)]}
-        hyp = {"u": [WordTiming("a", 200.0, 300.0)]}
+        ref = {"u": one_word("a", 100.0, 200.0)}
+        hyp = {"u": one_word("a", 200.0, 300.0)}
         dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)
         dataio.write_timings_jsonl(tmp_path / "hyp.jsonl", hyp)
         rc = main(["metrics", "--hyp", str(tmp_path / "hyp.jsonl"),
@@ -361,7 +364,7 @@ class TestMetricsCommand:
         assert report["pct_ws"]["200.0"] == 100.0
 
     def test_duplicate_hyp_utterance_exit_2(self, tmp_path, capsys):
-        words = [WordTiming("a", 100.0, 200.0)]
+        words = one_word("a", 100.0, 200.0)
         dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": words})
         line = (tmp_path / "ref.jsonl").read_text()
         (tmp_path / "hyp.jsonl").write_text(line + line)
@@ -373,7 +376,7 @@ class TestMetricsCommand:
         assert not (tmp_path / "m.json").exists()
 
     def test_too_large_integer_in_timings_exit_2(self, tmp_path, capsys):
-        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": [WordTiming("a", 0.0, 10.0)]})
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": one_word("a", 0.0, 10.0)})
         (tmp_path / "hyp.jsonl").write_text(
             '{"utt": "a", "words": [{"w": "a", "start_ms": 0, "end_ms": 1%s}]}\n' % ("0" * 400))
         rc = main(["metrics", "--hyp", str(tmp_path / "hyp.jsonl"),
@@ -383,12 +386,23 @@ class TestMetricsCommand:
         assert "hyp.jsonl:1: " in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_words_not_an_array_exit_2(self, tmp_path, capsys):
+        """An object in place of the words array is no empty utterance."""
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": one_word("a", 0.0, 10.0)})
+        (tmp_path / "hyp.jsonl").write_text('{"utt": "a", "words": {}}\n')
+        rc = main(["metrics", "--hyp", str(tmp_path / "hyp.jsonl"),
+                   "--ref", str(tmp_path / "ref.jsonl"), "--out", str(tmp_path / "m.json")])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert "hyp.jsonl:1: words must be a JSON array, got {}" in err
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("start, end", [
         ("0", "Infinity"), ("Infinity", "Infinity"), ("0", "NaN"), ("NaN", "10"),
     ])
     @pytest.mark.parametrize("command", ["metrics", "gridsearch"])
     def test_non_finite_time_exit_2(self, tmp_path, capsys, command, start, end):
-        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": [WordTiming("a", 0.0, 10.0)]})
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": one_word("a", 0.0, 10.0)})
         (tmp_path / "hyp.jsonl").write_text(
             '{"utt": "a", "words": [{"w": "a", "start_ms": %s, "end_ms": %s}]}\n' % (start, end))
         rc = main([command, "--hyp", str(tmp_path / "hyp.jsonl"),
@@ -401,7 +415,7 @@ class TestMetricsCommand:
     @pytest.mark.parametrize("word", ["5", "null", '["a"]'], ids=["int", "null", "list"])
     @pytest.mark.parametrize("command", ["metrics", "gridsearch"])
     def test_non_string_word_exit_2(self, tmp_path, capsys, command, word):
-        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": [WordTiming("a", 0.0, 10.0)]})
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": one_word("a", 0.0, 10.0)})
         (tmp_path / "hyp.jsonl").write_text(
             '{"utt": "a", "words": [{"w": %s, "start_ms": 0, "end_ms": 10}]}\n' % word)
         rc = main([command, "--hyp", str(tmp_path / "hyp.jsonl"),
@@ -420,7 +434,7 @@ class TestMetricsCommand:
     @pytest.mark.parametrize("command", ["metrics", "gridsearch"])
     def test_non_number_time_or_non_string_utt_exit_2(self, tmp_path, capsys, command,
                                                       start, end, utt, message):
-        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": [WordTiming("a", 0.0, 10.0)]})
+        dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"a": one_word("a", 0.0, 10.0)})
         (tmp_path / "hyp.jsonl").write_text(
             '{"utt": %s, "words": [{"w": "a", "start_ms": %s, "end_ms": %s}]}\n'
             % (utt, start, end))
@@ -436,9 +450,9 @@ class TestGridsearchCommand:
         rng = np.random.default_rng(1)
         starts = np.arange(10) * 500.0 + 300.0
         jitter = rng.choice([-10.0, 0.0, 10.0], size=10)
-        ref = {"u": [WordTiming(f"w{i}", s, s + 200.0) for i, s in enumerate(starts)]}
-        hyp = {"u": [WordTiming(f"w{i}", s - 40.0 + j, s + 160.0 + j)
-                     for i, (s, j) in enumerate(zip(starts, jitter))]}
+        ref = {"u": WordTimes([WordTiming(f"w{i}", s, s + 200.0) for i, s in enumerate(starts)])}
+        hyp = {"u": WordTimes([WordTiming(f"w{i}", s - 40.0 + j, s + 160.0 + j)
+                               for i, (s, j) in enumerate(zip(starts, jitter))])}
         dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)
         dataio.write_timings_jsonl(tmp_path / "hyp.jsonl", hyp)
         rc = main(["gridsearch", "--hyp", str(tmp_path / "hyp.jsonl"),
@@ -452,7 +466,7 @@ class TestGridsearchCommand:
         assert lines[0] == "offset_ms,score" and len(lines) == 42
 
     def test_identical_files_offset_zero(self, tmp_path, capsys):
-        ref = {"u": [WordTiming("a", 100.0, 300.0), WordTiming("b", 400.0, 600.0)]}
+        ref = {"u": WordTimes([WordTiming("a", 100.0, 300.0), WordTiming("b", 400.0, 600.0)])}
         dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)
         rc = main(["gridsearch", "--hyp", str(tmp_path / "ref.jsonl"),
                    "--ref", str(tmp_path / "ref.jsonl"),
@@ -463,7 +477,7 @@ class TestGridsearchCommand:
 
     @pytest.mark.parametrize("hyp_ids", [("u1",), ("u1", "u2", "u3")])
     def test_id_mismatch_exit_2(self, tmp_path, capsys, hyp_ids):
-        words = [WordTiming("a", 100.0, 300.0)]
+        words = one_word("a", 100.0, 300.0)
         dataio.write_timings_jsonl(tmp_path / "ref.jsonl", {"u1": words, "u2": words})
         dataio.write_timings_jsonl(tmp_path / "hyp.jsonl", {u: words for u in hyp_ids})
         rc = main(["gridsearch", "--hyp", str(tmp_path / "hyp.jsonl"),
@@ -491,7 +505,7 @@ def planted_documents(seed, n_utts=5):
         starts = np.cumsum(rng.integers(0, 150, size=n)).astype(float)
         ends = starts + rng.integers(0, 200, size=n)
         words = [types[t] for t in rng.integers(0, len(types), size=n)]
-        ref[f"u{u}"] = [WordTiming(w, s, e) for w, s, e in zip(words, starts, ends)]
+        ref[f"u{u}"] = WordTimes(WordTiming(w, s, e) for w, s, e in zip(words, starts, ends))
         hyp = []
         for w, s, e in zip(words, starts, ends):
             edit = rng.random()
@@ -506,13 +520,13 @@ def planted_documents(seed, n_utts=5):
             hyp.append(WordTiming(w, max(s + shift, 0.0), max(e + shift, 0.0)))
             if edit > 0.95:
                 hyp.append(WordTiming("ins", max(e + shift, 0.0), max(e + shift, 0.0) + 50.0))
-        pred[f"u{u}"] = hyp
+        pred[f"u{u}"] = WordTimes(hyp)
     return pred, ref
 
 
 class TestObjectPathIdentity:
     """`metrics` and `gridsearch` write what the object path of scoring (one
-    WordTiming per word, one MatchedPair per matched word) writes."""
+    WordTiming per word, one WordPair per matched word) writes."""
 
     THRESHOLDS = [20.0, 80.0, 200.0]
 
@@ -549,29 +563,28 @@ class TestObjectPathIdentity:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_library_with_an_utterance_missing(self, seed):
-        """gridsearch_offset, match_words and the report of _matched_times
-        equal the object path's when the hypothesis lacks an utterance, for
-        word lists and for the reader's columns alike."""
+        """gridsearch_offset, the matched times and timing_metrics equal the
+        object path's when the hypothesis lacks an utterance."""
         pred, ref = planted_documents(seed)
         del pred["u2"]
-        columns = {utt: WordTimes(words) for utt, words in pred.items()}
         want_best, want_report, want_curve = object_gridsearch_offset(
             pred, ref, (-150.0, 150.0), 10.0, 25.0)
         pairs, n_hyp, n_ref = object_match_words(pred, ref)
-        want_metrics = object_times_report(*object_pair_times(pairs), self.THRESHOLDS,
-                                           n_hyp, n_ref)
+        want_times = object_pair_times(pairs)
+        want_metrics = object_times_report(*want_times, self.THRESHOLDS, n_hyp, n_ref)
         assert n_ref > want_metrics.n_matched > 0
-        for hyp in (pred, columns):
-            best, report, curve = gridsearch_offset(hyp, ref, (-150.0, 150.0), 10.0, 25.0)
-            assert (best, report.to_dict(), curve) == (
-                want_best, want_report.to_dict(), want_curve)
-            assert match_words(hyp, ref) == (pairs, n_hyp, n_ref)
-            got = _times_report(*_matched_times(hyp, ref), self.THRESHOLDS)
-            assert got.to_dict() == want_metrics.to_dict()
+        best, report, curve = gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
+        assert (best, report.to_dict(), curve) == (want_best, want_report.to_dict(), want_curve)
+        hyp_times, ref_times, *counts = _matched_times(pred, ref)
+        assert np.array_equal(hyp_times, want_times[0])
+        assert np.array_equal(ref_times, want_times[1])
+        assert counts == [n_hyp, n_ref]
+        got = timing_metrics(pred, ref, self.THRESHOLDS)
+        assert got.to_dict() == want_metrics.to_dict()
 
     def test_nothing_to_score(self, tmp_path, capsys):
-        pred = {"u": [WordTiming("a", 0.0, 10.0)]}
-        ref = {"u": [WordTiming("b", 0.0, 10.0)]}
+        pred = {"u": one_word("a", 0.0, 10.0)}
+        ref = {"u": one_word("b", 0.0, 10.0)}
         with pytest.raises(ValueError) as want:
             object_gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
         with pytest.raises(ValueError) as got:
@@ -1017,7 +1030,7 @@ class TestSynthCommands:
         for utt in corpus:
             logits, _ = model_forward(clf, inputs_for(clf, utt), utt.utt_id)
             spans = align_spans(logits, utt.labels, 1.0)
-            items.extend(peak_items(spans, utt.word_map, utt.ref_timings, FRAME_MS))
+            items.append(peak_items(spans, utt.word_map, utt.ref_timings, FRAME_MS))
         hist = peak_histogram(items, 10, (-1.0, 2.0))
         assert hist.n_scored > 0
         assert capsys.readouterr().out == (
@@ -1044,7 +1057,7 @@ class TestSynthCommands:
         assert outputs[0] == outputs[1]
 
     def test_metrics_timestamp_toggle(self, tmp_path):
-        ref = {"u": [WordTiming("a", 100.0, 200.0)]}
+        ref = {"u": one_word("a", 100.0, 200.0)}
         dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)
         main(["metrics", "--hyp", str(tmp_path / "ref.jsonl"),
               "--ref", str(tmp_path / "ref.jsonl"), "--out", str(tmp_path / "m.json")])
@@ -1298,7 +1311,7 @@ def write_mixed_fixture(tmp_path, n_utts=40):
             words = WordMap(tuple((f"w{tok}", k, k) for k, tok in enumerate(tokens)))
             labels_items.append((utt, LabelSequence(tuple(tokens)), words))
         if utt != "u13":
-            ref[utt] = timings
+            ref[utt] = WordTimes(timings)
     dataio.write_logits_jsonl(tmp_path / "logits.jsonl", mats)
     dataio.write_labels_jsonl(tmp_path / "labels.jsonl", labels_items)
     dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)

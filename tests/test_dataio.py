@@ -181,7 +181,8 @@ class TestLabelsJsonl:
 class TestTimingsJsonl:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "timings.jsonl"
-        timings = {"u1": [WordTiming("hello", 10.0, 50.0), WordTiming("world", 60.0, 120.0)]}
+        timings = {"u1": WordTimes([WordTiming("hello", 10.0, 50.0),
+                                    WordTiming("world", 60.0, 120.0)])}
         dataio.write_timings_jsonl(path, timings)
         assert dataio.read_timings_jsonl(path) == timings
 
@@ -283,6 +284,20 @@ class TestTimingsColumns:
             dataio.read_timings_jsonl(path)
         assert str(err.value) == f"{path}:1: {message}"
 
+    @pytest.mark.parametrize("words, message", [
+        ("{}", "words must be a JSON array, got {}"),
+        ('""', "words must be a JSON array, got ''"),
+        ('{"w": 1}', "string indices must be integers"),
+    ], ids=["object-empty", "string-empty", "object"])
+    def test_words_not_an_array_rejected(self, tmp_path, words, message):
+        path = tmp_path / "timings.jsonl"
+        path.write_text('{"utt": "a", "words": []}\n{"utt": "b", "words": %s}\n' % words)
+        with pytest.raises(DataFormatError) as err:
+            dataio.read_timings_jsonl(path)
+        assert str(err.value).startswith(f"{path}:2: {message}")
+        path.write_text('{"utt": "a", "words": []}\n')
+        assert dataio.read_timings_jsonl(path) == {"a": []}
+
     def test_builds_no_word_objects(self, tmp_path, monkeypatch):
         path = tmp_path / "timings.jsonl"
         path.write_text(
@@ -365,9 +380,9 @@ class TestValueTypes:
         """JSON integers stay valid numbers, stored and written back as floats."""
         path = tmp_path / "timings.jsonl"
         path.write_text('{"utt": "u", "words": [{"w": "a", "start_ms": 0, "end_ms": 10}]}\n')
-        word = dataio.read_timings_jsonl(path)["u"][0]
-        assert (type(word.start_ms), type(word.end_ms)) == (float, float)
-        assert dataio.timings_line("u", [word]) == (
+        words = dataio.read_timings_jsonl(path)["u"]
+        assert (type(words[0].start_ms), type(words[0].end_ms)) == (float, float)
+        assert dataio.timings_line("u", words) == (
             '{"utt": "u", "words": [{"w": "a", "start_ms": 0.0, "end_ms": 10.0}]}\n')
         path.write_text('{"utt": "u", "frame_ms": 10, "frames": [[0, 1], [2, 3]]}\n')
         mat = next(dataio.iter_logits_jsonl(path))

@@ -4,13 +4,12 @@ import unicodedata
 import numpy as np
 import pytest
 
-from ctctiming.boundary import WordTiming
+from ctctiming.boundary import WordTimes, WordTiming
 from ctctiming.metrics import (
-    MatchedPair,
+    _matched_times,
     blank_occupancy,
     edit_align,
     edit_distance,
-    match_words,
     peak_histogram,
     timing_metrics,
 )
@@ -22,8 +21,24 @@ def timing(word, start, end):
     return WordTiming(word, float(start), float(end))
 
 
+def words(*items):
+    return WordTimes(timing(*item) for item in items)
+
+
 def pair(word, h_start, h_end, r_start, r_end):
-    return MatchedPair(timing(word, h_start, h_end), timing(word, r_start, r_end))
+    return (word, h_start, h_end), (word, r_start, r_end)
+
+
+def score(pairs, thresholds):
+    """timing_metrics over one utterance that holds the pairs' hypothesis
+    words against one that holds their reference words."""
+    hyp, ref = zip(*pairs) if pairs else ((), ())
+    return timing_metrics({"u": words(*hyp)}, {"u": words(*ref)}, thresholds)
+
+
+def peak_item(peak_ms, start, end):
+    """One piece's peak_items column: its peak and its reference word's times."""
+    return np.array([[peak_ms], [start], [end]], dtype=np.float64)
 
 
 def random_words(rng, max_len=10, vocab=("the", "cat", "sat", "on", "mat", "dog")):
@@ -197,32 +212,33 @@ class TestEditAlign:
         assert edit_align([composed], [decomposed]) == [(0, 0)]
 
 
-class TestMatchWords:
+class TestMatchedTimes:
     def test_pairs_and_counts_follow_ref(self):
-        ref = {"u2": [timing("a", 0, 10), timing("b", 10, 20)],
-               "u1": [timing("c", 0, 10)],
-               "u3": [timing("d", 0, 5)]}
-        hyp = {"u1": [timing("c", 1, 11), timing("x", 11, 12)],
-               "u2": [timing("b", 12, 22)],
-               "u4": [timing("e", 0, 1)]}
-        pairs, n_hyp, n_ref = match_words(hyp, ref)
-        assert [(p.hyp, p.ref) for p in pairs] == [
-            (hyp["u2"][0], ref["u2"][1]), (hyp["u1"][0], ref["u1"][0])
-        ]
+        ref = {"u2": words(("a", 0, 10), ("b", 10, 20)),
+               "u1": words(("c", 0, 10)),
+               "u3": words(("d", 0, 5))}
+        hyp = {"u1": words(("c", 1, 11), ("x", 11, 12)),
+               "u2": words(("b", 12, 22)),
+               "u4": words(("e", 0, 1))}
+        hyp_times, ref_times, n_hyp, n_ref = _matched_times(hyp, ref)
+        assert hyp_times.tolist() == [[12.0, 1.0], [22.0, 11.0]]
+        assert ref_times.tolist() == [[10.0, 0.0], [20.0, 10.0]]
         # u3 has no hypothesis: its reference words still count; u4 has no reference
         assert n_hyp == 3 and n_ref == 4
+        report = timing_metrics(hyp, ref, [5.0])
+        assert (report.n_matched, report.n_hyp, report.n_ref) == (2, 3, 4)
 
 
 class TestTimingMetrics:
     def test_perfect_predictions(self):
         pairs = [pair("a", 100, 200, 100, 200), pair("b", 300, 450, 300, 450)]
-        report = timing_metrics(pairs, [80.0, 200.0])
+        report = score(pairs, [80.0, 200.0])
         assert report.ave_st_delta_ms == 0.0 and report.ave_ed_delta_ms == 0.0
         assert report.pct_ws[80.0] == 100.0 and report.pct_we[200.0] == 100.0
 
     def test_hundred_ms_shift(self):
         pairs = [pair("a", 200, 300, 100, 200)]
-        report = timing_metrics(pairs, [80.0, 200.0])
+        report = score(pairs, [80.0, 200.0])
         assert report.ave_st_delta_ms == 100.0 and report.ave_ed_delta_ms == 100.0
         assert report.pct_ws[80.0] == 0.0 and report.pct_ws[200.0] == 100.0
         assert report.pct_we[80.0] == 0.0 and report.pct_we[200.0] == 100.0
@@ -230,11 +246,13 @@ class TestTimingMetrics:
 
     def test_boundary_equality_excluded(self):
         pairs = [pair("a", 180, 280, 100, 200)]
-        report = timing_metrics(pairs, [80.0])
+        report = score(pairs, [80.0])
         assert report.pct_ws[80.0] == 0.0 and report.pct_we[80.0] == 0.0
 
     def test_empty_pairs(self):
-        report = timing_metrics([], [80.0], n_hyp=3, n_ref=5)
+        hyp = {"u": words(*[("x", 0, 10)] * 3)}
+        ref = {"u": words(*[("y", 0, 10)] * 5)}
+        report = timing_metrics(hyp, ref, [80.0])
         assert report.n_matched == 0 and report.n_hyp == 3 and report.n_ref == 5
         assert report.ave_st_delta_ms is None and report.pct_ws == {}
 
@@ -246,8 +264,8 @@ class TestTimingMetrics:
             d1, d2 = rng.uniform(50, 200, size=2)
             pairs.append(pair("w", s1, s1 + d1, s2, s2 + d2))
             swapped.append(pair("w", s2, s2 + d2, s1, s1 + d1))
-        a = timing_metrics(pairs, [80.0])
-        b = timing_metrics(swapped, [80.0])
+        a = score(pairs, [80.0])
+        b = score(swapped, [80.0])
         assert a.ave_st_delta_ms == pytest.approx(b.ave_st_delta_ms)
         assert a.ave_ed_delta_ms == pytest.approx(b.ave_ed_delta_ms)
         assert a.signed_st_delta_ms == pytest.approx(-b.signed_st_delta_ms)
@@ -259,32 +277,32 @@ class TestTimingMetrics:
             start = rng.uniform(200, 500)
             pairs.append(pair("w", start + rng.normal(0, 60), start + 300, start, start + 280))
         thresholds = [10.0, 20.0, 50.0, 100.0, 300.0]
-        report = timing_metrics(pairs, thresholds)
+        report = score(pairs, thresholds)
         values = [report.pct_ws[t] for t in thresholds]
         assert values == sorted(values)
 
     def test_duration_means(self):
         pairs = [pair("a", 0, 100, 0, 150), pair("b", 200, 350, 200, 250)]
-        report = timing_metrics(pairs, [])
+        report = score(pairs, [])
         assert report.mean_hyp_duration_ms == pytest.approx(125.0)
         assert report.mean_ref_duration_ms == pytest.approx(100.0)
 
 
 class TestPeakHistogram:
     def test_peak_at_word_start(self):
-        hist = peak_histogram([(100.0, timing("w", 100, 300))], 4, (-1.0, 2.0))
+        hist = peak_histogram([peak_item(100.0, 100, 300)], 4, (-1.0, 2.0))
         assert hist.mean_rel_pos == 0.0
 
     def test_peak_at_midpoint(self):
-        hist = peak_histogram([(200.0, timing("w", 100, 300))], 4, (-1.0, 2.0))
+        hist = peak_histogram([peak_item(200.0, 100, 300)], 4, (-1.0, 2.0))
         assert hist.mean_rel_pos == 0.5
 
     def test_full_duration_early(self):
-        hist = peak_histogram([(0.0, timing("w", 200, 400))], 3, (-1.0, 2.0))
+        hist = peak_histogram([peak_item(0.0, 200, 400)], 3, (-1.0, 2.0))
         assert hist.mean_rel_pos == -1.0
 
     def test_zero_duration_skipped(self):
-        items = [(50.0, timing("w", 50, 50)), (100.0, timing("v", 100, 200))]
+        items = [peak_item(50.0, 50, 50), peak_item(100.0, 100, 200)]
         hist = peak_histogram(items, 3, (-1.0, 2.0))
         assert hist.n_skipped == 1 and hist.n_scored == 1
 
@@ -295,7 +313,7 @@ class TestPeakHistogram:
             start = rng.uniform(0, 1000)
             dur = rng.uniform(10, 300)
             peak = start + dur * rng.uniform(-3, 4)  # some values out of range
-            items.append((max(peak, 0.0), timing("w", start, start + dur)))
+            items.append(peak_item(max(peak, 0.0), start, start + dur))
         hist = peak_histogram(items, 7, (-1.0, 2.0))
         assert int(hist.counts.sum()) == hist.n_scored == 100
 

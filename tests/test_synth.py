@@ -23,7 +23,7 @@ from ctctiming.synth import (
     split_corpus,
     train,
 )
-from ctctiming.metrics import match_words, timing_metrics
+from ctctiming.metrics import timing_metrics
 
 from oracles import central_difference_grad, grad_relative_error
 
@@ -437,10 +437,9 @@ class TestEvaluate:
         # one-hot posteriors built from the construction align exactly
         from ctctiming.ctc import forced_align, token_spans
         from ctctiming.boundary import words_from_spans
-        from ctctiming.metrics import MatchedPair, timing_metrics
 
         corpus = generate_corpus(small_spec(pieces_per_word=(1, 1), n_utts=8))
-        pairs = []
+        hyp = {}
         for utt in corpus:
             log_probs = np.full((utt.n_frames, 5), -np.inf)
             log_probs[:, 0] = 0.0
@@ -450,9 +449,9 @@ class TestEvaluate:
                 log_probs[lo:hi, token] = 0.0
             path = forced_align(log_probs, utt.labels)
             spans = token_spans(path, np.exp(log_probs))
-            hyp = words_from_spans(spans, utt.word_map, 10.0, n_frames=utt.n_frames)
-            pairs.extend(MatchedPair(h, r) for h, r in zip(hyp, utt.ref_timings))
-        report = timing_metrics(pairs, [20.0])
+            hyp[utt.utt_id] = words_from_spans(spans, utt.word_map, 10.0, n_frames=utt.n_frames)
+        report = timing_metrics(hyp, reference_timings(corpus), [20.0])
+        assert report.n_matched == report.n_ref == sum(len(u.ref_timings) for u in corpus)
         assert report.ave_st_delta_ms == 0.0
         assert report.ave_ed_delta_ms == 0.0
         assert report.pct_ws[20.0] == 100.0
@@ -490,7 +489,7 @@ class TestEvaluate:
         # translating references and predictions together leaves all
         # percentage metrics unchanged (no clamping in play)
         from dataclasses import replace as dc_replace
-        from ctctiming.boundary import WordTiming
+        from ctctiming.boundary import WordTimes, WordTiming
 
         corpus = generate_corpus(small_spec(gap_frames=(4, 6)))
         config = TrainConfig(method="npc", epochs=15, batch_size=8, seed=3)
@@ -498,8 +497,7 @@ class TestEvaluate:
 
         def evaluate(utts, offset_ms):
             pred = predict_timings(clf, utts, 1.0, offset_ms)
-            pairs, n_hyp, n_ref = match_words(pred, reference_timings(utts))
-            return timing_metrics(pairs, [20.0], n_hyp=n_hyp, n_ref=n_ref)
+            return timing_metrics(pred, reference_timings(utts), [20.0])
 
         base = evaluate(corpus, 0.0)
 
@@ -507,10 +505,10 @@ class TestEvaluate:
         shifted_corpus = [
             dc_replace(
                 utt,
-                ref_timings=[
+                ref_timings=WordTimes(
                     WordTiming(w.word, w.start_ms + delta, w.end_ms + delta)
                     for w in utt.ref_timings
-                ],
+                ),
             )
             for utt in corpus
         ]
