@@ -12,7 +12,6 @@ from .boundary import (
     GuidedTargets,
     WordMap,
     WordTimes,
-    WordTiming,
     cetc_boundaries,
     cetc_guided_targets,
     gridsearch_offset,
@@ -21,13 +20,11 @@ from .boundary import (
 )
 from .ctc import (
     BLANK_ID,
-    AlignmentPath,
     CtcLattice,
     LabelSequence,
     LogitMatrix,
     NonFiniteError,
     NoValidPathError,
-    TokenSpan,
     align_spans,
     apply_label_prior,
     ctc_grad,

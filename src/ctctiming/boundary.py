@@ -9,96 +9,54 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import (BLANK_ID, LabelSequence, LogitMatrix, TokenSpan, _integer, _number,
-                  log_softmax_rows)
+from .ctc import BLANK_ID, LabelSequence, LogitMatrix, _integer, _number, log_softmax_rows
 from .metrics import _matched_times, _times_report
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class WordTiming:
-    """A word with start/end in milliseconds, stored as floats."""
-
-    word: str
-    start_ms: float
-    end_ms: float
-
-    def __post_init__(self):
-        if not isinstance(self.word, str):
-            raise TypeError(f"word text must be a string, got {self.word!r}")
-        if type(self.start_ms) is not float or type(self.end_ms) is not float:  # floats pass fast
-            object.__setattr__(self, "start_ms", _number(self.start_ms, "start_ms"))
-            object.__setattr__(self, "end_ms", _number(self.end_ms, "end_ms"))
-        if not (0.0 <= self.start_ms <= self.end_ms < math.inf):  # also rejects nan
-            raise ValueError(
-                f"{self.word!r}: need 0 <= start <= end < inf, got ({self.start_ms}, {self.end_ms})"
-            )
-
-    @property
-    def duration_ms(self) -> float:
-        return self.end_ms - self.start_ms
-
-
-class WordTimes(Sequence):
+class WordTimes:
     """One utterance's word timings as columns: `texts`, a tuple of the n
     word texts, and `times`, a read-only (2, n) float64 array whose rows are
     the start and end times in ms. It is the word-timing type the package
     produces and scores.
 
-    It is also a sequence of WordTimings: indexing and iteration build them
-    from the columns, and it equals any sequence of the same WordTimings.
-    `WordTimes(words)` builds one from WordTimings.
+    WordTimes(texts, times) takes any (2, n) array of numbers (not bool or
+    text) as the times, and keeps a float64 copy of it. Each text must be a
+    str and each word's times must hold 0 <= start <= end < inf; the first
+    word that breaks the rule, in order, raises: TypeError for a text or a
+    time of the wrong type, ValueError for times out of order.
     """
 
     __slots__ = ("texts", "times")
 
-    def __init__(self, words: Iterable[WordTiming] = ()):
-        rows = [(w.word, w.start_ms, w.end_ms) for w in words]
-        texts, starts, ends = zip(*rows) if rows else ((), (), ())
-        self._set(texts, np.array((starts, ends), dtype=np.float64))
-
-    @classmethod
-    def _columns(cls, texts: tuple[str, ...], times: np.ndarray) -> WordTimes:
-        """From string texts and a (2, n) float64 times array. The times are
-        checked as WordTiming checks one word's, over all words at once, and
-        no WordTiming is built when they pass; otherwise the words are built
-        as WordTimings in order, so the first bad word raises its own error."""
-        start, end = times
-        if not ((0.0 <= start).all() and (start <= end).all() and (end < np.inf).all()):
-            return cls(map(WordTiming, texts, *times.tolist()))
-        words = cls.__new__(cls)
-        words._set(texts, times)
-        return words
-
-    def _set(self, texts: tuple[str, ...], times: np.ndarray) -> None:
-        times.flags.writeable = False
-        self.texts, self.times = texts, times
+    def __init__(self, texts: Iterable[str], times) -> None:
+        texts = tuple(texts)
+        times = np.asarray(times)
+        if times.shape != (2, len(texts)):
+            raise ValueError(f"times must have shape (2, {len(texts)}), got {times.shape}")
+        if not (times.dtype.kind in "iuf" and set(map(type, texts)) <= {str}
+                and (0 <= times[0]).all() and (times[0] <= times[1]).all()
+                and (times[1] < np.inf).all()):
+            for text, start, end in zip(texts, *times.tolist()):
+                if not isinstance(text, str):
+                    raise TypeError(f"word text must be a string, got {text!r}")
+                start, end = _number(start, "start_ms"), _number(end, "end_ms")
+                if not 0.0 <= start <= end < math.inf:  # also rejects nan
+                    raise ValueError(
+                        f"{text!r}: need 0 <= start <= end < inf, got ({start}, {end})"
+                    )
+        self.texts = texts
+        self.times = times.astype(np.float64)  # a copy: the caller's array stays as it was
+        self.times.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.texts)
-
-    def __getitem__(self, index: int | slice) -> WordTiming | WordTimes:
-        if isinstance(index, slice):
-            return WordTimes._columns(self.texts[index], self.times[:, index])
-        start, end = self.times[:, index].tolist()
-        return WordTiming(self.texts[index], start, end)
-
-    def __iter__(self):
-        return map(WordTiming, self.texts, *self.times.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return f"WordTimes({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -262,7 +220,7 @@ def guided_ce_grad(logits: LogitMatrix, targets: GuidedTargets) -> tuple[float, 
 
 
 def words_from_spans(
-    spans: list[TokenSpan],
+    spans: np.ndarray,
     word_map: WordMap,
     frame_ms: float,
     offset_ms: float = 0.0,
@@ -270,20 +228,21 @@ def words_from_spans(
 ) -> WordTimes:
     """Word timings from per-piece spans: first piece start to last piece end.
 
-    The end time uses the exclusive frame edge ((end_frame + 1) * frame_ms);
-    both ends are shifted by offset_ms and clamped to [0, n_frames*frame_ms]
-    (upper clamp skipped when n_frames is unknown).
+    spans is token_spans' (3, U) array, or any array whose first two rows are
+    the pieces' start and end frames. The end time uses the exclusive frame
+    edge ((end frame + 1) * frame_ms); both ends are shifted by offset_ms and
+    clamped to [0, n_frames*frame_ms] (upper clamp skipped when n_frames is
+    unknown).
     """
-    if len(spans) != word_map.n_pieces:
+    if spans.shape[1] != word_map.n_pieces:
         raise ValueError(
-            f"word map references {word_map.n_pieces} pieces but {len(spans)} spans given"
+            f"word map references {word_map.n_pieces} pieces but {spans.shape[1]} spans given"
         )
     hi = float("inf") if n_frames is None else n_frames * frame_ms
     texts, firsts, lasts = zip(*word_map.words)
-    frames = np.array(([spans[u].start_frame for u in firsts],
-                       [spans[u].end_frame + 1 for u in lasts]), dtype=np.float64)
+    frames = np.array((spans[0, firsts], spans[1, lasts] + 1), dtype=np.float64)
     times = np.minimum(np.maximum(frames * frame_ms + offset_ms, 0.0), hi)
-    return WordTimes._columns(texts, times)
+    return WordTimes(texts, times)
 
 
 # most offsets one gridsearch_offset call tries: each costs a pass over the

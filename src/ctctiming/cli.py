@@ -196,8 +196,8 @@ def _align_range(job: _AlignJob, byte_range) -> list[tuple]:
     """Align the utterances of one byte range of job.logits.
 
     One (line, utt, frame_ms, n_frames, outcome) tuple per record, in file
-    order; the outcome is the token spans, or the message of a failure that
-    skips only this utterance. An error that aborts the run ends the list as
+    order; the outcome is align_spans' (3, U) int64 span array, or the
+    message of a failure that skips only this utterance. An error that aborts the run ends the list as
     its outcome, with line and utt None when the record could not be read.
     """
     found = []

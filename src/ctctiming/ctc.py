@@ -183,34 +183,6 @@ class CtcLattice:
     log_likelihood: float
 
 
-@dataclass(eq=False)
-class AlignmentPath:
-    """Length-T sequence of lattice states for one utterance.
-
-    Even states emit blank, odd state 2u+1 emits labels.tokens[u].
-    """
-
-    states: np.ndarray
-    labels: LabelSequence
-
-
-@dataclass(frozen=True)
-class TokenSpan:
-    """Frame extent of one label token on an alignment path."""
-
-    token_index: int
-    start_frame: int
-    end_frame: int
-    peak_frame: int
-
-    def __post_init__(self):
-        if not (self.start_frame <= self.peak_frame <= self.end_frame):
-            raise ValueError(
-                f"token {self.token_index}: need start <= peak <= end, got "
-                f"({self.start_frame}, {self.peak_frame}, {self.end_frame})"
-            )
-
-
 def log_softmax_rows(frames: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of a finite T x V score matrix (LogitMatrix
     checks finiteness where logits enter)."""
@@ -490,8 +462,10 @@ def prior_ctc_grad(
     return _single(ctc_grad_batch([logits], [labels], gamma_train))
 
 
-def forced_align(log_probs: np.ndarray, labels: LabelSequence) -> AlignmentPath:
-    """Viterbi search for the most probable valid CTC path.
+def forced_align(log_probs: np.ndarray, labels: LabelSequence) -> np.ndarray:
+    """Viterbi search for the most probable valid CTC path: the (T,) int64
+    array of its lattice states, one per frame. Even states emit blank, odd
+    state 2u+1 emits labels.tokens[u].
 
     Ties are resolved at backtrace, from the score lattice, toward entering
     the next token as early as possible: each step takes the first maximum of
@@ -528,11 +502,12 @@ def forced_align(log_probs: np.ndarray, labels: LabelSequence) -> AlignmentPath:
         elif step > stay:
             state -= 1
         states[t] = state
-    return AlignmentPath(states, labels)
+    return states
 
 
-def token_spans(path: AlignmentPath, posteriors: np.ndarray) -> list[TokenSpan]:
-    """Per-token (start, end, peak) frames read off an alignment path.
+def token_spans(states: np.ndarray, labels: LabelSequence, posteriors: np.ndarray) -> np.ndarray:
+    """Per-token frames read off forced_align's states of labels: a (3, U)
+    int64 array whose rows are the start, end and peak frame of each token.
 
     start/end bound the frames spent in the token's emitting state; the peak
     is the within-span argmax of the token's posterior (first frame on ties).
@@ -540,24 +515,24 @@ def token_spans(path: AlignmentPath, posteriors: np.ndarray) -> list[TokenSpan]:
     every token's frames by binary search.
     """
     posteriors = np.asarray(posteriors)
-    states = np.asarray(path.states)
+    states = np.asarray(states)
     back = np.flatnonzero(states[1:] < states[:-1])
     if len(back):
         raise ValueError(f"path state decreases at frame {back[0] + 1}; not a valid alignment")
-    odd = np.arange(1, 2 * len(path.labels), 2)
-    starts = np.searchsorted(states, odd, side="left").tolist()
-    stops = np.searchsorted(states, odd, side="right").tolist()
-    spans = []
-    for u, (token, start, stop) in enumerate(zip(path.labels.tokens, starts, stops)):
-        if start == stop:
-            raise ValueError(f"path never visits token {u}; not a valid alignment")
-        peak = start + int(posteriors[start:stop, token].argmax())
-        spans.append(TokenSpan(u, start, stop - 1, peak))
-    return spans
+    odd = np.arange(1, 2 * len(labels), 2)
+    starts = np.searchsorted(states, odd, side="left")
+    stops = np.searchsorted(states, odd, side="right")
+    unvisited = np.flatnonzero(starts == stops)
+    if len(unvisited):
+        raise ValueError(f"path never visits token {unvisited[0]}; not a valid alignment")
+    peaks = [start + posteriors[start:stop, token].argmax()
+             for token, start, stop in zip(labels.tokens, starts.tolist(), stops.tolist())]
+    return np.array((starts, stops - 1, peaks), dtype=np.int64)
 
 
-def align_spans(logits: LogitMatrix, labels: LabelSequence, gamma_inf: float) -> list[TokenSpan]:
-    """Token spans of the Viterbi path under label-prior-adjusted posteriors.
+def align_spans(logits: LogitMatrix, labels: LabelSequence, gamma_inf: float) -> np.ndarray:
+    """Token spans of the Viterbi path under label-prior-adjusted posteriors,
+    as token_spans' (3, U) array of start, end and peak frames.
 
     The one alignment chain: apply_label_prior, log_softmax_rows,
     forced_align, then token_spans with the adjusted posteriors picking the
@@ -565,4 +540,4 @@ def align_spans(logits: LogitMatrix, labels: LabelSequence, gamma_inf: float) ->
     as forced_align does.
     """
     log_probs = log_softmax_rows(apply_label_prior(logits, gamma_inf).frames)
-    return token_spans(forced_align(log_probs, labels), np.exp(log_probs))
+    return token_spans(forced_align(log_probs, labels), labels, np.exp(log_probs))

@@ -13,7 +13,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from .boundary import WordMap, WordTimes, WordTiming
+from .boundary import WordMap, WordTimes
 from .ctc import LabelSequence, LogitMatrix
 from .synth import Classifier
 
@@ -145,11 +145,25 @@ def write_logits_jsonl(path: str | Path, mats: Iterable[LogitMatrix]) -> None:
             handle.write(json.dumps(record) + "\n")
 
 
+def _json_array(record: dict, key: str) -> list:
+    """record[key], which must be a JSON array: an object, a string, a number
+    or null raises TypeError naming the key."""
+    value = record[key]
+    if type(value) is not list:
+        raise TypeError(f"{key} must be a JSON array, got {value!r}")
+    return value
+
+
 def read_labels_jsonl(path: str | Path) -> dict[str, tuple[LabelSequence, WordMap]]:
-    """{"utt", "pieces", "words": [{"w", "first", "last"}]} records."""
+    """{"utt", "pieces", "words": [{"w", "first", "last"}]} records; pieces
+    and words are JSON arrays, and each word is a JSON object."""
     def build(utt: str, record: dict, _raw: bytes) -> tuple[LabelSequence, WordMap]:
-        labels = LabelSequence(tuple(record["pieces"]))
-        word_map = WordMap(tuple((w["w"], w["first"], w["last"]) for w in record["words"]))
+        labels = LabelSequence(tuple(_json_array(record, "pieces")))
+        words = _json_array(record, "words")
+        for w in words:
+            if type(w) is not dict:
+                raise TypeError(f"each of words must be a JSON object, got {w!r}")
+        word_map = WordMap(tuple((w["w"], w["first"], w["last"]) for w in words))
         if word_map.n_pieces != len(labels):
             raise ValueError(f"word map covers {word_map.n_pieces} pieces, got {len(labels)}")
         return labels, word_map
@@ -177,27 +191,25 @@ def read_timings_jsonl(path: str | Path) -> dict[str, WordTimes]:
     """{"utt", "words": [{"w", "start_ms", "end_ms"}]} records, each read
     into one WordTimes.
 
-    A record's words are checked as WordTiming checks each word, but over
-    the whole record at once: `words` is a JSON array, texts are str, times
-    int or float (not bool) and 0 <= start <= end < inf. When a check fails,
-    the record's words are built as WordTimings in order, so the first bad
-    word raises its own error; `words` that is not an array and holds no bad
-    word (an empty object or string) is refused as a whole.
+    `words` must be a JSON array. Its words are gathered and checked by
+    WordTimes all at once when each has its keys and int or float (not bool)
+    times. Otherwise each word is checked alone, in order, for its keys and
+    then by WordTimes, so the first bad word raises its own error.
     """
     def build(utt: str, record: dict, _raw: bytes) -> WordTimes:
-        words = record["words"]
+        words = _json_array(record, "words")
         try:
-            rows = list(map(_WORD_FIELDS, words))
-            texts, starts, ends = zip(*rows) if rows else ((), (), ())
-            if (type(words) is list and set(map(type, texts)) <= {str}
-                    and set(map(type, starts)) | set(map(type, ends)) <= {int, float}):
-                return WordTimes._columns(texts, np.array((starts, ends), dtype=np.float64))
+            texts, starts, ends = zip(*map(_WORD_FIELDS, words)) if words else ((), (), ())
+            if set(map(type, starts)) | set(map(type, ends)) <= {int, float}:
+                return WordTimes(texts, np.array((starts, ends), dtype=np.float64))
         except (KeyError, TypeError, OverflowError):  # a word without its keys, a huge integer
             pass
-        built = WordTimes([WordTiming(w["w"], w["start_ms"], w["end_ms"]) for w in words])
-        if type(words) is not list:
-            raise TypeError(f"words must be a JSON array, got {words!r}")
-        return built
+        texts, times = [], np.empty((2, len(words)), dtype=object)  # values kept as they are
+        for i, word in enumerate(words):
+            text, times[0, i], times[1, i] = _WORD_FIELDS(word)
+            WordTimes((text,), times[:, i : i + 1])
+            texts.append(text)
+        return WordTimes(texts, times)
 
     return {utt: value for _, utt, value in _records(path, ("utt", "words"), build)}
 

@@ -9,7 +9,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .ctc import BLANK_ID, TokenSpan
+from .ctc import BLANK_ID
 
 
 def _norm(word: str) -> str:
@@ -217,10 +217,11 @@ def _times_report(
 
 
 def peak_items(
-    spans: list[TokenSpan], word_map: WordMap, ref_words: WordTimes, frame_ms: float
+    spans: np.ndarray, word_map: WordMap, ref_words: WordTimes, frame_ms: float
 ) -> np.ndarray:
     """A (3, n) array over every piece of every matched word: its peak time
-    in ms, and the start and end of its reference word.
+    in ms, and the start and end of its reference word. spans is
+    token_spans' (3, U) array of the aligned pieces.
 
     The word map's words are paired with the reference words by edit_align,
     so a reference transcript that differs from the aligned one scores only
@@ -232,7 +233,7 @@ def peak_items(
         _, first, last = word_map.words[wid]
         pieces += range(first, last + 1)
         rids += [rid] * (last + 1 - first)
-    peaks = np.array([spans[u].peak_frame for u in pieces], dtype=np.float64) * frame_ms
+    peaks = spans[2, pieces].astype(np.float64) * frame_ms
     return np.vstack((peaks, ref_words.times[:, rids]))
 
 

@@ -35,7 +35,6 @@ from .ctc import (
     LogitMatrix,
     NonFiniteError,
     NoValidPathError,
-    TokenSpan,
     _integer,
     align_spans,
     ctc_grad_batch,
@@ -155,15 +154,15 @@ def generate_corpus(spec: CorpusSpec) -> list[SynthUtterance]:
             words.append((word_text(pieces[first:]), first, len(pieces) - 1))
 
         # one frame id per frame, 0 for silence: a gap before every word and
-        # after the last, each piece's span right after the previous one. The
-        # reference times read only a span's start and end; its peak is its start
+        # after the last, each piece's span (start and end frame) right after
+        # the previous one
         ids: list[int] = []
         spans = []
         for _, first, last in words:
             ids += [0] * draw(spec.gap_frames)
             for u in range(first, last + 1):
                 n = draw(spec.span_frames)
-                spans.append(TokenSpan(u, len(ids), len(ids) + n - 1, len(ids)))
+                spans.append((len(ids), len(ids) + n - 1))
                 ids += [pieces[u]] * n
         ids += [0] * draw(spec.gap_frames)
 
@@ -177,7 +176,9 @@ def generate_corpus(spec: CorpusSpec) -> list[SynthUtterance]:
                 features_hi=_moving_average(features_lo, spec.context_window),
                 labels=LabelSequence(tuple(pieces)),
                 word_map=word_map,
-                ref_timings=words_from_spans(spans, word_map, FRAME_MS, n_frames=len(ids)),
+                ref_timings=words_from_spans(
+                    np.array(spans).T, word_map, FRAME_MS, n_frames=len(ids)
+                ),
             )
         )
     return utts
@@ -422,8 +423,9 @@ def _sgd_epochs(
 
 def _align_corpus(
     clf: Classifier, corpus: list[SynthUtterance], gamma_inf: float
-) -> dict[SynthUtterance, list[TokenSpan]]:
-    """Token spans of every utterance with a valid path, in corpus order.
+) -> dict[SynthUtterance, np.ndarray]:
+    """Token spans (align_spans' (3, U) arrays) of every utterance with a
+    valid path, in corpus order.
 
     Utterances with no valid path are skipped with one warning each.
     """
@@ -454,7 +456,7 @@ def cetc_targets(
     """
     targets: dict[str, GuidedTargets] = {}
     for utt, spans in _align_corpus(clf, corpus, 0.0).items():
-        peaks = [s.peak_frame for s in spans]
+        peaks = spans[2]
         bounds = cetc_boundaries(peaks, utt.n_frames, params)
         targets[utt.utt_id] = cetc_guided_targets(
             utt.labels, peaks, bounds, params.beta, utt.n_frames, n_classes

@@ -6,14 +6,15 @@ a plain DP for edit distance. None of it shares code with the package,
 except gridsearch_rebuilt, which checks the offset search's arrays against
 word-timing objects scored by the package's timing_metrics, and the object
 path of scoring (read_timings_objects to object_gridsearch_offset), which
-scores word timings as one WordTiming per word and one WordPair per matched
-word.
+scores word timings as one TimedWord per word and one WordPair per matched
+word. TimedWord checks one word by the rule WordTimes applies to each.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import unicodedata
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -31,16 +32,16 @@ def collapse(path: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(t for t in out if t != 0)
 
 
-def emitted(path) -> tuple[int, ...]:
-    """Per-frame token ids of an alignment path (blank included): even
-    states emit blank, odd state 2u+1 emits path.labels.tokens[u]."""
-    tokens = path.labels.tokens
-    return tuple(0 if s % 2 == 0 else tokens[(s - 1) // 2] for s in path.states)
+def emitted(states, labels) -> tuple[int, ...]:
+    """Per-frame token ids of an alignment path's states (blank included):
+    even states emit blank, odd state 2u+1 emits labels.tokens[u]."""
+    tokens = labels.tokens
+    return tuple(0 if s % 2 == 0 else tokens[(s - 1) // 2] for s in states)
 
 
-def path_score(log_probs: np.ndarray, path) -> float:
+def path_score(log_probs: np.ndarray, states, labels) -> float:
     """Sum of per-frame emission log-probs along an alignment path."""
-    tokens = emitted(path)
+    tokens = emitted(states, labels)
     return float(np.asarray(log_probs)[np.arange(len(tokens)), tokens].sum())
 
 
@@ -262,22 +263,23 @@ def gridsearch_rebuilt(pred, ref, range_ms, step_ms, threshold_ms):
     """gridsearch_offset from word-timing objects: each offset b is scored by
     the package's timing_metrics over the matched pairs, as one utterance of
     their reference words against one of their hypothesis words, each rebuilt
-    as WordTiming(w, max(s + b, 0), max(e + b, 0)). The report keeps the
+    as TimedWord(w, max(s + b, 0), max(e + b, 0)). The report keeps the
     word counts of pred and ref.
 
     Returns (best offset, its report, curve); the best offset has the highest
     %WS<t + %WE<t, then the smallest |b|, then the smaller b.
     """
-    from ctctiming.boundary import WordTimes, WordTiming, offset_count
+    from ctctiming.boundary import offset_count
     from ctctiming.metrics import timing_metrics
 
     common = sorted(set(pred) & set(ref))
-    matched, n_hyp, n_ref = object_match_words(pred, {utt: ref[utt] for utt in common})
-    ref_words = {"matched": WordTimes(p.ref for p in matched)}
+    matched, n_hyp, n_ref = object_match_words(
+        word_objects(pred), word_objects({utt: ref[utt] for utt in common}))
+    ref_words = {"matched": word_times(p.ref for p in matched)}
 
     def report_at(b: float):
-        hyp_words = WordTimes(
-            WordTiming(p.hyp.word, max(p.hyp.start_ms + b, 0.0), max(p.hyp.end_ms + b, 0.0))
+        hyp_words = word_times(
+            TimedWord(p.hyp.word, max(p.hyp.start_ms + b, 0.0), max(p.hyp.end_ms + b, 0.0))
             for p in matched
         )
         report = timing_metrics({"matched": hyp_words}, ref_words, [threshold_ms])
@@ -385,10 +387,11 @@ def forced_align_backpointers(log_probs: np.ndarray, labels: tuple[int, ...]) ->
 
 def token_spans_flatnonzero(
     states: np.ndarray, labels: tuple[int, ...], posteriors: np.ndarray
-) -> list[tuple[int, int, int]]:
-    """(start, end, peak) of each token: the first and last frame whose state
-    is the token's emitting state 2u+1, found by scanning the whole path, and
-    the first maximum of the token's posterior between them."""
+) -> np.ndarray:
+    """A (3, U) int64 array of each token's start, end and peak frame: the
+    first and last frame whose state is the token's emitting state 2u+1,
+    found by scanning the whole path, and the first maximum of the token's
+    posterior between them."""
     states = np.asarray(states)
     spans = []
     for u, token in enumerate(labels):
@@ -396,13 +399,60 @@ def token_spans_flatnonzero(
         start, end = int(frames[0]), int(frames[-1])
         column = [float(posteriors[t, token]) for t in range(start, end + 1)]
         spans.append((start, end, start + column.index(max(column))))
-    return spans
+    return np.array(spans, dtype=np.int64).T
 
 
 # The object path of scoring, kept as the package had it before it scored
 # each utterance's words as columns: the outputs of `metrics` and
-# `gridsearch` must not change. It uses the package's edit_align, word and
-# report types and offset_count, and a pair type of its own.
+# `gridsearch` must not change. It uses the package's edit_align, report type
+# and offset_count, and a word type and a pair type of its own.
+
+@dataclass(frozen=True)
+class TimedWord:
+    """A word with start/end in milliseconds, stored as floats, built only
+    when it passes the per-word rule: a str text, then int or float (not
+    bool) start and end, then 0 <= start <= end < inf."""
+
+    word: str
+    start_ms: float
+    end_ms: float
+
+    def __post_init__(self):
+        if not isinstance(self.word, str):
+            raise TypeError(f"word text must be a string, got {self.word!r}")
+        for name in ("start_ms", "end_ms"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float, np.integer, np.floating)):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not (0.0 <= self.start_ms <= self.end_ms < math.inf):  # also rejects nan
+            raise ValueError(f"{self.word!r}: need 0 <= start <= end < inf, "
+                             f"got ({self.start_ms}, {self.end_ms})")
+
+    def __iter__(self):
+        return iter((self.word, self.start_ms, self.end_ms))
+
+
+def word_times(words):
+    """One WordTimes from (text, start_ms, end_ms) triples, such as TimedWords."""
+    from ctctiming.boundary import WordTimes
+
+    rows = [tuple(w) for w in words]
+    return WordTimes([r[0] for r in rows],
+                     np.array([[r[1] for r in rows], [r[2] for r in rows]]).reshape(2, len(rows)))
+
+
+def word_rows(words) -> list[tuple[str, float, float]]:
+    """A WordTimes as one (text, start_ms, end_ms) triple per word."""
+    return list(zip(words.texts, *words.times.tolist()))
+
+
+def word_objects(timings: dict) -> dict:
+    """{utt: WordTimes} as {utt: [TimedWord, ...]}."""
+    return {utt: [TimedWord(*row) for row in word_rows(words)]
+            for utt, words in timings.items()}
+
 
 class WordPair(NamedTuple):
     """A hypothesis word and the reference word edit_align matched it to."""
@@ -412,10 +462,8 @@ class WordPair(NamedTuple):
 
 
 def read_timings_objects(path) -> dict:
-    """A timings JSONL file as one WordTiming per word, read line by line."""
+    """A timings JSONL file as one TimedWord per word, read line by line."""
     import json
-
-    from ctctiming.boundary import WordTiming
 
     timings = {}
     with open(path, encoding="utf-8") as handle:
@@ -423,14 +471,14 @@ def read_timings_objects(path) -> dict:
             if line.strip():
                 record = json.loads(line)
                 timings[record["utt"]] = [
-                    WordTiming(w["w"], w["start_ms"], w["end_ms"]) for w in record["words"]
+                    TimedWord(w["w"], w["start_ms"], w["end_ms"]) for w in record["words"]
                 ]
     return timings
 
 
 def object_match_words(hyp, ref):
     """(WordPairs of every reference utterance that hyp has, in ref order,
-    n_hyp, n_ref) over sequences of WordTimings."""
+    n_hyp, n_ref) over lists of TimedWords."""
     from ctctiming.metrics import edit_align
 
     pairs = []

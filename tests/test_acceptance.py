@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from ctctiming.boundary import WordTimes, WordTiming
+from ctctiming.boundary import WordTimes
 from ctctiming.ctc import (
     LabelSequence,
     LogitMatrix,
@@ -51,6 +51,7 @@ from oracles import (
     levenshtein_cost,
     path_score,
     sample_valid_path,
+    word_times,
 )
 from test_ctc import random_instance
 
@@ -196,15 +197,13 @@ def test_criterion_3_forced_alignment_validity():
     for _ in range(1000):
         logits, labels = random_instance(rng)
         log_probs = log_softmax_rows(logits)
-        path = forced_align(log_probs, labels)
-        n_collapse_ok += collapse(emitted(path)) == labels.tokens
-        best = path_score(log_probs, path)
+        states = forced_align(log_probs, labels)
+        n_collapse_ok += collapse(emitted(states, labels)) == labels.tokens
+        best = path_score(log_probs, states, labels)
         ok = True
         for _ in range(100):
             sampled = sample_valid_path(rng, log_probs.shape[0], labels.tokens)
-            from ctctiming.ctc import AlignmentPath
-
-            ok &= best >= path_score(log_probs, AlignmentPath(sampled, labels)) - 1e-12
+            ok &= best >= path_score(log_probs, sampled, labels) - 1e-12
         n_score_ok += ok
     report(
         "3 forced-alignment-validity",
@@ -248,8 +247,7 @@ def test_criterion_5_timing_ordering(gamma_sweep, fusion_pair):
 def test_criterion_6_offset_recovery(npc_predictions, gamma_sweep, tmp_path, capsys):
     pred, ref = npc_predictions
     shifted = {
-        utt: WordTimes(WordTiming(w.word, max(w.start_ms - 40.0, 0.0), max(w.end_ms - 40.0, 0.0))
-                       for w in words)
+        utt: WordTimes(words.texts, np.maximum(words.times - 40.0, 0.0))
         for utt, words in pred.items()
     }
     dataio.write_timings_jsonl(tmp_path / "hyp.jsonl", shifted)
@@ -288,7 +286,7 @@ def test_criterion_7_pfr_peak_delay(pfr_sweep):
 
 def test_criterion_8_metrics_exactness():
     def document(*words):
-        return {"u": WordTimes(WordTiming(*word) for word in words)}
+        return {"u": word_times(words)}
 
     perfect = document(("a", 100, 200), ("b", 300, 450))
     r1 = timing_metrics(perfect, perfect, [80.0, 200.0])

@@ -5,13 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from ctctiming import cli, dataio
+from ctctiming import boundary, cli, dataio
 from ctctiming.boundary import (
     CetcParams,
     GuidedTargets,
     WordMap,
     WordTimes,
-    WordTiming,
     cetc_boundaries,
     cetc_guided_targets,
     guided_ce_grad,
@@ -20,16 +19,18 @@ from ctctiming.boundary import (
     offset_count,
     words_from_spans,
 )
-from ctctiming.ctc import LabelSequence, LogitMatrix, TokenSpan
+from ctctiming.ctc import LabelSequence, LogitMatrix
 from ctctiming.synth import (Classifier, CorpusSpec, _sweep_scores, generate_corpus,
                              split_corpus)
 
-from oracles import (central_difference_grad, grad_relative_error, gridsearch_rebuilt,
-                     log_softmax, object_match_words)
+from oracles import (TimedWord, central_difference_grad, grad_relative_error,
+                     gridsearch_rebuilt, log_softmax, object_match_words, word_objects,
+                     word_rows, word_times)
 
 
-def span(u, start, end, peak=None):
-    return TokenSpan(u, start, end, start if peak is None else peak)
+def spans(*extents):
+    """A (3, U) span array of (start, end) frame pairs; each peak is its start."""
+    return np.array([(start, end, start) for start, end in extents], dtype=np.int64).T
 
 
 class TestCetcBoundaries:
@@ -151,55 +152,54 @@ class TestGuidedCeGrad:
 
 class TestWordsFromSpans:
     def test_two_piece_word(self):
-        spans = [span(0, 3, 5), span(1, 6, 8)]
         word_map = WordMap((("hello", 0, 1),))
-        words = words_from_spans(spans, word_map, 40.0, 0.0, n_frames=12)
-        assert words == [WordTiming("hello", 120.0, 360.0)]
+        words = words_from_spans(spans((3, 5), (6, 8)), word_map, 40.0, 0.0, n_frames=12)
+        assert word_rows(words) == [("hello", 120.0, 360.0)]
 
     def test_offset_shifts_both_ends(self):
-        spans = [span(0, 3, 5), span(1, 6, 8)]
+        pieces = spans((3, 5), (6, 8))
         word_map = WordMap((("hello", 0, 1),))
-        base = words_from_spans(spans, word_map, 40.0, 0.0, n_frames=12)
-        shifted = words_from_spans(spans, word_map, 40.0, 40.0, n_frames=12)
-        assert shifted[0].start_ms == base[0].start_ms + 40.0
-        assert shifted[0].end_ms == base[0].end_ms + 40.0
+        base = words_from_spans(pieces, word_map, 40.0, 0.0, n_frames=12)
+        shifted = words_from_spans(pieces, word_map, 40.0, 40.0, n_frames=12)
+        assert shifted.times[0, 0] == base.times[0, 0] + 40.0
+        assert shifted.times[1, 0] == base.times[1, 0] + 40.0
 
     def test_single_piece_at_origin(self):
-        words = words_from_spans([span(0, 0, 0)], WordMap((("a", 0, 0),)), 10.0)
-        assert words == [WordTiming("a", 0.0, 10.0)]
+        words = words_from_spans(spans((0, 0)), WordMap((("a", 0, 0),)), 10.0)
+        assert word_rows(words) == [("a", 0.0, 10.0)]
 
     def test_clamping(self):
-        spans = [span(0, 0, 9)]
-        words = words_from_spans(spans, WordMap((("a", 0, 0),)), 10.0, -25.0, n_frames=10)
-        assert words[0].start_ms == 0.0 and words[0].end_ms == 75.0
-        words = words_from_spans(spans, WordMap((("a", 0, 0),)), 10.0, 30.0, n_frames=10)
-        assert words[0].end_ms == 100.0
+        pieces = spans((0, 9))
+        words = words_from_spans(pieces, WordMap((("a", 0, 0),)), 10.0, -25.0, n_frames=10)
+        assert words.times[:, 0].tolist() == [0.0, 75.0]
+        words = words_from_spans(pieces, WordMap((("a", 0, 0),)), 10.0, 30.0, n_frames=10)
+        assert words.times[1, 0] == 100.0
 
     def test_piece_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            words_from_spans([span(0, 0, 1)], WordMap((("ab", 0, 1),)), 10.0)
+            words_from_spans(spans((0, 1)), WordMap((("ab", 0, 1),)), 10.0)
 
     def test_offset_equivariance(self):
         rng = np.random.default_rng(23)
-        spans = [span(0, 2, 4), span(1, 5, 6), span(2, 9, 12)]
+        pieces = spans((2, 4), (5, 6), (9, 12))
         word_map = WordMap((("x", 0, 1), ("y", 2, 2)))
         for _ in range(20):
             delta = float(rng.uniform(-20, 20))
-            a = words_from_spans(spans, word_map, 10.0, 50.0)
-            b = words_from_spans(spans, word_map, 10.0, 50.0 + delta)
-            for wa, wb in zip(a, b):
-                assert math.isclose(wb.start_ms - wa.start_ms, delta)
-                assert math.isclose(wb.end_ms - wa.end_ms, delta)
+            a = words_from_spans(pieces, word_map, 10.0, 50.0)
+            b = words_from_spans(pieces, word_map, 10.0, 50.0 + delta)
+            for ta, tb in zip(a.times.T.tolist(), b.times.T.tolist()):
+                assert math.isclose(tb[0] - ta[0], delta)
+                assert math.isclose(tb[1] - ta[1], delta)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_columns_equal_the_per_word_rule(self, seed):
-        """The columns hold, bit for bit, what one WordTiming per word gets
-        from float arithmetic on each word's spans, clamped as
+        """The columns hold, bit for bit, what each word gets from float
+        arithmetic on its own spans, clamped as
         min(max(t, 0), n_frames * frame_ms)."""
         rng = np.random.default_rng(seed)
         n_pieces = int(rng.integers(1, 30))
         edges = np.cumsum(rng.integers(0, 5, size=2 * n_pieces))
-        spans = [span(u, int(edges[2 * u]), int(edges[2 * u + 1])) for u in range(n_pieces)]
+        pieces = spans(*((int(edges[2 * u]), int(edges[2 * u + 1])) for u in range(n_pieces)))
         cuts = sorted(set(rng.integers(1, n_pieces + 1, size=4).tolist()) | {n_pieces})
         word_map = WordMap(tuple((f"w{k}", a, b - 1)
                                  for k, (a, b) in enumerate(zip([0] + cuts, cuts))))
@@ -210,32 +210,99 @@ class TestWordsFromSpans:
                 hi = float("inf") if frames is None else frames * frame_ms
                 want = []
                 for word, first, last in word_map.words:
-                    start = spans[first].start_frame * frame_ms + offset_ms
-                    end = (spans[last].end_frame + 1) * frame_ms + offset_ms
+                    start = int(pieces[0, first]) * frame_ms + offset_ms
+                    end = (int(pieces[1, last]) + 1) * frame_ms + offset_ms
                     want.append((word, min(max(start, 0.0), hi), min(max(end, 0.0), hi)))
-                words = words_from_spans(spans, word_map, frame_ms, offset_ms, frames)
+                words = words_from_spans(pieces, word_map, frame_ms, offset_ms, frames)
                 assert isinstance(words, WordTimes)
                 assert words.times.dtype == np.float64 and not words.times.flags.writeable
                 assert list(zip(words.texts, *words.times.tolist())) == want
 
     def test_bad_spans_raise_the_word_error(self):
-        """Spans whose word would end before it starts raise WordTiming's error."""
-        spans = [span(0, 5, 5), span(1, 1, 1)]
+        """Spans whose word would end before it starts raise the word's error."""
         with pytest.raises(ValueError, match=re.escape("'ab': need 0 <= start <= end < inf")):
-            words_from_spans(spans, WordMap((("ab", 0, 1),)), 10.0)
+            words_from_spans(spans((5, 5), (1, 1)), WordMap((("ab", 0, 1),)), 10.0)
+
+    def test_start_and_end_rows_suffice(self):
+        """A (2, U) array of start and end rows gives what its (3, U) array gives."""
+        pieces = spans((2, 4), (5, 6), (9, 12))
+        word_map = WordMap((("x", 0, 1), ("y", 2, 2)))
+        want = words_from_spans(pieces, word_map, 10.0, -15.0, n_frames=13)
+        got = words_from_spans(pieces[:2], word_map, 10.0, -15.0, n_frames=13)
+        assert word_rows(got) == word_rows(want) == [("x", 5.0, 55.0), ("y", 75.0, 115.0)]
 
 
 class TestWordTimes:
-    def test_sequence_view(self):
-        words = WordTimes([WordTiming("a", 0.0, 10.0), WordTiming("b", 10.0, 25.0),
-                           WordTiming("c", 30.0, 30.0)])
-        assert words[1] == WordTiming("b", 10.0, 25.0) and words[-1].word == "c"
-        assert words[1:] == [WordTiming("b", 10.0, 25.0), WordTiming("c", 30.0, 30.0)]
-        tail = words[::2]
-        assert isinstance(tail, WordTimes) and tail.texts == ("a", "c")
-        assert tail.times.tolist() == [[0.0, 30.0], [10.0, 30.0]]
-        assert not tail.times.flags.writeable
-        assert words[3:] == [] and len(words[3:]) == 0
+    """WordTimes(texts, times) is the one constructor and holds the per-word
+    rule: a str text, numbers (not bool) as times, 0 <= start <= end < inf."""
+
+    def test_columns(self):
+        times = np.array([[0, 10, 30], [10, 25, 30]])
+        words = WordTimes(["a", "b", "c"], times)
+        assert words.texts == ("a", "b", "c") and len(words) == 3
+        assert words.times.dtype == np.float64 and words.times.tolist() == times.tolist()
+        assert not words.times.flags.writeable
+        empty = WordTimes((), np.empty((2, 0)))
+        assert empty.texts == () and empty.times.shape == (2, 0) and len(empty) == 0
+
+    def test_not_a_sequence(self):
+        from collections.abc import Sequence
+
+        words = WordTimes(["a"], [[0.0], [10.0]])
+        assert not isinstance(words, Sequence)
+        with pytest.raises(TypeError):
+            words[0]
+
+    @pytest.mark.parametrize("times", [np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(2),
+                                       np.zeros((2, 2, 1))],
+                             ids=["too-many", "three-rows", "1-d", "3-d"])
+    def test_shape_mismatch_rejected(self, times):
+        with pytest.raises(ValueError, match=re.escape("times must have shape (2, 2), got")):
+            WordTimes(["a", "b"], times)
+
+    @pytest.mark.parametrize("times, message", [
+        (np.array([[False], [True]]), "start_ms must be a number, got False"),
+        (np.array([[0.0], [True]], dtype=object), "end_ms must be a number, got True"),
+        (np.array([["0"], ["10"]]), "start_ms must be a number, got '0'"),
+        (np.array([[0.0], [None]], dtype=object), "end_ms must be a number, got None"),
+    ], ids=["bool-dtype", "bool-object", "string-dtype", "none-object"])
+    def test_non_number_times_rejected(self, times, message):
+        with pytest.raises(TypeError) as err:
+            WordTimes(["a"], times)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("start, end", [(-5.0, 10.0), (50.5, 10.0), (0.0, np.inf),
+                                            (np.nan, 1.0), (0.0, np.nan)])
+    def test_out_of_order_rejected(self, start, end):
+        with pytest.raises(ValueError) as err:
+            WordTimes(["a"], [[start], [end]])
+        assert str(err.value) == f"'a': need 0 <= start <= end < inf, got ({start}, {end})"
+
+    def test_first_bad_word_raises(self):
+        """Words are checked in order, each text then start then end then range,
+        and the first bad one raises its own error, whatever follows it."""
+        times = np.empty((2, 4), dtype=object)
+        times[:] = [[0, 20.0, 9, "x"], [10, 30.0, 1, None]]
+        with pytest.raises(ValueError, match=re.escape("'c': need 0 <= start <= end < inf, "
+                                                       "got (9.0, 1.0)")):
+            WordTimes(["a", "b", "c", 5], times)
+        with pytest.raises(TypeError, match="word text must be a string, got 5"):
+            WordTimes(["a", "b", 5, "d"], times)
+        with pytest.raises(TypeError, match="start_ms must be a number, got 'x'"):
+            WordTimes(["a", "b", "c", "d"], np.where(times == 9, 0, times))
+
+    def test_read_only_times_accepted(self):
+        times = np.array([[0.0], [10.0]])
+        times.flags.writeable = False
+        words = WordTimes(["a"], times)
+        assert word_rows(words) == [("a", 0.0, 10.0)] and not words.times.flags.writeable
+
+    def test_caller_array_left_writable(self):
+        times = np.array([[0.0, 5.0], [10.0, 15.0]])
+        words = WordTimes(["a", "b"], times)
+        assert times.flags.writeable and not words.times.flags.writeable
+        times[0, 0] = 1.0
+        assert words.times[0, 0] == 0.0
 
 
 class TestWordMap:
@@ -270,10 +337,13 @@ class TestWordMap:
 
 
 class TestWordTiming:
+    """One word's rule, as WordTimes(texts, times) applies it to each word."""
+
     @pytest.mark.parametrize("word", [5, None, ["a"], b"a"], ids=["int", "none", "list", "bytes"])
     def test_non_string_word_rejected(self, word):
-        with pytest.raises(TypeError, match="word text must be a string"):
-            WordTiming(word, 0.0, 10.0)
+        with pytest.raises(TypeError) as err:
+            WordTimes(["a", word], [[0.0, 0.0], [10.0, 10.0]])
+        assert str(err.value) == f"word text must be a string, got {word!r}"
 
     @pytest.mark.parametrize("start, end, message", [
         ("0", 10.0, "start_ms must be a number, got '0'"),
@@ -282,19 +352,21 @@ class TestWordTiming:
         (None, 10.0, "start_ms must be a number, got None"),
     ], ids=["start-string", "end-bool", "start-bool", "start-none"])
     def test_non_number_time_rejected(self, start, end, message):
+        times = np.empty((2, 1), dtype=object)
+        times[:, 0] = start, end
         with pytest.raises(TypeError, match=message):
-            WordTiming("a", start, end)
+            WordTimes(["a"], times)
 
     def test_times_stored_as_floats(self):
-        word = WordTiming("a", 0, np.int64(10))
-        assert (word.start_ms, word.end_ms) == (0.0, 10.0)
-        assert (type(word.start_ms), type(word.end_ms)) == (float, float)
+        times = np.array([[0, np.int64(3)], [np.uint8(10), 12.5]], dtype=object)
+        words = WordTimes(["a", "b"], times)
+        assert words.times.dtype == np.float64
+        assert words.times.tolist() == [[0.0, 3.0], [10.0, 12.5]]
+        assert all(type(x) is float for row in word_rows(words) for x in row[1:])
 
 
 def make_timings(words, starts, duration=100.0):
-    return WordTimes(
-        WordTiming(w, float(s), float(s) + duration) for w, s in zip(words, starts)
-    )
+    return word_times((w, float(s), float(s) + duration) for w, s in zip(words, starts))
 
 
 def edited_documents(seed, n_utts=4):
@@ -313,15 +385,15 @@ def edited_documents(seed, n_utts=4):
         starts = np.cumsum(rng.integers(0, 120, size=n)).astype(float)
         starts -= starts[0]
         ends = starts + rng.integers(0, 200, size=n)
-        ref[f"u{u}"] = WordTimes(WordTiming(w, s, e) for w, s, e in zip(words, starts, ends))
+        ref[f"u{u}"] = word_times(zip(words, starts, ends))
         hyp = []
         for w, s, e in zip(words, starts, ends):
             edit = rng.random()
             if edit < 0.06:
                 continue
             shift = max(float(rng.integers(-60, 61)), -s)
-            hyp.append(WordTiming("x" if edit < 0.12 else w, s + shift, e + shift))
-        pred[f"u{u}"] = WordTimes(hyp)
+            hyp.append(TimedWord("x" if edit < 0.12 else w, s + shift, e + shift))
+        pred[f"u{u}"] = word_times(hyp)
     return pred, ref
 
 
@@ -347,7 +419,7 @@ class TestGridsearchOffset:
         clamped = tied = tied_best = 0
         for seed in range(12):
             pred, ref = edited_documents(seed)
-            matched, _, _ = object_match_words(pred, ref)
+            matched, _, _ = object_match_words(word_objects(pred), word_objects(ref))
             clamped += any(p.hyp.start_ms - 150.0 < 0.0 for p in matched)
             _, _, curve = gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
             scores = [score for _, score in curve]
@@ -358,7 +430,8 @@ class TestGridsearchOffset:
     def test_builds_no_word_objects(self, tmp_path, monkeypatch, capsys):
         """Alignment, matching and scoring produce and read word-time columns:
         on valid input gridsearch_offset, `align`, `analyze-peaks`, `metrics`,
-        `gridsearch`, `synth eval` and the sweeps' scoring build no WordTiming."""
+        `gridsearch`, `synth eval` and the sweeps' scoring check no word alone
+        (WordTimes takes no time through its per-word walk)."""
         pred, ref = edited_documents(0)
         dataio.write_timings_jsonl(tmp_path / "hyp.jsonl", pred)
         dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)
@@ -371,10 +444,10 @@ class TestGridsearchOffset:
         dataio.save_classifier(tmp_path / "m.npz", Classifier.init(
             corpus[0].features_hi.shape[1], 8, CorpusSpec().vocab_size + 1, seed=0))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # count in this process
-        built = []
-        init = WordTiming.__init__
-        monkeypatch.setattr(WordTiming, "__init__",
-                            lambda self, *args: built.append(args) or init(self, *args))
+        walked = []
+        number = boundary._number
+        monkeypatch.setattr(boundary, "_number",
+                            lambda value, what: walked.append(what) or number(value, what))
 
         _, report, _ = gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
         assert report.n_matched > 0
@@ -393,7 +466,7 @@ class TestGridsearchOffset:
         assert "scored " in capsys.readouterr().out
         row = _sweep_scores(clf, corpus, split_corpus(corpus)[1], 1.0, (20.0, 80.0))
         assert row["mean_peak_rel"] is not None
-        assert built == []
+        assert walked == []
 
     def test_recovers_injected_bias(self):
         # 40 ms early with +/-10 ms jitter: only +40 centers every word

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from ctctiming import cli, dataio, synth
-from ctctiming.boundary import WordTimes, WordTiming, gridsearch_offset
+from ctctiming.boundary import gridsearch_offset
 from ctctiming.cli import main
-from ctctiming.ctc import LabelSequence, LogitMatrix, align_spans
+from ctctiming.ctc import (LabelSequence, LogitMatrix, align_spans, apply_label_prior,
+                           log_softmax_rows)
 from ctctiming.boundary import WordMap, words_from_spans
 from ctctiming.metrics import _matched_times, peak_histogram, peak_items, timing_metrics
 from ctctiming.synth import (
@@ -29,12 +30,14 @@ from ctctiming.synth import (
     split_corpus,
 )
 
-from oracles import (object_gridsearch_offset, object_match_words, object_metrics,
-                     object_pair_times, object_times_report, read_timings_objects)
+from oracles import (TimedWord, forced_align_backpointers, object_gridsearch_offset,
+                     object_match_words, object_metrics, object_pair_times, object_times_report,
+                     read_timings_objects, token_spans_flatnonzero, word_objects, word_rows,
+                     word_times)
 
 
 def one_word(text, start_ms, end_ms):
-    return WordTimes([WordTiming(text, start_ms, end_ms)])
+    return word_times([(text, start_ms, end_ms)])
 
 
 def write_fixture(tmp_path):
@@ -60,11 +63,11 @@ def write_fixture(tmp_path):
             if tok != 0:
                 tokens.append(tok)
                 words.append((f"t{tok}", piece, piece))
-                timings.append(WordTiming(f"t{tok}", lo * FRAME_MS, (hi + 1) * FRAME_MS))
+                timings.append((f"t{tok}", lo * FRAME_MS, (hi + 1) * FRAME_MS))
                 piece += 1
         mats.append(LogitMatrix(utt, logits + 0.01 * rng.normal(size=logits.shape), FRAME_MS))
         labels_items.append((utt, LabelSequence(tuple(tokens)), WordMap(tuple(words))))
-        ref[utt] = WordTimes(timings)
+        ref[utt] = word_times(timings)
     dataio.write_logits_jsonl(tmp_path / "logits.jsonl", mats)
     dataio.write_labels_jsonl(tmp_path / "labels.jsonl", labels_items)
     dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)
@@ -111,8 +114,8 @@ class TestAlign:
         base = dataio.read_timings_jsonl(tmp_path / "hyp0.jsonl")
         shifted = dataio.read_timings_jsonl(tmp_path / "hyp40.jsonl")
         for utt in base:
-            for a, b in zip(base[utt], shifted[utt]):
-                assert b.start_ms - a.start_ms == pytest.approx(40.0)
+            for a, b in zip(base[utt].times[0].tolist(), shifted[utt].times[0].tolist()):
+                assert b - a == pytest.approx(40.0)
 
     def test_malformed_logits_exit_2(self, tmp_path, capsys):
         write_fixture(tmp_path)
@@ -190,8 +193,8 @@ class TestAlign:
         hyp = dataio.read_timings_jsonl(tmp_path / "hyp.jsonl")
         ref = dataio.read_timings_jsonl(tmp_path / "ref.jsonl")
         for utt in ref:
-            assert [(w.start_ms, w.end_ms) for w in hyp[utt]] == [
-                (2 * w.start_ms, 2 * w.end_ms) for w in ref[utt]
+            assert [(s, e) for _, s, e in word_rows(hyp[utt])] == [
+                (2 * s, 2 * e) for _, s, e in word_rows(ref[utt])
             ]
 
     def test_unalignable_utterance_goes_to_sidecar(self, tmp_path):
@@ -450,9 +453,9 @@ class TestGridsearchCommand:
         rng = np.random.default_rng(1)
         starts = np.arange(10) * 500.0 + 300.0
         jitter = rng.choice([-10.0, 0.0, 10.0], size=10)
-        ref = {"u": WordTimes([WordTiming(f"w{i}", s, s + 200.0) for i, s in enumerate(starts)])}
-        hyp = {"u": WordTimes([WordTiming(f"w{i}", s - 40.0 + j, s + 160.0 + j)
-                               for i, (s, j) in enumerate(zip(starts, jitter))])}
+        ref = {"u": word_times([(f"w{i}", s, s + 200.0) for i, s in enumerate(starts)])}
+        hyp = {"u": word_times([(f"w{i}", s - 40.0 + j, s + 160.0 + j)
+                                for i, (s, j) in enumerate(zip(starts, jitter))])}
         dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)
         dataio.write_timings_jsonl(tmp_path / "hyp.jsonl", hyp)
         rc = main(["gridsearch", "--hyp", str(tmp_path / "hyp.jsonl"),
@@ -466,7 +469,7 @@ class TestGridsearchCommand:
         assert lines[0] == "offset_ms,score" and len(lines) == 42
 
     def test_identical_files_offset_zero(self, tmp_path, capsys):
-        ref = {"u": WordTimes([WordTiming("a", 100.0, 300.0), WordTiming("b", 400.0, 600.0)])}
+        ref = {"u": word_times([("a", 100.0, 300.0), ("b", 400.0, 600.0)])}
         dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)
         rc = main(["gridsearch", "--hyp", str(tmp_path / "ref.jsonl"),
                    "--ref", str(tmp_path / "ref.jsonl"),
@@ -505,7 +508,7 @@ def planted_documents(seed, n_utts=5):
         starts = np.cumsum(rng.integers(0, 150, size=n)).astype(float)
         ends = starts + rng.integers(0, 200, size=n)
         words = [types[t] for t in rng.integers(0, len(types), size=n)]
-        ref[f"u{u}"] = WordTimes(WordTiming(w, s, e) for w, s, e in zip(words, starts, ends))
+        ref[f"u{u}"] = word_times(zip(words, starts, ends))
         hyp = []
         for w, s, e in zip(words, starts, ends):
             edit = rng.random()
@@ -517,16 +520,16 @@ def planted_documents(seed, n_utts=5):
                 w = unicodedata.normalize("NFD", w)
             jitter = rng.integers(-4, 5) if rng.random() < 0.8 else rng.integers(-120, 121)
             shift = offset + jitter
-            hyp.append(WordTiming(w, max(s + shift, 0.0), max(e + shift, 0.0)))
+            hyp.append(TimedWord(w, max(s + shift, 0.0), max(e + shift, 0.0)))
             if edit > 0.95:
-                hyp.append(WordTiming("ins", max(e + shift, 0.0), max(e + shift, 0.0) + 50.0))
-        pred[f"u{u}"] = WordTimes(hyp)
+                hyp.append(TimedWord("ins", max(e + shift, 0.0), max(e + shift, 0.0) + 50.0))
+        pred[f"u{u}"] = word_times(hyp)
     return pred, ref
 
 
 class TestObjectPathIdentity:
     """`metrics` and `gridsearch` write what the object path of scoring (one
-    WordTiming per word, one WordPair per matched word) writes."""
+    TimedWord per word, one WordPair per matched word) writes."""
 
     THRESHOLDS = [20.0, 80.0, 200.0]
 
@@ -568,8 +571,8 @@ class TestObjectPathIdentity:
         pred, ref = planted_documents(seed)
         del pred["u2"]
         want_best, want_report, want_curve = object_gridsearch_offset(
-            pred, ref, (-150.0, 150.0), 10.0, 25.0)
-        pairs, n_hyp, n_ref = object_match_words(pred, ref)
+            word_objects(pred), word_objects(ref), (-150.0, 150.0), 10.0, 25.0)
+        pairs, n_hyp, n_ref = object_match_words(word_objects(pred), word_objects(ref))
         want_times = object_pair_times(pairs)
         want_metrics = object_times_report(*want_times, self.THRESHOLDS, n_hyp, n_ref)
         assert n_ref > want_metrics.n_matched > 0
@@ -586,7 +589,8 @@ class TestObjectPathIdentity:
         pred = {"u": one_word("a", 0.0, 10.0)}
         ref = {"u": one_word("b", 0.0, 10.0)}
         with pytest.raises(ValueError) as want:
-            object_gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
+            object_gridsearch_offset(word_objects(pred), word_objects(ref),
+                                     (-150.0, 150.0), 10.0, 25.0)
         with pytest.raises(ValueError) as got:
             gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
         assert str(got.value) == str(want.value)
@@ -594,7 +598,8 @@ class TestObjectPathIdentity:
         out, err = capsys.readouterr()
         assert out == "no matched words\n" and err == f"error: {want.value}\n"
         dataio.write_metrics_json(tmp_path / "want.json",
-                                  object_metrics(pred, ref, self.THRESHOLDS), timestamp=False)
+                                  object_metrics(word_objects(pred), word_objects(ref),
+                                                 self.THRESHOLDS), timestamp=False)
         assert (tmp_path / "metrics.json").read_bytes() == (tmp_path / "want.json").read_bytes()
         assert not (tmp_path / "curve.csv").exists()
 
@@ -689,7 +694,10 @@ class TestAnalyzePeaks:
     (lambda r: r["pieces"].__setitem__(0, True), "label id must be an integer, got True"),
     (lambda r: r["words"][1].__setitem__("last", 1.9), "last piece must be an integer, got 1.9"),
     (lambda r: r["words"][0].__setitem__("w", 5), "word text must be a string, got 5"),
-], ids=["float-piece", "bool-piece", "float-last", "int-word"])
+    (lambda r: r.update(pieces={"1": 2}), "pieces must be a JSON array, got {'1': 2}"),
+    (lambda r: r["words"].__setitem__(0, ["t1", 0, 0]),
+     "each of words must be a JSON object, got ['t1', 0, 0]"),
+], ids=["float-piece", "bool-piece", "float-last", "int-word", "pieces-object", "word-list"])
 @pytest.mark.parametrize("command", ["align", "analyze-peaks"])
 def test_non_integer_label_field_exit_2(tmp_path, capsys, command, edit, message):
     write_fixture(tmp_path)
@@ -1298,8 +1306,7 @@ def write_mixed_fixture(tmp_path, n_utts=40):
         for tok in tokens:
             gap, span = (int(x) for x in rng.integers(1, 4 * scale, size=2))
             frames += [0] * gap + [tok] * span
-            timings.append(WordTiming(f"w{tok}", (t + gap) * FRAME_MS,
-                                      (t + gap + span) * FRAME_MS))
+            timings.append((f"w{tok}", (t + gap) * FRAME_MS, (t + gap + span) * FRAME_MS))
             t += gap + span
         frames.append(0)
         logits = np.full((len(frames), 4), -4.0)
@@ -1311,7 +1318,7 @@ def write_mixed_fixture(tmp_path, n_utts=40):
             words = WordMap(tuple((f"w{tok}", k, k) for k, tok in enumerate(tokens)))
             labels_items.append((utt, LabelSequence(tuple(tokens)), words))
         if utt != "u13":
-            ref[utt] = WordTimes(timings)
+            ref[utt] = word_times(timings)
     dataio.write_logits_jsonl(tmp_path / "logits.jsonl", mats)
     dataio.write_labels_jsonl(tmp_path / "labels.jsonl", labels_items)
     dataio.write_timings_jsonl(tmp_path / "ref.jsonl", ref)
@@ -1365,6 +1372,29 @@ class TestParallelPipeline:
                 ["u05", "u09"] if argv[0] == "align" else ["u05", "u09", "u13"])
             assert "no valid path" in errors[1]["error"]
         assert len(dataio.read_timings_jsonl(tmp_path / "hyp.jsonl")) == 38
+
+    def test_ranges_return_one_span_array_per_utterance(self, tmp_path):
+        """Each aligned utterance comes back from its range as one int64 (3, U)
+        array, the spans an independent Viterbi and span reading give."""
+        write_mixed_fixture(tmp_path)
+        path = tmp_path / "logits.jsonl"
+        label_map = dataio.read_labels_jsonl(tmp_path / "labels.jsonl")
+        job = cli._AlignJob(str(path), None, 1.0, label_map)
+        logits = {m.utt_id: m for m in dataio.iter_logits_jsonl(path)}
+        n_arrays = 0
+        for byte_range in dataio.line_ranges(path, 4):
+            for _, utt, _, _, outcome in cli._align_range(job, byte_range):
+                if isinstance(outcome, str):
+                    continue
+                labels = label_map[utt][0]
+                assert type(outcome) is np.ndarray and outcome.dtype == np.int64
+                assert outcome.shape == (3, len(labels))
+                log_probs = log_softmax_rows(apply_label_prior(logits[utt], 1.0).frames)
+                states = forced_align_backpointers(log_probs, labels.tokens)
+                want = token_spans_flatnonzero(states, labels.tokens, np.exp(log_probs))
+                assert np.array_equal(outcome, want), utt
+                n_arrays += 1
+        assert n_arrays == 38
 
     def test_work_runs_in_workers_that_are_gone_on_return(self, tmp_path, monkeypatch, capsys):
         write_mixed_fixture(tmp_path)

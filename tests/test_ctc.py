@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ctctiming.ctc import (
-    AlignmentPath,
     LabelSequence,
     LogitMatrix,
     NonFiniteError,
@@ -464,26 +463,26 @@ class TestForcedAlign:
         post = np.full((3, 3), 1e-3)
         post[0, 1] = post[2, 2] = post[1, 0] = 0.998
         log_probs = np.log(post / post.sum(axis=1, keepdims=True))
-        path = forced_align(log_probs, LabelSequence((1, 2)))
-        assert list(emitted(path)) == [1, 0, 2]
+        labels = LabelSequence((1, 2))
+        assert list(emitted(forced_align(log_probs, labels), labels)) == [1, 0, 2]
 
     def test_exact_tie_prefers_early_advance(self):
         log_probs = np.log(np.full((2, 2), 0.5))
-        path = forced_align(log_probs, LabelSequence((1,)))
-        assert list(emitted(path)) == [1, 0]
+        labels = LabelSequence((1,))
+        assert list(emitted(forced_align(log_probs, labels), labels)) == [1, 0]
 
     def test_collapses_to_labels(self):
         rng = np.random.default_rng(13)
         for _ in range(300):
             logits, labels = random_instance(rng)
-            path = forced_align(log_softmax_rows(logits), labels)
-            assert collapse(emitted(path)) == labels.tokens
+            states = forced_align(log_softmax_rows(logits), labels)
+            assert collapse(emitted(states, labels)) == labels.tokens
 
     def test_legal_transitions(self):
         rng = np.random.default_rng(14)
         for _ in range(100):
             logits, labels = random_instance(rng)
-            states = forced_align(log_softmax_rows(logits), labels).states
+            states = forced_align(log_softmax_rows(logits), labels)
             deltas = np.diff(states)
             assert ((deltas >= 0) & (deltas <= 2)).all()
             for t in np.flatnonzero(deltas == 2):
@@ -498,12 +497,11 @@ class TestForcedAlign:
             logits, labels = random_instance(rng)
             log_probs = log_softmax_rows(logits)
             best = forced_align(log_probs, labels)
-            best_score = path_score(log_probs, best)
+            best_score = path_score(log_probs, best, labels)
             for _ in range(20):
                 sampled = sample_valid_path(rng, log_probs.shape[0], labels.tokens)
-                other = AlignmentPath(sampled, labels)
-                assert collapse(emitted(other)) == labels.tokens
-                assert best_score >= path_score(log_probs, other) - 1e-12
+                assert collapse(emitted(sampled, labels)) == labels.tokens
+                assert best_score >= path_score(log_probs, sampled, labels) - 1e-12
 
     def test_matches_exhaustive_argmax(self):
         rng = np.random.default_rng(16)
@@ -514,7 +512,7 @@ class TestForcedAlign:
             paths = enumerate_valid_paths(log_probs.shape[0], log_probs.shape[1], labels.tokens)
             scores = log_probs[np.arange(log_probs.shape[0])[None, :], paths].sum(axis=1)
             assert math.isclose(
-                path_score(log_probs, best), float(scores.max()), rel_tol=0, abs_tol=1e-9
+                path_score(log_probs, best, labels), float(scores.max()), rel_tol=0, abs_tol=1e-9
             )
 
     def test_no_valid_path(self):
@@ -579,7 +577,7 @@ class TestForcedAlign:
                     forced_align(log_probs, labels)
                 n_invalid += 1
                 continue
-            assert np.array_equal(forced_align(log_probs, labels).states, expected), i
+            assert np.array_equal(forced_align(log_probs, labels), expected), i
             n_valid += 1
         assert n_valid >= 10_000 and n_invalid >= 1_000
 
@@ -606,7 +604,7 @@ class TestForcedAlign:
                 with pytest.raises(NoValidPathError):
                     forced_align(log_probs, labels)
                 continue
-            assert np.array_equal(forced_align(log_probs, labels).states, expected), i
+            assert np.array_equal(forced_align(log_probs, labels), expected), i
             n_valid += 1
         assert n_valid >= 100
 
@@ -621,7 +619,7 @@ class TestPerFrameConstantInvariance:
         assert math.isclose(loss_a, loss_b, rel_tol=1e-10)
         path_a = forced_align(log_softmax_rows(logits), labels)
         path_b = forced_align(log_softmax_rows(shifted), labels)
-        assert np.array_equal(path_a.states, path_b.states)
+        assert np.array_equal(path_a, path_b)
 
 
 class TestTokenSpans:
@@ -630,41 +628,40 @@ class TestTokenSpans:
         states = np.array([0, 0, 0, 1, 1, 1, 2])
         post = np.full((7, 2), 0.1)
         post[4, 1] = 0.9
-        spans = token_spans(AlignmentPath(states, labels), post)
-        assert len(spans) == 1
-        assert (spans[0].start_frame, spans[0].end_frame, spans[0].peak_frame) == (3, 5, 4)
+        spans = token_spans(states, labels, post)
+        assert spans.shape == (3, 1) and spans.dtype == np.int64
+        assert spans[:, 0].tolist() == [3, 5, 4]
 
     def test_single_frame_emission(self):
         labels = LabelSequence((2,))
         states = np.array([0] * 7 + [1] + [2] * 2)
         post = np.zeros((10, 3))
-        spans = token_spans(AlignmentPath(states, labels), post)
-        assert (spans[0].start_frame, spans[0].end_frame, spans[0].peak_frame) == (7, 7, 7)
+        spans = token_spans(states, labels, post)
+        assert spans[:, 0].tolist() == [7, 7, 7]
 
     def test_peak_first_frame_on_tie(self):
         labels = LabelSequence((1,))
         states = np.array([1, 1, 1])
         post = np.full((3, 2), 0.5)
-        spans = token_spans(AlignmentPath(states, labels), post)
-        assert spans[0].peak_frame == 0
+        spans = token_spans(states, labels, post)
+        assert spans[2, 0] == 0
 
     def test_peaky_path_yields_unit_spans(self):
         labels = LabelSequence((1, 2, 3))
         states = np.array([0, 1, 2, 3, 4, 5, 6])
         post = np.eye(7, 4)
-        spans = token_spans(AlignmentPath(states, labels), post)
-        assert [(s.start_frame, s.end_frame) for s in spans] == [(1, 1), (3, 3), (5, 5)]
-        assert all(s.start_frame <= s.peak_frame <= s.end_frame for s in spans)
+        start, end, peak = token_spans(states, labels, post)
+        assert list(zip(start.tolist(), end.tolist())) == [(1, 1), (3, 3), (5, 5)]
+        assert ((start <= peak) & (peak <= end)).all()
 
     def test_spans_ordered_disjoint(self):
         rng = np.random.default_rng(18)
         for _ in range(100):
             logits, labels = random_instance(rng)
             log_probs = log_softmax_rows(logits)
-            path = forced_align(log_probs, labels)
-            spans = token_spans(path, np.exp(log_probs))
-            for a, b in zip(spans, spans[1:]):
-                assert a.end_frame < b.start_frame
+            states = forced_align(log_probs, labels)
+            start, end, _ = token_spans(states, labels, np.exp(log_probs))
+            assert (end[:-1] < start[1:]).all()
 
     def test_matches_flatnonzero_reading(self):
         rng = np.random.default_rng(22)
@@ -674,28 +671,26 @@ class TestTokenSpans:
             n_frames = len(labels) + labels.n_repeats + int(rng.integers(0, 60))
             states = sample_valid_path(rng, n_frames, labels.tokens)
             post = np.round(rng.random((n_frames, n_vocab)), 1)  # ties within spans
-            spans = token_spans(AlignmentPath(states, labels), post)
-            assert [s.token_index for s in spans] == list(range(len(labels)))
-            assert [(s.start_frame, s.end_frame, s.peak_frame) for s in spans] == (
-                token_spans_flatnonzero(states, labels.tokens, post)
-            )
+            spans = token_spans(states, labels, post)
+            assert spans.shape == (3, len(labels)) and spans.dtype == np.int64
+            assert np.array_equal(spans, token_spans_flatnonzero(states, labels.tokens, post))
 
     def test_path_that_goes_back_rejected(self):
         # visits state 1 at frames 0 and 2, around a blank frame
-        path = AlignmentPath(np.array([1, 0, 1, 2]), LabelSequence((1,)))
+        states = np.array([1, 0, 1, 2])
         with pytest.raises(ValueError, match="decreases at frame 1"):
-            token_spans(path, np.full((4, 2), 0.5))
+            token_spans(states, LabelSequence((1,)), np.full((4, 2), 0.5))
 
     def test_path_missing_token_rejected(self):
-        path = AlignmentPath(np.array([0, 1, 2, 4]), LabelSequence((1, 2)))
+        states = np.array([0, 1, 2, 4])
         with pytest.raises(ValueError, match="never visits token 1"):
-            token_spans(path, np.full((4, 3), 0.5))
+            token_spans(states, LabelSequence((1, 2)), np.full((4, 3), 0.5))
 
 
 def explicit_chain(logits, labels, gamma):
     """The four calls align_spans stands for, written out."""
     log_probs = log_softmax_rows(apply_label_prior(logits, gamma).frames)
-    return token_spans(forced_align(log_probs, labels), np.exp(log_probs))
+    return token_spans(forced_align(log_probs, labels), labels, np.exp(log_probs))
 
 
 class TestAlignSpans:
@@ -705,7 +700,8 @@ class TestAlignSpans:
         for i in range(200):
             frames, labels = random_instance(rng, t_max=9, v_max=4, u_max=4)
             logits = LogitMatrix(f"u{i}", frames, 10.0)
-            assert align_spans(logits, labels, gamma) == explicit_chain(logits, labels, gamma)
+            assert np.array_equal(align_spans(logits, labels, gamma),
+                                  explicit_chain(logits, labels, gamma))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_repeats_at_minimum_length(self, gamma):
@@ -716,9 +712,10 @@ class TestAlignSpans:
             n_frames = len(labels) + labels.n_repeats
             logits = LogitMatrix("u", rng.normal(size=(n_frames, 4)), 10.0)
             spans = align_spans(logits, labels, gamma)
-            assert spans == explicit_chain(logits, labels, gamma)
-            assert all(s.start_frame == s.end_frame == s.peak_frame for s in spans)
-            assert all(a.end_frame < b.start_frame for a, b in zip(spans, spans[1:]))
+            assert np.array_equal(spans, explicit_chain(logits, labels, gamma))
+            start, end, peak = spans
+            assert ((start == end) & (end == peak)).all()
+            assert (end[:-1] < start[1:]).all()
 
     def test_gamma_zero_is_identity_where_the_mean_overflows(self):
         # every logit is finite but each column's sum overflows: gamma 0 must
@@ -726,7 +723,8 @@ class TestAlignSpans:
         logits = LogitMatrix("u", np.tile([1e308, 0.0, 1e308], (4, 1)), 10.0)
         labels = LabelSequence((2,))
         assert apply_label_prior(logits, 0.0) is logits
-        assert align_spans(logits, labels, 0.0) == explicit_chain(logits, labels, 0.0)
+        assert np.array_equal(align_spans(logits, labels, 0.0),
+                              explicit_chain(logits, labels, 0.0))
 
     @pytest.mark.parametrize("gamma", [0.25, 1.0])
     def test_prior_overflow_raises_nonfinite_naming_utterance(self, gamma):

@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctctiming import dataio
-from ctctiming.boundary import WordMap, WordTimes, WordTiming
+from ctctiming import boundary, dataio
+from ctctiming.boundary import WordMap, WordTimes
 from ctctiming.ctc import LabelSequence, LogitMatrix
 from ctctiming.dataio import DataFormatError
 from ctctiming.synth import Classifier
+
+from oracles import TimedWord, word_rows, word_times
 
 
 class TestLogitsJsonl:
@@ -169,6 +171,28 @@ class TestLabelsJsonl:
         with pytest.raises(DataFormatError):
             dataio.read_labels_jsonl(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.update(pieces={"1": 2}), "pieces must be a JSON array, got {'1': 2}"),
+        (lambda r: r.update(pieces=5), "pieces must be a JSON array, got 5"),
+        (lambda r: r.update(pieces=None), "pieces must be a JSON array, got None"),
+        (lambda r: r.update(words={"w": 1}), "words must be a JSON array, got {'w': 1}"),
+        (lambda r: r.update(words="x"), "words must be a JSON array, got 'x'"),
+        (lambda r: r["words"].__setitem__(1, ["x", 1, 1]),
+         "each of words must be a JSON object, got ['x', 1, 1]"),
+        (lambda r: r["words"].__setitem__(0, "x"),
+         "each of words must be a JSON object, got 'x'"),
+    ], ids=["pieces-object", "pieces-int", "pieces-null", "words-object", "words-string",
+            "word-list", "word-string"])
+    def test_non_array_or_non_object_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "labels.jsonl"
+        record = {"utt": "u", "pieces": [1, 2],
+                  "words": [{"w": "a", "first": 0, "last": 0}, {"w": "b", "first": 1, "last": 1}]}
+        edit(record)
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            dataio.read_labels_jsonl(path)
+        assert str(err.value) == f"{path}:1: {message}"
+
     def test_duplicate_utterance_rejected(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         record = {"utt": "a", "pieces": [1], "words": [{"w": "x", "first": 0, "last": 0}]}
@@ -181,10 +205,10 @@ class TestLabelsJsonl:
 class TestTimingsJsonl:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "timings.jsonl"
-        timings = {"u1": WordTimes([WordTiming("hello", 10.0, 50.0),
-                                    WordTiming("world", 60.0, 120.0)])}
+        timings = {"u1": word_times([("hello", 10.0, 50.0), ("world", 60.0, 120.0)])}
         dataio.write_timings_jsonl(path, timings)
-        assert dataio.read_timings_jsonl(path) == timings
+        back = dataio.read_timings_jsonl(path)
+        assert list(back) == ["u1"] and word_rows(back["u1"]) == word_rows(timings["u1"])
 
     def test_invalid_timing_rejected(self, tmp_path):
         path = tmp_path / "timings.jsonl"
@@ -210,11 +234,12 @@ class TestTimingsJsonl:
 
 
 def first_word_error(words) -> str | None:
-    """The message of the first word that fails to build as a WordTiming, in
-    order, as a timings record's words were once read one object at a time."""
+    """The message of the first word that fails to build as the oracles'
+    TimedWord, in order, as a timings record's words were once read one
+    object at a time."""
     try:
         for w in words:
-            WordTiming(w["w"], w["start_ms"], w["end_ms"])
+            TimedWord(w["w"], w["start_ms"], w["end_ms"])
     except (ValueError, KeyError, TypeError, OverflowError) as err:
         return str(err)
     return None
@@ -222,7 +247,7 @@ def first_word_error(words) -> str | None:
 
 class TestTimingsColumns:
     """read_timings_jsonl checks a record's words in bulk and builds no word
-    object; a bad word raises the error its own WordTiming raises."""
+    object; a bad word raises the error the per-word rule gives it."""
 
     N_WORDS = 200
 
@@ -270,11 +295,7 @@ class TestTimingsColumns:
         ('[{"w": "a", "start_ms": 9, "end_ms": 1}, {"w": "b"}]', "need 0 <= start"),
         ('[{"w": 5, "start_ms": 0, "end_ms": 1}, 7]', "word text must be a string"),
         ('[{"w": "a", "start_ms": 0, "end_ms": 1}, {"start_ms": true}]', "'w'"),
-        ("5", "'int' object is not iterable"),
-        ("null", "'NoneType' object is not iterable"),
-        ('{"w": "a"}', "string indices must be integers"),
-    ], ids=["range-before-missing-key", "text-before-non-object", "missing-text",
-            "words-int", "words-null", "words-object"])
+    ], ids=["range-before-missing-key", "text-before-non-object", "missing-text"])
     def test_record_errors_in_word_order(self, tmp_path, words, expect):
         path = tmp_path / "timings.jsonl"
         path.write_text('{"utt": "u", "words": %s}\n' % words)
@@ -287,16 +308,21 @@ class TestTimingsColumns:
     @pytest.mark.parametrize("words, message", [
         ("{}", "words must be a JSON array, got {}"),
         ('""', "words must be a JSON array, got ''"),
-        ('{"w": 1}', "string indices must be integers"),
-    ], ids=["object-empty", "string-empty", "object"])
+        ('{"w": 1}', "words must be a JSON array, got {'w': 1}"),
+        ("5", "words must be a JSON array, got 5"),
+        ("null", "words must be a JSON array, got None"),
+        ('{"w": "a"}', "words must be a JSON array, got {'w': 'a'}"),
+    ], ids=["object-empty", "string-empty", "object", "words-int", "words-null",
+            "words-object"])
     def test_words_not_an_array_rejected(self, tmp_path, words, message):
         path = tmp_path / "timings.jsonl"
         path.write_text('{"utt": "a", "words": []}\n{"utt": "b", "words": %s}\n' % words)
         with pytest.raises(DataFormatError) as err:
             dataio.read_timings_jsonl(path)
-        assert str(err.value).startswith(f"{path}:2: {message}")
+        assert str(err.value) == f"{path}:2: {message}"
         path.write_text('{"utt": "a", "words": []}\n')
-        assert dataio.read_timings_jsonl(path) == {"a": []}
+        empty = dataio.read_timings_jsonl(path)
+        assert list(empty) == ["a"] and word_rows(empty["a"]) == []
 
     def test_builds_no_word_objects(self, tmp_path, monkeypatch):
         path = tmp_path / "timings.jsonl"
@@ -304,24 +330,26 @@ class TestTimingsColumns:
             '{"utt": "u", "words": %s}\n{"utt": "e", "words": []}\n' % self._words_text(
                 0, '{"w": "caf\\u00e9", "start_ms": 0, "end_ms": 0}')
         )
-        want = {r["utt"]: [WordTiming(w["w"], w["start_ms"], w["end_ms"]) for w in r["words"]]
+        want = {r["utt"]: [tuple(TimedWord(w["w"], w["start_ms"], w["end_ms"]))
+                           for w in r["words"]]
                 for r in map(json.loads, path.read_text().splitlines())}
-        built = []
-        init = WordTiming.__init__
-        monkeypatch.setattr(WordTiming, "__init__",
-                            lambda self, *args: built.append(args) or init(self, *args))
+        walked = []  # WordTimes checks a word alone only when the bulk check fails
+        number = boundary._number
+        monkeypatch.setattr(boundary, "_number",
+                            lambda value, what: walked.append(what) or number(value, what))
         timings = dataio.read_timings_jsonl(path)
-        assert built == []
+        assert walked == []
         monkeypatch.undo()
-        assert timings == want and list(timings) == ["u", "e"]
+        assert {utt: word_rows(words) for utt, words in timings.items()} == want
+        assert list(timings) == ["u", "e"]
         words = timings["u"]
         assert isinstance(words, WordTimes) and len(words) == self.N_WORDS
         assert words.texts[:2] == ("caf\u00e9", "w1")
         assert words.times.dtype == np.float64 and words.times.shape == (2, self.N_WORDS)
         assert words.times[:, 1].tolist() == [10.0, 15.0]
         assert not words.times.flags.writeable
-        assert words[-1] == WordTiming("w199", 1990.0, 1995.0)
-        assert (type(words[1].start_ms), type(words[1].end_ms)) == (float, float)
+        assert word_rows(words)[-1] == ("w199", 1990.0, 1995.0)
+        assert [type(x) for x in word_rows(words)[1][1:]] == [float, float]
 
 
 class TestValueTypes:
@@ -381,7 +409,7 @@ class TestValueTypes:
         path = tmp_path / "timings.jsonl"
         path.write_text('{"utt": "u", "words": [{"w": "a", "start_ms": 0, "end_ms": 10}]}\n')
         words = dataio.read_timings_jsonl(path)["u"]
-        assert (type(words[0].start_ms), type(words[0].end_ms)) == (float, float)
+        assert [type(x) for x in word_rows(words)[0][1:]] == [float, float]
         assert dataio.timings_line("u", words) == (
             '{"utt": "u", "words": [{"w": "a", "start_ms": 0.0, "end_ms": 10.0}]}\n')
         path.write_text('{"utt": "u", "frame_ms": 10, "frames": [[0, 1], [2, 3]]}\n')

@@ -4,7 +4,6 @@ import unicodedata
 import numpy as np
 import pytest
 
-from ctctiming.boundary import WordTimes, WordTiming
 from ctctiming.metrics import (
     _matched_times,
     blank_occupancy,
@@ -14,15 +13,11 @@ from ctctiming.metrics import (
     timing_metrics,
 )
 
-from oracles import edit_align_cellwise, levenshtein_cost
-
-
-def timing(word, start, end):
-    return WordTiming(word, float(start), float(end))
+from oracles import edit_align_cellwise, levenshtein_cost, word_times
 
 
 def words(*items):
-    return WordTimes(timing(*item) for item in items)
+    return word_times(items)
 
 
 def pair(word, h_start, h_end, r_start, r_end):

@@ -25,7 +25,7 @@ from ctctiming.synth import (
 )
 from ctctiming.metrics import timing_metrics
 
-from oracles import central_difference_grad, grad_relative_error
+from oracles import central_difference_grad, grad_relative_error, word_rows
 
 
 def small_spec(**kw):
@@ -42,7 +42,7 @@ def corpus_digest(corpus):
         h.update(utt.features_hi.tobytes())
         h.update(repr(utt.labels.tokens).encode())
         h.update(repr(utt.word_map.words).encode())
-        h.update(repr([(w.word, w.start_ms, w.end_ms) for w in utt.ref_timings]).encode())
+        h.update(repr(word_rows(utt.ref_timings)).encode())
     return h.hexdigest()
 
 
@@ -75,8 +75,8 @@ class TestGenerateCorpus:
         corpus = generate_corpus(small_spec(noise_sigma=0.0, pieces_per_word=(1, 1)))
         for utt in corpus:
             rows = {}
-            for token, ref in zip(utt.labels.tokens, utt.ref_timings):
-                lo, hi = int(ref.start_ms / 10), int(ref.end_ms / 10)
+            for token, (_, start_ms, end_ms) in zip(utt.labels.tokens, word_rows(utt.ref_timings)):
+                lo, hi = int(start_ms / 10), int(end_ms / 10)
                 span = utt.features_lo[lo:hi]
                 assert np.ptp(span, axis=0).max() == 0.0
                 rows[token] = span[0]
@@ -88,17 +88,18 @@ class TestGenerateCorpus:
     def test_ref_timings_tile_spans(self):
         corpus = generate_corpus(small_spec())
         for utt in corpus:
-            for timing in utt.ref_timings:
-                assert 0.0 <= timing.start_ms < timing.end_ms <= utt.n_frames * 10.0
-                assert timing.start_ms % 10.0 == 0.0 and timing.end_ms % 10.0 == 0.0
+            rows = word_rows(utt.ref_timings)
+            for _, start_ms, end_ms in rows:
+                assert 0.0 <= start_ms < end_ms <= utt.n_frames * 10.0
+                assert start_ms % 10.0 == 0.0 and end_ms % 10.0 == 0.0
             # words ordered and non-overlapping
-            for a, b in zip(utt.ref_timings, utt.ref_timings[1:]):
-                assert a.end_ms <= b.start_ms
+            for a, b in zip(rows, rows[1:]):
+                assert a[2] <= b[1]
 
     def test_word_durations_within_construction_bounds(self):
         spec = CorpusSpec(n_utts=20, span_frames=(3, 10), pieces_per_word=(1, 3), seed=5)
         corpus = generate_corpus(spec)
-        durations = [w.duration_ms for u in corpus for w in u.ref_timings]
+        durations = [end - start for u in corpus for _, start, end in word_rows(u.ref_timings)]
         assert min(durations) >= 30.0 * 1
         assert max(durations) <= 100.0 * 3
         assert 30.0 <= np.mean(durations) <= 300.0
@@ -443,12 +444,12 @@ class TestEvaluate:
         for utt in corpus:
             log_probs = np.full((utt.n_frames, 5), -np.inf)
             log_probs[:, 0] = 0.0
-            for token, ref in zip(utt.labels.tokens, utt.ref_timings):
-                lo, hi = int(ref.start_ms / 10), int(ref.end_ms / 10)
+            for token, (_, start_ms, end_ms) in zip(utt.labels.tokens, word_rows(utt.ref_timings)):
+                lo, hi = int(start_ms / 10), int(end_ms / 10)
                 log_probs[lo:hi, 0] = -np.inf
                 log_probs[lo:hi, token] = 0.0
-            path = forced_align(log_probs, utt.labels)
-            spans = token_spans(path, np.exp(log_probs))
+            states = forced_align(log_probs, utt.labels)
+            spans = token_spans(states, utt.labels, np.exp(log_probs))
             hyp[utt.utt_id] = words_from_spans(spans, utt.word_map, 10.0, n_frames=utt.n_frames)
         report = timing_metrics(hyp, reference_timings(corpus), [20.0])
         assert report.n_matched == report.n_ref == sum(len(u.ref_timings) for u in corpus)
@@ -463,9 +464,9 @@ class TestEvaluate:
         base = predict_timings(clf, corpus, 1.0, offset_ms=0.0)
         shifted = predict_timings(clf, corpus, 1.0, offset_ms=30.0)
         for utt_id in base:
-            for a, b in zip(base[utt_id], shifted[utt_id]):
-                if a.start_ms > 0:  # clamping exempt
-                    assert b.start_ms - a.start_ms == pytest.approx(30.0)
+            for a, b in zip(base[utt_id].times[0].tolist(), shifted[utt_id].times[0].tolist()):
+                if a > 0:  # clamping exempt
+                    assert b - a == pytest.approx(30.0)
 
     def test_blank_occupancy_bounds(self):
         corpus = generate_corpus(small_spec())
@@ -489,7 +490,7 @@ class TestEvaluate:
         # translating references and predictions together leaves all
         # percentage metrics unchanged (no clamping in play)
         from dataclasses import replace as dc_replace
-        from ctctiming.boundary import WordTimes, WordTiming
+        from ctctiming.boundary import WordTimes
 
         corpus = generate_corpus(small_spec(gap_frames=(4, 6)))
         config = TrainConfig(method="npc", epochs=15, batch_size=8, seed=3)
@@ -505,10 +506,7 @@ class TestEvaluate:
         shifted_corpus = [
             dc_replace(
                 utt,
-                ref_timings=WordTimes(
-                    WordTiming(w.word, w.start_ms + delta, w.end_ms + delta)
-                    for w in utt.ref_timings
-                ),
+                ref_timings=WordTimes(utt.ref_timings.texts, utt.ref_timings.times + delta),
             )
             for utt in corpus
         ]
@@ -599,7 +597,7 @@ class TestCetcTargets:
         for utt in corpus:
             fused = np.concatenate([utt.features_hi, utt.features_lo], axis=1)
             logits, _ = model_forward(stage1, fused, utt.utt_id)
-            peaks = [s.peak_frame for s in align_spans(logits, utt.labels, 0.0)]
+            peaks = align_spans(logits, utt.labels, 0.0)[2]
             bounds = cetc_boundaries(peaks, utt.n_frames, config.cetc)
             want = cetc_guided_targets(
                 utt.labels, peaks, bounds, config.cetc.beta, utt.n_frames, 5
