@@ -20,7 +20,6 @@ from .boundary import (
 )
 from .ctc import (
     BLANK_ID,
-    CtcLattice,
     LabelSequence,
     LogitMatrix,
     NonFiniteError,
@@ -30,7 +29,6 @@ from .ctc import (
     ctc_grad,
     ctc_grad_batch,
     ctc_loss,
-    ctc_loss_batch,
     forced_align,
     log_softmax_rows,
     prior_ctc_grad,

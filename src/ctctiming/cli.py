@@ -13,6 +13,7 @@ import math
 import os
 import re
 import sys
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -303,8 +304,6 @@ def cmd_align(args) -> int:
         else:
             # a regular --out is replaced only by a complete run; an abort leaves
             # it as it was. The partial file's name is this run's own.
-            import tempfile  # here, not at the top: it costs start-up time
-
             fd, name = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
             umask = os.umask(0)
             os.umask(umask)

@@ -12,6 +12,7 @@ is one float64 array that starts out holding its own emissions, so a
 """
 from __future__ import annotations
 
+import bisect
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
@@ -169,20 +170,6 @@ class LabelSequence:
         return [(np.array(ids), np.array(states)) for ids, states in passes]
 
 
-@dataclass(eq=False)
-class CtcLattice:
-    """Forward/backward log-domain lattices, both of shape (2U+1) x T.
-
-    alpha and beta each include the emission term at their own frame, so the
-    per-frame consistency identity reads
-    logsumexp_s(alpha[s,t] + beta[s,t] - emit[s,t]) == log_likelihood.
-    """
-
-    log_alpha: np.ndarray
-    log_beta: np.ndarray
-    log_likelihood: float
-
-
 def log_softmax_rows(frames: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of a finite T x V score matrix (LogitMatrix
     checks finiteness where logits enter)."""
@@ -286,53 +273,36 @@ def _forward_backward(log_probs: list[np.ndarray], labels: list[LabelSequence]):
     return results, live, lattice
 
 
-def ctc_loss_batch(
-    log_probs: list[np.ndarray], labels: list[LabelSequence]
-) -> list[tuple[float, CtcLattice] | NoValidPathError]:
-    """CTC negative log-likelihoods of a batch of utterances.
+def _segment_sums(array: np.ndarray, bounds: list[int]) -> np.ndarray:
+    """(B, V) column sums of array's row segments; segment j is rows
+    bounds[j]:bounds[j + 1]."""
+    sums = np.empty((len(bounds) - 1, array.shape[1]))
+    for row, lo, hi in zip(sums, bounds, bounds[1:]):
+        np.add.reduce(array[lo:hi], axis=0, out=row)
+    return sums
 
-    Runs one padded forward-backward recursion over the whole batch. Each
-    entry is (loss, lattice) as from ctc_loss, or the NoValidPathError of an
-    utterance that has no valid path; the other utterances are unaffected.
-    Each lattice is copied out, so that a kept result does not hold on to
-    the whole batch.
+
+def _stacked(logits: list[LogitMatrix], gamma: float) -> tuple[list[int], np.ndarray]:
+    """A batch's logits, all of one vocab width, stacked as one (sum T, V)
+    array and label-prior-adjusted when gamma is not 0. Returns (row bounds,
+    stack); utterance j holds rows bounds[j]:bounds[j + 1].
+
+    A batch of mixed vocab widths raises ValueError naming them. A prior
+    that overflows raises NonFiniteError for the first such utterance in
+    batch order, at its own frame and vocab.
     """
-    log_probs = [np.asarray(lp, dtype=np.float64) for lp in log_probs]
-    results, live, lattice = _forward_backward(log_probs, labels)
-    for i, fwd, bwd, log_like in live:
-        t, s = len(log_probs[i]), 2 * len(labels[i]) + 1
-        alpha = np.ascontiguousarray(lattice[:t, fwd, 2 : 2 + s].T)
-        beta = np.ascontiguousarray(lattice[:t, bwd, 2 : 2 + s][::-1, ::-1].T)
-        results[i] = (-log_like, CtcLattice(alpha, beta, log_like))
-    return results
-
-
-def _stacked(
-    logits: list[LogitMatrix], gamma: float
-) -> list[tuple[list[int], list[int], np.ndarray]]:
-    """A batch's logits stacked as one (sum T, V) array per vocab width, and
-    label-prior-adjusted when gamma is not 0. Each entry is (batch indices,
-    row bounds, stack); utterance idx[j] holds rows bounds[j]:bounds[j + 1].
-
-    A prior that overflows raises NonFiniteError for the first such
-    utterance in batch order, at its own frame and vocab.
-    """
-    by_width = defaultdict(list)
-    for i, x in enumerate(logits):
-        by_width[x.n_vocab].append(i)
-    stacks = []
-    for idx in by_width.values():
-        bounds = np.cumsum([0] + [logits[i].n_frames for i in idx]).tolist()
-        frames = np.concatenate([logits[i].frames for i in idx])
-        if gamma:
-            frames = _minus_prior(frames, bounds, gamma)
-        stacks.append((idx, bounds, frames))
-    if gamma and not all(np.isfinite(frames).all() for _, _, frames in stacks):
-        views = {i: frames[lo:hi] for idx, bounds, frames in stacks
-                 for i, lo, hi in zip(idx, bounds, bounds[1:])}
-        for i in sorted(views):
-            _check_finite(logits[i].utt_id, views[i])
-    return stacks
+    widths = sorted({x.n_vocab for x in logits})
+    if len(widths) > 1:
+        raise ValueError(f"a batch takes one vocab width, got widths {widths}")
+    bounds = np.cumsum([0] + [x.n_frames for x in logits]).tolist()
+    frames = np.concatenate([x.frames for x in logits])
+    if gamma:
+        frames = _minus_prior(frames, bounds, gamma)
+        if not np.isfinite(frames).all():
+            row, vocab = np.argwhere(~np.isfinite(frames))[0]
+            j = bisect.bisect_right(bounds, row) - 1
+            raise NonFiniteError(logits[j].utt_id, int(row) - bounds[j], int(vocab))
+    return bounds, frames
 
 
 def _subtract_occupancy(grad: np.ndarray, post: np.ndarray, labels: LabelSequence) -> None:
@@ -354,27 +324,25 @@ def _subtract_occupancy(grad: np.ndarray, post: np.ndarray, labels: LabelSequenc
 def ctc_grad_batch(
     logits: list[LogitMatrix], labels: list[LabelSequence], gamma_train: float = 0.0
 ) -> list[tuple[float, np.ndarray] | NoValidPathError]:
-    """CTC losses and gradients w.r.t. raw logits for a batch of utterances.
+    """CTC losses and gradients w.r.t. raw logits for a batch of utterances
+    of one vocab width.
 
     With gamma_train != 0 the loss is taken on label-prior-adjusted logits
     and the gradient chains through the per-label mean (see prior_ctc_grad).
     Entries are (loss, grad) or the utterance's NoValidPathError.
 
-    The batch's logits are stacked into one (sum T, V) array (one per vocab
-    width), so the prior, softmax, exp and chain-rule correction each run
-    once over it; each utterance's log-probs and returned gradient are row
-    slices of the stacked arrays.
+    The batch's logits are stacked into one (sum T, V) array, so the prior,
+    softmax, exp and chain-rule correction each run once over it; each
+    utterance's log-probs and returned gradient are row slices of the
+    stacked arrays, and one padded recursion fills every lattice.
     """
-    log_probs: list = [None] * len(logits)
-    grads: list = [None] * len(logits)
-    stacks = []
-    for idx, bounds, frames in _stacked(logits, gamma_train):
-        lp = log_softmax_rows(frames)
-        # grad[t, v] = softmax(logits)[t, v] - occupancy(v, t); rows sum to zero
-        grad = np.exp(lp)
-        for i, lo, hi in zip(idx, bounds, bounds[1:]):
-            log_probs[i], grads[i] = lp[lo:hi], grad[lo:hi]
-        stacks.append((idx, bounds, grad))
+    if not logits:
+        return []
+    bounds, frames = _stacked(logits, gamma_train)
+    lp = log_softmax_rows(frames)
+    # grad[t, v] = softmax(logits)[t, v] - occupancy(v, t); rows sum to zero
+    grad = np.exp(lp)
+    log_probs = [lp[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     results, live, lattice = _forward_backward(log_probs, labels)
     for i, fwd, bwd, log_like in live:
@@ -385,17 +353,15 @@ def ctc_grad_batch(
         post = np.add(alpha, beta, out=np.empty((s, t)))
         post -= log_probs[i][:, topology.syms].T
         post -= log_like
-        _subtract_occupancy(grads[i], np.exp(post, out=post), labels[i])
-        results[i] = (-log_like, grads[i])
+        rows = grad[bounds[i] : bounds[i + 1]]
+        _subtract_occupancy(rows, np.exp(post, out=post), labels[i])
+        results[i] = (-log_like, rows)
 
     if gamma_train:
         # d/dO[t, v] = g[t, v] - (gamma/T) * sum_t' g[t', v], per utterance
-        for idx, bounds, grad in stacks:
-            n_frames = np.diff(bounds)
-            sums = np.empty((len(idx), grad.shape[1]))
-            for row, lo, hi in zip(sums, bounds, bounds[1:]):
-                np.add.reduce(grad[lo:hi], axis=0, out=row)
-            grad -= np.repeat((gamma_train / n_frames)[:, None] * sums, n_frames, axis=0)
+        n_frames = np.diff(bounds)
+        sums = _segment_sums(grad, bounds)
+        grad -= np.repeat((gamma_train / n_frames)[:, None] * sums, n_frames, axis=0)
     return results
 
 
@@ -406,13 +372,25 @@ def _single(results: list):
     return results[0]
 
 
-def ctc_loss(log_probs: np.ndarray, labels: LabelSequence) -> tuple[float, CtcLattice]:
+def ctc_loss(
+    log_probs: np.ndarray, labels: LabelSequence
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """CTC negative log-likelihood of labels under a T x V log-prob matrix.
 
-    Returns the loss together with the full forward/backward lattice so that
-    occupancy posteriors can be derived without recomputation.
+    Returns (loss, (log_alpha, log_beta)): the forward and backward
+    lattices, each a C-contiguous (2U+1, T) array, so that occupancy
+    posteriors can be derived without recomputation. Each includes the
+    emission at its own frame, so for every frame t
+    logsumexp_s(log_alpha[s, t] + log_beta[s, t] - emit[s, t]) == -loss.
+    Raises NoValidPathError when labels have no valid path.
     """
-    return _single(ctc_loss_batch([log_probs], [labels]))
+    log_probs = np.asarray(log_probs, dtype=np.float64)
+    (error,), live, lattice = _forward_backward([log_probs], [labels])
+    if error is not None:
+        raise error
+    [(_, fwd, bwd, log_like)] = live
+    # copies, C-contiguous, that do not hold on to the padded lattice
+    return -log_like, (lattice[:, fwd, 2:].T.copy(), lattice[::-1, bwd, :1:-1].T.copy())
 
 
 def ctc_grad(logits: LogitMatrix, labels: LabelSequence) -> tuple[float, np.ndarray]:
@@ -428,9 +406,7 @@ def _minus_prior(frames: np.ndarray, bounds: list[int], gamma: float) -> np.ndar
     is rows bounds[j]:bounds[j + 1]. The one form of the label prior."""
     if not np.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    prior = np.empty((len(bounds) - 1, frames.shape[1]))
-    for row, lo, hi in zip(prior, bounds, bounds[1:]):
-        np.add.reduce(frames[lo:hi], axis=0, out=row)
+    prior = _segment_sums(frames, bounds)
     n_frames = np.diff(bounds)
     prior /= n_frames[:, None]  # ndarray.mean's own sum and division
     prior *= gamma

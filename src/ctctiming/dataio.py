@@ -154,15 +154,20 @@ def _json_array(record: dict, key: str) -> list:
     return value
 
 
+def _word_object(word):
+    """One entry of a record's words, which must be a JSON object: anything
+    else raises TypeError naming the field."""
+    if type(word) is not dict:
+        raise TypeError(f"each of words must be a JSON object, got {word!r}")
+    return word
+
+
 def read_labels_jsonl(path: str | Path) -> dict[str, tuple[LabelSequence, WordMap]]:
     """{"utt", "pieces", "words": [{"w", "first", "last"}]} records; pieces
     and words are JSON arrays, and each word is a JSON object."""
     def build(utt: str, record: dict, _raw: bytes) -> tuple[LabelSequence, WordMap]:
         labels = LabelSequence(tuple(_json_array(record, "pieces")))
-        words = _json_array(record, "words")
-        for w in words:
-            if type(w) is not dict:
-                raise TypeError(f"each of words must be a JSON object, got {w!r}")
+        words = [_word_object(w) for w in _json_array(record, "words")]
         word_map = WordMap(tuple((w["w"], w["first"], w["last"]) for w in words))
         if word_map.n_pieces != len(labels):
             raise ValueError(f"word map covers {word_map.n_pieces} pieces, got {len(labels)}")
@@ -193,8 +198,9 @@ def read_timings_jsonl(path: str | Path) -> dict[str, WordTimes]:
 
     `words` must be a JSON array. Its words are gathered and checked by
     WordTimes all at once when each has its keys and int or float (not bool)
-    times. Otherwise each word is checked alone, in order, for its keys and
-    then by WordTimes, so the first bad word raises its own error.
+    times. Otherwise each word is checked alone, in order, for being a JSON
+    object, for its keys and then by WordTimes, so the first bad word raises
+    its own error.
     """
     def build(utt: str, record: dict, _raw: bytes) -> WordTimes:
         words = _json_array(record, "words")
@@ -206,7 +212,7 @@ def read_timings_jsonl(path: str | Path) -> dict[str, WordTimes]:
             pass
         texts, times = [], np.empty((2, len(words)), dtype=object)  # values kept as they are
         for i, word in enumerate(words):
-            text, times[0, i], times[1, i] = _WORD_FIELDS(word)
+            text, times[0, i], times[1, i] = _WORD_FIELDS(_word_object(word))
             WordTimes((text,), times[:, i : i + 1])
             texts.append(text)
         return WordTimes(texts, times)

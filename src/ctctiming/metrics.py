@@ -12,10 +12,6 @@ import numpy as np
 from .ctc import BLANK_ID
 
 
-def _norm(word: str) -> str:
-    return unicodedata.normalize("NFC", word)
-
-
 @dataclass
 class MetricsReport:
     """Aggregate word-timing accuracy; statistics are None when nothing matched."""
@@ -50,16 +46,14 @@ class PeakHistogram:
     n_skipped: int
 
 
-def _word_ids(hyp_words: list[str], ref_words: list[str]) -> tuple[list[int], list[int]]:
-    """Integer ids shared by words that are equal after NFC normalization."""
-    ids: dict[str, int] = {}
-    # an ASCII word is its own NFC form
-    hyp = [ids.setdefault(w if w.isascii() else _norm(w), len(ids)) for w in hyp_words]
-    ref = [ids.setdefault(w if w.isascii() else _norm(w), len(ids)) for w in ref_words]
-    return hyp, ref
+def _nfc(words: list[str]) -> list[str]:
+    """words after Unicode NFC normalization; ASCII text is its own NFC form."""
+    if "".join(words).isascii():
+        return words
+    return [w if w.isascii() else unicodedata.normalize("NFC", w) for w in words]
 
 
-def _edit_columns(hyp: list[int], ref: list[int]) -> Iterator[tuple[int, int]]:
+def _edit_columns(hyp: list[str], ref: list[str]) -> Iterator[tuple[int, int]]:
     """Columns j = 0..m of the unit-cost edit-distance table D as bit vectors.
 
     D[i][j] is the distance between the first i hypothesis and the first j
@@ -70,7 +64,7 @@ def _edit_columns(hyp: list[int], ref: list[int]) -> Iterator[tuple[int, int]]:
     (Myers 1999, in Hyyrö's 2001 formulation; the top row D[0][j] = j shifts
     a +1 into the horizontal deltas).
     """
-    peq: dict[int, int] = {}
+    peq: dict[str, int] = {}
     for i, word in enumerate(hyp):
         peq[word] = peq.get(word, 0) | 1 << i
     mask = (1 << len(hyp)) - 1
@@ -98,7 +92,7 @@ def edit_align(hyp_words: list[str], ref_words: list[str]) -> list[tuple[int, in
     that step reads no cell. Word texts are compared after Unicode NFC
     normalization, byte-exact, no case folding.
     """
-    hyp, ref = _word_ids(hyp_words, ref_words)
+    hyp, ref = _nfc(hyp_words), _nfc(ref_words)
     vps, vns = zip(*_edit_columns(hyp, ref))
 
     def dist(i: int, j: int) -> int:
@@ -126,7 +120,7 @@ def edit_distance(hyp_words: list[str], ref_words: list[str]) -> int:
 
     Only the running column is kept: D[n][m] is read off the last one.
     """
-    hyp, ref = _word_ids(hyp_words, ref_words)
+    hyp, ref = _nfc(hyp_words), _nfc(ref_words)
     for vp, vn in _edit_columns(hyp, ref):
         pass
     return len(ref) + vp.bit_count() - vn.bit_count()

@@ -766,6 +766,21 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
         cli.build_parser.cache_clear()  # later tests build theirs with the real __init__
 
 
+def test_import_leaves_process_pools_out():
+    """Importing the command line in a fresh interpreter loads neither
+    multiprocessing nor concurrent.futures: `align` imports them only when it
+    starts workers, so every command's start-up skips them."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, ctctiming.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_process_exit_codes(tmp_path):
     """The codes a shell sees from `python -m ctctiming.cli`."""
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -16,7 +16,6 @@ from ctctiming.ctc import (
     ctc_grad,
     ctc_grad_batch,
     ctc_loss,
-    ctc_loss_batch,
     forced_align,
     log_softmax_rows,
     prior_ctc_grad,
@@ -177,13 +176,13 @@ class TestCtcLoss:
         for _ in range(100):
             logits, labels = random_instance(rng)
             log_probs = log_softmax_rows(logits)
-            _, lattice = ctc_loss(log_probs, labels)
+            loss, (log_alpha, log_beta) = ctc_loss(log_probs, labels)
             syms = np.zeros(2 * len(labels) + 1, dtype=np.int64)
             syms[1::2] = labels.tokens
             emit = log_probs[:, syms].T
-            joint = lattice.log_alpha + lattice.log_beta - emit
+            joint = log_alpha + log_beta - emit
             per_frame = [logsumexp(joint[:, t]) for t in range(log_probs.shape[0])]
-            assert np.abs(np.asarray(per_frame) - lattice.log_likelihood).max() < 1e-9
+            assert np.abs(np.asarray(per_frame) + loss).max() < 1e-9
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(6)
@@ -229,19 +228,36 @@ def oracle_batch(rng):
     return batch
 
 
+def grads_by_width(logits, labels, gamma=0.0):
+    """ctc_grad_batch over a batch of mixed vocab widths: one call per width,
+    with the results put back in batch order."""
+    results = [None] * len(logits)
+    for width in {x.n_vocab for x in logits}:
+        idx = [i for i, x in enumerate(logits) if x.n_vocab == width]
+        for i, result in zip(idx, ctc_grad_batch([logits[i] for i in idx],
+                                                 [labels[i] for i in idx], gamma)):
+            results[i] = result
+    return results
+
+
+def as_logits(batch):
+    return [LogitMatrix(f"u{i}", x, 10.0) for i, (x, _) in enumerate(batch)]
+
+
 class TestCtcBatch:
     def test_lattices_loss_match_one_at_a_time(self):
+        # the batch's losses are ctc_loss's, whose lattices are (2U+1, T)
+        # C-contiguous arrays of their own
         rng = np.random.default_rng(21)
         for _ in range(20):
             batch = mixed_batch(rng)
-            log_probs = [log_softmax_rows(x) for x, _ in batch]
-            results = ctc_loss_batch(log_probs, [labels for _, labels in batch])
-            for lp, (_, labels), (loss, lattice) in zip(log_probs, batch, results):
-                single_loss, single = ctc_loss(lp, labels)
+            results = grads_by_width(as_logits(batch), [labels for _, labels in batch])
+            for (x, labels), (loss, _) in zip(batch, results):
+                single_loss, (alpha, beta) = ctc_loss(log_softmax_rows(x), labels)
                 assert loss == single_loss
-                assert np.array_equal(lattice.log_alpha, single.log_alpha)
-                assert np.array_equal(lattice.log_beta, single.log_beta)
-                assert lattice.log_alpha.shape == (2 * len(labels) + 1, len(lp))
+                for lattice in (alpha, beta):
+                    assert lattice.shape == (2 * len(labels) + 1, len(x))
+                    assert lattice.flags.c_contiguous and lattice.base is None
 
     def test_lattices_match_cellwise_recursion(self):
         rng = np.random.default_rng(22)
@@ -255,24 +271,22 @@ class TestCtcBatch:
             for shape in shapes
         ]
         for batch in edge_batches + [mixed_batch(rng) for _ in range(10)]:
-            log_probs = [log_softmax_rows(x) for x, _ in batch]
-            results = ctc_loss_batch(log_probs, [labels for _, labels in batch])
-            for lp, (_, labels), (_, lattice) in zip(log_probs, batch, results):
-                alpha, beta = cellwise_lattices(lp, labels.tokens)
-                assert np.array_equal(lattice.log_alpha, alpha)
-                assert np.array_equal(lattice.log_beta, beta)
+            for x, labels in batch:
+                lp = log_softmax_rows(x)
+                _, lattices = ctc_loss(lp, labels)
+                for got, want in zip(lattices, cellwise_lattices(lp, labels.tokens)):
+                    assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 1.0])
     def test_grads_match_one_at_a_time(self, gamma):
-        # bit for bit against the per-utterance chain in oracles.py
+        # bit for bit against the per-utterance chain in oracles.py, one batch per width
         rng = np.random.default_rng(31)
         n_invalid = 0
         for _ in range(8):
             batch = oracle_batch(rng)
-            logits = [LogitMatrix(f"u{i}", x, 10.0) for i, (x, _) in enumerate(batch)]
             # the underflowing utterance overflows its lattice sums to -inf
             with np.errstate(over="ignore"):
-                results = ctc_grad_batch(logits, [lab for _, lab in batch], gamma)
+                results = grads_by_width(as_logits(batch), [lab for _, lab in batch], gamma)
                 expected = [per_utterance_ctc_grad(x, lab.tokens, gamma) for x, lab in batch]
             assert len(results) == len(batch)
             for result, want in zip(results, expected):
@@ -287,10 +301,16 @@ class TestCtcBatch:
             assert "zero total" in str(results[6])
         assert n_invalid >= 8
 
+    def test_mixed_vocab_widths_raise(self):
+        logits = [LogitMatrix("a", np.zeros((3, 4)), 10.0), LogitMatrix("b", np.zeros((2, 3)), 10.0),
+                  LogitMatrix("c", np.zeros((2, 4)), 10.0)]
+        with pytest.raises(ValueError, match=re.escape("one vocab width, got widths [3, 4]")):
+            ctc_grad_batch(logits, [LabelSequence((1,))] * 3)
+
     def test_prior_overflow_raises_for_first_utterance_in_batch_order(self):
-        # u1 and u2 overflow their column means; u2 shares u0's vocab width
+        # u1 and u2 overflow their column means, u1 first in the stacked rows
         rng = np.random.default_rng(32)
-        frames = [rng.normal(size=(5, 4)), np.tile([0.0, 1e308, -1e308], (4, 1)),
+        frames = [rng.normal(size=(5, 4)), np.tile([0.0, 1e308, -1e308, 0.0], (4, 1)),
                   np.tile([1e308, 1e308, 0.0, 0.0], (3, 1))]
         labels = [LabelSequence((1,))] * 3
         logits = [LogitMatrix(f"u{i}", x, 10.0) for i, x in enumerate(frames)]
@@ -306,42 +326,42 @@ class TestCtcBatch:
         rng = np.random.default_rng(24)
         for _ in range(30):
             batch = [random_instance(rng) for _ in range(int(rng.integers(1, 6)))]
-            log_probs = [log_softmax_rows(x) for x, _ in batch]
-            results = ctc_loss_batch(log_probs, [labels for _, labels in batch])
-            for lp, (_, labels), (loss, _) in zip(log_probs, batch, results):
-                assert abs(loss - brute_force_ctc_loss(lp, labels.tokens)) <= 1e-6
+            results = grads_by_width(as_logits(batch), [labels for _, labels in batch])
+            for (x, labels), (loss, _) in zip(batch, results):
+                assert abs(loss - brute_force_ctc_loss(log_softmax_rows(x), labels.tokens)) <= 1e-6
 
     def test_no_valid_path_isolated(self):
         rng = np.random.default_rng(25)
-        batch = [(log_softmax_rows(x), labels) for x, labels in mixed_batch(rng)]
-        batch.insert(2, (log_softmax_rows(rng.normal(size=(2, 3))), LabelSequence((1, 1))))
-        # long enough, but all mass on blank: every path has probability zero
-        all_blank = np.full((3, 4), -np.inf)
-        all_blank[:, 0] = 0.0
-        batch.insert(4, (all_blank, LabelSequence((3,))))
-        results = ctc_loss_batch([lp for lp, _ in batch], [labels for _, labels in batch])
+        batch = mixed_batch(rng)
+        batch.insert(2, (rng.normal(size=(2, 3)), LabelSequence((1, 1))))
+        # long enough, but the only path emits label 2 twice at log-prob -1e308,
+        # so its probability underflows to zero
+        batch.insert(4, (np.array([[1e308, 0.0, 0.0], [0.0] * 3, [0.0, 1e308, 0.0]]),
+                         LabelSequence((2, 1, 2))))
+        with np.errstate(over="ignore"):
+            results = grads_by_width(as_logits(batch), [labels for _, labels in batch])
         assert isinstance(results[2], NoValidPathError) and "U + repeats" in str(results[2])
         assert isinstance(results[4], NoValidPathError) and "zero total" in str(results[4])
-        for i, ((lp, labels), result) in enumerate(zip(batch, results)):
+        for i, ((x, labels), result) in enumerate(zip(batch, results)):
             if i not in (2, 4):
-                assert result[0] == ctc_loss(lp, labels)[0]
+                assert result[0] == ctc_loss(log_softmax_rows(x), labels)[0]
 
     def test_empty_batch(self):
-        assert ctc_loss_batch([], []) == []
         assert ctc_grad_batch([], []) == []
 
     def test_label_out_of_range_raises(self):
         uniform = np.log(np.full((4, 3), 1 / 3))
         with pytest.raises(ValueError, match="out of range"):
-            ctc_loss_batch([uniform, uniform], [LabelSequence((1,)), LabelSequence((3,))])
-        with pytest.raises(ValueError, match="out of range"):
-            forced_align(uniform, LabelSequence((3,)))
+            ctc_grad_batch([LogitMatrix("a", uniform, 10.0), LogitMatrix("b", uniform, 10.0)],
+                           [LabelSequence((1,)), LabelSequence((3,))])
+        for call in (ctc_loss, forced_align):
+            with pytest.raises(ValueError, match="out of range"):
+                call(uniform, LabelSequence((3,)))
         # (3, 3) at T = 1 also has no valid path; the range error wins
         short = uniform[:1]
-        for call in (lambda: ctc_loss_batch([short], [LabelSequence((3, 3))]),
-                     lambda: forced_align(short, LabelSequence((3, 3)))):
+        for call in (ctc_loss, forced_align):
             with pytest.raises(ValueError, match="label id 3 out of range for V=3") as info:
-                call()
+                call(short, LabelSequence((3, 3)))
             assert not isinstance(info.value, NoValidPathError)
 
 

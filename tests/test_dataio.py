@@ -236,9 +236,11 @@ class TestTimingsJsonl:
 def first_word_error(words) -> str | None:
     """The message of the first word that fails to build as the oracles'
     TimedWord, in order, as a timings record's words were once read one
-    object at a time."""
+    object at a time; a word that is not a JSON object is refused by name."""
     try:
         for w in words:
+            if type(w) is not dict:
+                raise TypeError(f"each of words must be a JSON object, got {w!r}")
             TimedWord(w["w"], w["start_ms"], w["end_ms"])
     except (ValueError, KeyError, TypeError, OverflowError) as err:
         return str(err)
