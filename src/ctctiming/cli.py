@@ -246,15 +246,16 @@ def _alignments(job: _AlignJob, failures: list[dict]):
     failures as an {utt, error} record and raises the run's first error in
     file order; see _align_range.
 
-    With more than one usable CPU and fork available, byte ranges of the
-    file (about four per CPU) go to a pool of forked workers as each frees
-    up, and only their small results come back; otherwise the one range
-    function runs inline. Either way the results, errors and messages are
+    With more than one usable CPU, fork available and a regular file (a pipe
+    cannot be split), byte ranges of the file (about four per CPU) go to a
+    pool of forked workers as each frees up, and only their small results
+    come back; otherwise the one range function reads the whole input
+    inline, front to back. Either way the results, errors and messages are
     the same. On exit the pool is shut down, its unstarted ranges cancelled.
     """
     cpus = _usable_cpus()
     ranges = [dataio.WHOLE_FILE]
-    if cpus > 1:
+    if cpus > 1 and Path(job.logits).is_file():
         import multiprocessing  # here, not at the top: it costs start-up time
 
         if "fork" in multiprocessing.get_all_start_methods():
@@ -326,13 +327,13 @@ def cmd_align(args) -> int:
     return 0
 
 
-def _summary_row(report, threshold: float) -> str:
+def _summary_row(report, threshold: float, offset_ms: float) -> str:
     if not report.n_matched:
         return "no matched words"
     return (
         f"ST {report.ave_st_delta_ms:.2f}  ED {report.ave_ed_delta_ms:.2f}  "
         f"%WS<{threshold:g} {report.pct_ws[threshold]:.2f}  "
-        f"%WE<{threshold:g} {report.pct_we[threshold]:.2f}  offset 0"
+        f"%WE<{threshold:g} {report.pct_we[threshold]:.2f}  offset {offset_ms:g}"
     )
 
 
@@ -355,7 +356,7 @@ def cmd_metrics(args) -> int:
     report = timing_metrics(hyp, dict(sorted(ref.items())), args.thresholds)
     if args.out:
         dataio.write_metrics_json(args.out, report, timestamp=not args.no_timestamp)
-    print(_summary_row(report, args.thresholds[0]))
+    print(_summary_row(report, args.thresholds[0], 0.0))
     return 0
 
 
@@ -523,7 +524,7 @@ def cmd_synth_eval(args) -> int:
         dataio.write_timings_jsonl(args.dump_hyp, hyp)
     if args.dump_ref:
         dataio.write_timings_jsonl(args.dump_ref, ref)
-    print(_summary_row(report, args.thresholds[0]))
+    print(_summary_row(report, args.thresholds[0], args.offset_ms))
     return 0
 
 

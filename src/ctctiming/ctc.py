@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import operator
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -153,22 +152,6 @@ class LabelSequence:
             array.flags.writeable = False  # shared by every lattice of this sequence
         return _Topology(syms, skip, skip_reversed, max(self.tokens))
 
-    @cached_property
-    def _occupancy(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The CTC gradient's occupancy passes, built on first use and kept:
-        pass r holds the (label ids, odd states) of every label's r-th
-        occurrence, so no label repeats within a pass."""
-        seen: dict[int, int] = defaultdict(int)
-        passes: list[tuple[list[int], list[int]]] = []
-        for u, token in enumerate(self.tokens):
-            rank = seen[token]
-            seen[token] += 1
-            if rank == len(passes):
-                passes.append(([], []))
-            passes[rank][0].append(token)
-            passes[rank][1].append(2 * u + 1)
-        return [(np.array(ids), np.array(states)) for ids, states in passes]
-
 
 def log_softmax_rows(frames: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of a finite T x V score matrix (LogitMatrix
@@ -305,22 +288,6 @@ def _stacked(logits: list[LogitMatrix], gamma: float) -> tuple[list[int], np.nda
     return bounds, frames
 
 
-def _subtract_occupancy(grad: np.ndarray, post: np.ndarray, labels: LabelSequence) -> None:
-    """grad[:, v] -= occupancy(v, t), from the (S, T) state posteriors.
-
-    A column's occupancy is its states' posteriors added in state order, as
-    np.add.at would add them: the blank's are the even states, and each
-    pass adds every label's next occurrence.
-    """
-    occ = np.zeros((grad.shape[1], post.shape[1]))
-    np.add.reduce(post[::2], axis=0, out=occ[BLANK_ID])
-    (ids, states), *later = labels._occupancy
-    occ[ids] = post[states]  # 0.0 + p is p
-    for ids, states in later:
-        occ[ids] += post[states]
-    grad -= occ.T
-
-
 def ctc_grad_batch(
     logits: list[LogitMatrix], labels: list[LabelSequence], gamma_train: float = 0.0
 ) -> list[tuple[float, np.ndarray] | NoValidPathError]:
@@ -353,8 +320,11 @@ def ctc_grad_batch(
         post = np.add(alpha, beta, out=np.empty((s, t)))
         post -= log_probs[i][:, topology.syms].T
         post -= log_like
+        # a column's occupancy: its states' posteriors, added in state order
+        occ = np.zeros((grad.shape[1], t))
+        np.add.at(occ, topology.syms, np.exp(post, out=post))
         rows = grad[bounds[i] : bounds[i + 1]]
-        _subtract_occupancy(rows, np.exp(post, out=post), labels[i])
+        rows -= occ.T
         results[i] = (-log_like, rows)
 
     if gamma_train:

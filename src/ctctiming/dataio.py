@@ -68,7 +68,8 @@ def _records(path: str | Path, keys: tuple[str, ...], build,
     seen: dict[str, int] = {}
     # a larger buffer than the default 8 KB: lines of whole utterances are long
     with open(path, "rb", buffering=1 << 17) as handle:
-        handle.seek(start)
+        if start:  # a pipe cannot seek, and is only ever read whole
+            handle.seek(start)
         pos = start
         lineno -= 1
         for raw in handle:  # not enumerate: its reused tuple would keep the line alive
@@ -292,7 +293,8 @@ def write_metrics_json(path: str | Path, report, extra: dict | None = None,
 
 
 def save_classifier(path: str | Path, clf) -> None:
-    np.savez(path, **clf.params())
+    with open(path, "wb") as handle:  # given a name, np.savez would add ".npz" to it
+        np.savez(handle, **clf.params())
 
 
 def load_classifier(path: str | Path) -> Classifier:

@@ -126,49 +126,30 @@ def edit_distance(hyp_words: list[str], ref_words: list[str]) -> int:
     return len(ref) + vp.bit_count() - vn.bit_count()
 
 
-def _pairings(
-    hyp: dict[str, WordTimes], ref: dict[str, WordTimes]
-) -> tuple[list[tuple[WordTimes, WordTimes, list[tuple[int, int]]]], int, int]:
-    """edit_align's equal-text index pairs of every reference utterance that
-    `hyp` has, in `ref` order, each with both utterances' words:
-    (hyp words, ref words, pairs). Returns them with n_hyp and n_ref; an
-    utterance missing from `hyp` adds its reference words to n_ref and
-    nothing else."""
-    matched = []
-    n_hyp = n_ref = 0
-    for utt, ref_words in ref.items():
-        n_ref += len(ref_words)
-        hyp_words = hyp.get(utt)
-        if hyp_words is None:
-            continue
-        n_hyp += len(hyp_words)
-        matched.append((hyp_words, ref_words, edit_align(hyp_words.texts, ref_words.texts)))
-    return matched, n_hyp, n_ref
-
-
-def _times(utterances: list[WordTimes]) -> np.ndarray:
-    """The (2, N) start and end rows of every word of the utterances, in order."""
-    return np.concatenate([np.empty((2, 0)), *(words.times for words in utterances)], axis=1)
-
-
 def _matched_times(
     hyp: dict[str, WordTimes], ref: dict[str, WordTimes]
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """The times of _pairings' matched words, in its order, read off the
-    words' columns: (hyp times, ref times, n_hyp, n_ref), each times array
-    (2, n) with the starts and the ends as rows. The pairs index the words
-    of all matched utterances at once, so the numpy calls do not grow with
-    the number of utterances."""
-    matched, n_hyp, n_ref = _pairings(hyp, ref)
+    """The times of the words edit_align matches in every reference utterance
+    that `hyp` has, in `ref` order: (hyp times, ref times, n_hyp, n_ref), each
+    times array (2, n) with the starts and the ends as rows. n_hyp counts the
+    words of the hypothesis utterances that have a reference, n_ref every
+    reference word. The index pairs are offset to address all utterances'
+    words at once, so the numpy calls do not grow with their number."""
     hids, rids = [], []
-    n_hyp_words = n_ref_words = 0
-    for hyp_words, ref_words, ids in matched:
-        hids += [n_hyp_words + hid for hid, _ in ids]
-        rids += [n_ref_words + rid for _, rid in ids]
-        n_hyp_words += len(hyp_words)
-        n_ref_words += len(ref_words)
-    hyp_times = np.take(_times([words for words, _, _ in matched]), hids, axis=1)
-    ref_times = np.take(_times([words for _, words, _ in matched]), rids, axis=1)
+    hyp_cols, ref_cols = [np.empty((2, 0))], [np.empty((2, 0))]
+    n_hyp = n_ref = 0
+    for utt, ref_words in ref.items():
+        hyp_words = hyp.get(utt)
+        if hyp_words is not None:
+            pairs = edit_align(hyp_words.texts, ref_words.texts)
+            hids += [n_hyp + hid for hid, _ in pairs]
+            rids += [n_ref + rid for _, rid in pairs]
+            n_hyp += len(hyp_words)
+            hyp_cols.append(hyp_words.times)
+        n_ref += len(ref_words)
+        ref_cols.append(ref_words.times)
+    hyp_times = np.take(np.concatenate(hyp_cols, axis=1), hids, axis=1)
+    ref_times = np.take(np.concatenate(ref_cols, axis=1), rids, axis=1)
     return hyp_times, ref_times, n_hyp, n_ref
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import unicodedata
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -567,23 +568,29 @@ class TestObjectPathIdentity:
     @pytest.mark.parametrize("seed", range(4))
     def test_library_with_an_utterance_missing(self, seed):
         """gridsearch_offset, the matched times and timing_metrics equal the
-        object path's when the hypothesis lacks an utterance."""
-        pred, ref = planted_documents(seed)
-        del pred["u2"]
-        want_best, want_report, want_curve = object_gridsearch_offset(
-            word_objects(pred), word_objects(ref), (-150.0, 150.0), 10.0, 25.0)
-        pairs, n_hyp, n_ref = object_match_words(word_objects(pred), word_objects(ref))
-        want_times = object_pair_times(pairs)
-        want_metrics = object_times_report(*want_times, self.THRESHOLDS, n_hyp, n_ref)
-        assert n_ref > want_metrics.n_matched > 0
-        best, report, curve = gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
-        assert (best, report.to_dict(), curve) == (want_best, want_report.to_dict(), want_curve)
-        hyp_times, ref_times, *counts = _matched_times(pred, ref)
-        assert np.array_equal(hyp_times, want_times[0])
-        assert np.array_equal(ref_times, want_times[1])
-        assert counts == [n_hyp, n_ref]
-        got = timing_metrics(pred, ref, self.THRESHOLDS)
-        assert got.to_dict() == want_metrics.to_dict()
+        object path's when the hypothesis lacks an utterance, and when a
+        hypothesis and a reference utterance in the middle have no words."""
+        for case in ("missing", "empty"):
+            pred, ref = planted_documents(seed)
+            if case == "missing":
+                del pred["u2"]
+            else:
+                pred["u1"] = ref["u3"] = word_times([])
+            want_best, want_report, want_curve = object_gridsearch_offset(
+                word_objects(pred), word_objects(ref), (-150.0, 150.0), 10.0, 25.0)
+            pairs, n_hyp, n_ref = object_match_words(word_objects(pred), word_objects(ref))
+            want_times = object_pair_times(pairs)
+            want_metrics = object_times_report(*want_times, self.THRESHOLDS, n_hyp, n_ref)
+            assert n_ref > want_metrics.n_matched > 0
+            best, report, curve = gridsearch_offset(pred, ref, (-150.0, 150.0), 10.0, 25.0)
+            assert (best, report.to_dict(), curve) == (
+                want_best, want_report.to_dict(), want_curve)
+            hyp_times, ref_times, *counts = _matched_times(pred, ref)
+            assert np.array_equal(hyp_times, want_times[0])
+            assert np.array_equal(ref_times, want_times[1])
+            assert counts == [n_hyp, n_ref]
+            got = timing_metrics(pred, ref, self.THRESHOLDS)
+            assert got.to_dict() == want_metrics.to_dict()
 
     def test_nothing_to_score(self, tmp_path, capsys):
         pred = {"u": one_word("a", 0.0, 10.0)}
@@ -1136,6 +1143,20 @@ class TestHoldout:
         assert "--holdout-every" in capsys.readouterr().err
         assert not (tmp_path / "out.npz").exists()
 
+    def test_summary_line_names_the_applied_offset(self, trained, tmp_path, capsys):
+        corpus_dir, model = trained
+        dumps = {name: str(tmp_path / f"{name}.jsonl") for name in ("hyp", "ref")}
+        capsys.readouterr()
+        assert main(["synth", "eval", "--corpus-dir", str(corpus_dir), "--model", str(model),
+                     "--offset-ms", "-35", "--thresholds", "20", "--dump-hyp", dumps["hyp"],
+                     "--dump-ref", dumps["ref"]]) == 0
+        eval_line = capsys.readouterr().out
+        assert main(["metrics", "--hyp", dumps["hyp"], "--ref", dumps["ref"],
+                     "--thresholds", "20"]) == 0
+        metrics_line = capsys.readouterr().out
+        assert eval_line.endswith("  offset -35\n") and metrics_line.endswith("  offset 0\n")
+        assert eval_line.rsplit("offset", 1)[0] == metrics_line.rsplit("offset", 1)[0]
+
     def test_eval_aligns_each_utterance_once(self, trained, tmp_path, monkeypatch):
         corpus_dir, model = trained
         calls = []
@@ -1489,3 +1510,76 @@ class TestParallelPipeline:
                 errors = [json.loads(line) for line in sidecar.decode().splitlines()]
                 assert [e["utt"] for e in errors] == ["u05", "u09", None]
                 assert want in errors[-1]["error"]
+
+
+def _feed(fifo, data):
+    try:
+        with open(fifo, "wb") as handle:
+            handle.write(data)
+    except BrokenPipeError:  # the reader closed the pipe before the end
+        pass
+
+
+@contextmanager
+def piped(directory, sources: dict):
+    """For each {flag: file} of sources, a FIFO in directory that a writer
+    thread feeds the file's bytes; yields {flag: FIFO path}."""
+    fifos, writers = {}, []
+    for k, (flag, source) in enumerate(sources.items()):
+        fifo = directory / f"pipe{k}"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=_feed, args=(fifo, Path(source).read_bytes()),
+                                  daemon=True)
+        writer.start()
+        fifos[flag] = str(fifo)
+        writers.append(writer)
+    try:
+        yield fifos
+    finally:
+        for fifo, writer in zip(fifos.values(), writers):
+            # a pipe the run never opened leaves its writer waiting for a reader
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+        for fifo in fifos.values():
+            os.unlink(fifo)
+
+
+PIPED_RUNS = {  # command: ({input flag: file}, other flags)
+    "align": ({"--logits": "logits.jsonl", "--labels": "labels.jsonl", "--vocab": "vocab.txt"},
+              ["--out", "hyp.jsonl"]),
+    "analyze-peaks": ({"--logits": "logits.jsonl", "--labels": "labels.jsonl",
+                       "--ref": "ref.jsonl"}, ["--out", "hist.csv"]),
+    "metrics": ({"--hyp": "doc_hyp.jsonl", "--ref": "doc_ref.jsonl"},
+                ["--out", "metrics.json", "--no-timestamp"]),
+    "gridsearch": ({"--hyp": "doc_hyp.jsonl", "--ref": "doc_ref.jsonl"},
+                   ["--range=-150:150:10", "--out", "curve.csv", "--report", "grid.json",
+                    "--no-timestamp"]),
+}
+
+
+@pytest.mark.parametrize("command", list(PIPED_RUNS))
+def test_inputs_read_from_pipes(tmp_path, monkeypatch, capsys, command):
+    """Every input may be a pipe: the run writes the bytes, stdout and stderr
+    of the run on regular files, on 2 CPUs, where only the regular logits
+    file is split among workers."""
+    write_mixed_fixture(tmp_path)
+    pred, ref = planted_documents(0)
+    dataio.write_timings_jsonl(tmp_path / "doc_hyp.jsonl", pred)
+    dataio.write_timings_jsonl(tmp_path / "doc_ref.jsonl", ref)
+    inputs, flags = PIPED_RUNS[command]
+    sources = {flag: str(tmp_path / name) for flag, name in inputs.items()}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    runs = []
+    for name in ("files", "pipes"):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)  # outputs by relative name, so messages match
+        with piped(run_dir, sources) if name == "pipes" else nullcontext(sources) as paths:
+            rc = main([command, *(arg for flag, path in paths.items() for arg in (flag, path)),
+                       *flags])
+        captured = capsys.readouterr()
+        written = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+        runs.append((rc, captured.out, captured.err, written))
+    assert runs[0][0] == 0 and runs[0][3]
+    assert runs[1] == runs[0]

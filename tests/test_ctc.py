@@ -211,9 +211,9 @@ def mixed_batch(rng, n_random=5):
 
 def oracle_batch(rng):
     """mixed_batch plus labels that repeat tokens apart (occupancy columns
-    added in two and three passes), a long label sequence at its fewest
-    frames, a short utterance with no valid path and one whose only paths
-    underflow to zero probability at gamma 0."""
+    that add up two and three occurrences of one label), a long label
+    sequence at its fewest frames, a short utterance with no valid path and
+    one whose only paths underflow to zero probability at gamma 0."""
     batch = mixed_batch(rng, n_random=3) + [
         (rng.normal(size=(7, 4)), LabelSequence((1, 2, 1))),
         (rng.normal(size=(12, 5)), LabelSequence((3, 1, 3, 2, 3))),

@@ -452,9 +452,12 @@ class TestCsv:
 
 class TestClassifierIo:
     def test_roundtrip(self, tmp_path):
+        """The model is written to the exact path given, with or without a suffix."""
         clf = Classifier.init(4, 8, 5, seed=3)
-        path = tmp_path / "model.npz"
-        dataio.save_classifier(path, clf)
-        back = dataio.load_classifier(path)
-        for key, value in clf.params().items():
-            assert np.array_equal(value, back.params()[key])
+        for name in ("model", "model.npz"):
+            path = tmp_path / name
+            dataio.save_classifier(path, clf)
+            assert {p.name for p in tmp_path.iterdir()} == {"model", name}
+            back = dataio.load_classifier(path)
+            for key, value in clf.params().items():
+                assert np.array_equal(value, back.params()[key])
