@@ -9,7 +9,6 @@ phenomena at desk scale (synth).
 
 from .boundary import (
     CetcParams,
-    GuidedTargets,
     WordMap,
     WordTimes,
     cetc_boundaries,

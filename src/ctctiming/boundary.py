@@ -110,112 +110,111 @@ class CetcParams:
             raise ValueError("beta must be positive")
 
 
-@dataclass(eq=False)
-class GuidedTargets:
-    """T x V soft classification targets ramping up to 1 at each token peak."""
-
-    targets: np.ndarray
-
-    def __post_init__(self):
-        self.targets = np.asarray(self.targets, dtype=np.float64)
-        if self.targets.min() < 0.0 or self.targets.max() > 1.0:
-            raise ValueError("guided targets must lie in [0, 1]")
-
-
-def _round_half_up(x: np.ndarray | float) -> np.ndarray:
-    return np.floor(np.asarray(x, dtype=np.float64) + 0.5).astype(np.int64)
+def _frames(values, what: str) -> np.ndarray:
+    """values as an int64 array; a dtype other than integer raises TypeError
+    naming what, as ctc._integer does, so no frame is truncated."""
+    frames = np.asarray(values)
+    if frames.dtype.kind not in "iu":
+        raise TypeError(f"{what} must be integer frames, got dtype {frames.dtype}")
+    return frames.astype(np.int64, copy=False)
 
 
 def cetc_boundaries(
     peaks: list[int] | np.ndarray, n_frames: int, params: CetcParams = CetcParams()
-) -> list[tuple[int, int]]:
-    """Expand per-token peak frames into (start, end) frames.
+) -> np.ndarray:
+    """Expand per-token peak frames into a (2, U) int64 array whose rows are
+    the start and end frames, as token_spans' first two rows.
 
     Each start moves alpha_left of the way toward the previous peak, each
     end alpha_right of the way toward the next one; virtual neighbor peaks
     sit at frame 0 and frame T-1. Results round to the nearest frame
-    (half-up).
+    (half-up). Peaks must be integers (TypeError), strictly increasing,
+    with the first >= 0 and the last < T (ValueError).
     """
-    peaks = np.asarray(peaks, dtype=np.float64)
     if len(peaks) == 0:
         raise ValueError("need at least one peak")
-    if np.any(np.diff(peaks) <= 0):
-        raise ValueError(f"peaks must be strictly increasing, got {peaks.tolist()}")
-    if n_frames <= peaks[-1]:
-        raise ValueError(f"T={n_frames} must exceed the last peak {peaks[-1]}")
-    prev = np.concatenate(([0.0], peaks[:-1]))
-    nxt = np.concatenate((peaks[1:], [float(n_frames - 1)]))
-    starts = _round_half_up(peaks - params.alpha_left * (peaks - prev))
-    ends = _round_half_up(peaks + params.alpha_right * (nxt - peaks))
-    out = []
-    for u, (start, peak, end) in enumerate(zip(starts, peaks.astype(np.int64), ends)):
-        start, end = int(min(start, peak)), int(max(end, peak))
-        if params.alpha_left + params.alpha_right < 1.0 and u + 1 < len(starts):
-            # rounding may collapse the left/right separation of the
-            # continuous boundaries; pull the end back below the next start
-            end = max(peak, min(end, int(min(starts[u + 1], peaks[u + 1])) - 1))
-        out.append((start, end))
-    return out
+    frames = _frames(peaks, "peaks")
+    if frames[0] < 0 or n_frames <= frames[-1] or np.any(np.diff(frames) <= 0):
+        raise ValueError(f"peaks must increase strictly within [0, T={n_frames}), "
+                         f"got {frames.tolist()}")
+    # gaps to the previous and the next peak; round half-up, keep each peak in its span
+    gaps = np.diff(frames, prepend=0, append=n_frames - 1)
+    starts = np.minimum(np.floor(frames - params.alpha_left * gaps[:-1] + 0.5), frames)
+    ends = np.maximum(np.floor(frames + params.alpha_right * gaps[1:] + 0.5), frames)
+    if params.alpha_left + params.alpha_right < 1.0:
+        # rounding may collapse the left/right separation of the continuous
+        # boundaries; pull each end back below the next start
+        ends[:-1] = np.maximum(frames[:-1], np.minimum(ends[:-1], starts[1:] - 1))
+    return np.array((starts, ends), dtype=np.int64)
 
 
 def cetc_guided_targets(
     labels: LabelSequence,
     peaks: list[int] | np.ndarray,
-    boundaries: list[tuple[int, int]],
+    boundaries: np.ndarray,
     beta: float,
     n_frames: int,
     n_vocab: int,
-) -> GuidedTargets:
-    """Soft targets that ramp from each token's boundaries up to 1 at its peak.
+) -> np.ndarray:
+    """T x V float64 soft targets that ramp from each token's boundaries up
+    to 1 at its peak.
 
+    boundaries is cetc_boundaries' (2, U) array of start and end frames.
     Within [start, peak] the target is ((t-start)/(peak-start))**beta, within
     (peak, end] it is ((end-t)/(end-peak))**beta; a zero-length side assigns 1
     at the peak frame. On frames claimed by several tokens the later token
-    wins. The blank row absorbs the remaining probability mass.
+    wins. The blank row absorbs the remaining probability mass. Peaks and
+    boundaries must be integers (TypeError); a label id >= n_vocab, or a
+    token whose peak is not within 0 <= start <= peak <= end < T, raises
+    ValueError.
     """
-    if len(peaks) != len(labels) or len(boundaries) != len(labels):
+    peaks, boundaries = _frames(peaks, "peaks"), _frames(boundaries, "boundaries")
+    if peaks.shape != (len(labels),) or boundaries.shape != (2, len(labels)):
         raise ValueError("peaks and boundaries must have one entry per label token")
+    starts, ends = boundaries
+    if max(labels.tokens) >= n_vocab:
+        raise ValueError(f"label id {max(labels.tokens)} out of range for V={n_vocab}")
+    bad = np.flatnonzero((starts < 0) | (starts > peaks) | (peaks > ends) | (ends >= n_frames))
+    if len(bad):
+        u = bad[0]
+        raise ValueError(f"token {u}: need 0 <= start <= peak <= end < {n_frames}, "
+                         f"got boundary ({starts[u]}, {ends[u]}) and peak {peaks[u]}")
     owner = np.full(n_frames, -1, dtype=np.int64)
     overlapped = 0
-    for u, (start, end) in enumerate(boundaries):
-        if not (0 <= start <= end < n_frames):
-            raise ValueError(f"token {u}: boundary ({start}, {end}) outside [0, {n_frames})")
+    for u, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
         overlapped += int(np.count_nonzero(owner[start : end + 1] >= 0))
         owner[start : end + 1] = u
     if overlapped:
         log.warning("guided targets: %d frames contested; later token wins", overlapped)
 
+    frame = np.flatnonzero(owner >= 0)
+    token = owner[frame]
+    start, peak, end = starts[token], peaks[token], ends[token]
+    num, den = np.where(frame <= peak, (frame - start, peak - start), (end - frame, end - peak))
+    ramp = np.divide(num, den, out=np.ones(len(frame)), where=frame != peak)
     targets = np.zeros((n_frames, n_vocab))
-    for u, (start, end) in enumerate(boundaries):
-        peak = int(peaks[u])
-        token = labels.tokens[u]
-        for t in range(start, end + 1):
-            if owner[t] != u:
-                continue
-            if t <= peak:
-                value = 1.0 if peak == start else ((t - start) / (peak - start)) ** beta
-            else:
-                value = ((end - t) / (end - peak)) ** beta
-            targets[t, token] = value
-    non_blank = targets[:, 1:].sum(axis=1)
-    targets[:, BLANK_ID] = np.clip(1.0 - non_blank, 0.0, 1.0)
-    return GuidedTargets(targets)
+    # Python's pow, not numpy's: numpy's SIMD power differs in the last bit on some CPUs
+    targets[frame, np.asarray(labels.tokens)[token]] = [x ** beta for x in ramp.tolist()]
+    targets[:, BLANK_ID] = np.clip(1.0 - targets[:, 1:].sum(axis=1), 0.0, 1.0)
+    return targets
 
 
-def guided_ce_grad(logits: LogitMatrix, targets: GuidedTargets) -> tuple[float, np.ndarray]:
-    """Frame-averaged cross-entropy between soft targets and the classifier.
+def guided_ce_grad(logits: LogitMatrix, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Frame-averaged cross-entropy between a T x V array of soft targets and
+    the classifier.
 
-    Returns the loss and its gradient w.r.t. the raw logits.
+    Returns the loss and its gradient w.r.t. the raw logits, which is exact
+    for any nonnegative targets.
     """
-    if logits.frames.shape != targets.targets.shape:
+    if logits.frames.shape != targets.shape:
         raise ValueError(
-            f"shape mismatch: logits {logits.frames.shape} vs targets {targets.targets.shape}"
+            f"shape mismatch: logits {logits.frames.shape} vs targets {targets.shape}"
         )
     n_frames = logits.n_frames
     log_probs = log_softmax_rows(logits.frames)
-    loss = float(-(targets.targets * log_probs).sum() / n_frames)
-    mass = targets.targets.sum(axis=1, keepdims=True)
-    grad = (np.exp(log_probs) * mass - targets.targets) / n_frames
+    loss = float(-(targets * log_probs).sum() / n_frames)
+    mass = targets.sum(axis=1, keepdims=True)
+    grad = (np.exp(log_probs) * mass - targets) / n_frames
     return loss, grad
 
 

@@ -333,7 +333,8 @@ def _summary_row(report, threshold: float, offset_ms: float) -> str:
     return (
         f"ST {report.ave_st_delta_ms:.2f}  ED {report.ave_ed_delta_ms:.2f}  "
         f"%WS<{threshold:g} {report.pct_ws[threshold]:.2f}  "
-        f"%WE<{threshold:g} {report.pct_we[threshold]:.2f}  offset {offset_ms:g}"
+        # + 0.0 makes a -0.0 offset print as 0
+        f"%WE<{threshold:g} {report.pct_we[threshold]:.2f}  offset {offset_ms + 0.0:g}"
     )
 
 

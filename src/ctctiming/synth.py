@@ -21,7 +21,6 @@ import numpy as np
 
 from .boundary import (
     CetcParams,
-    GuidedTargets,
     WordMap,
     WordTimes,
     cetc_boundaries,
@@ -447,19 +446,19 @@ def _word_timings(aligned: dict, offset_ms: float = 0.0) -> dict[str, WordTimes]
 
 
 def cetc_targets(
-    clf: Classifier, corpus: list[SynthUtterance], params: CetcParams, n_classes: int
-) -> dict[str, GuidedTargets]:
-    """Guided targets from the peaks of a trained classifier's plain
-    (prior-free) forced alignment.
+    clf: Classifier, corpus: list[SynthUtterance], params: CetcParams
+) -> dict[str, np.ndarray]:
+    """Guided targets, one T x clf.n_classes array per utterance, from the
+    peaks of a trained classifier's plain (prior-free) forced alignment.
 
     Utterances with no valid alignment path are skipped with a warning.
     """
-    targets: dict[str, GuidedTargets] = {}
+    targets: dict[str, np.ndarray] = {}
     for utt, spans in _align_corpus(clf, corpus, 0.0).items():
         peaks = spans[2]
         bounds = cetc_boundaries(peaks, utt.n_frames, params)
         targets[utt.utt_id] = cetc_guided_targets(
-            utt.labels, peaks, bounds, params.beta, utt.n_frames, n_classes
+            utt.labels, peaks, bounds, params.beta, utt.n_frames, clf.n_classes
         )
     return targets
 
@@ -502,7 +501,7 @@ def train(
     # cetc: stage 2 retrains a fresh classifier on guided targets
     _sgd_epochs(clf, corpus, loss_and_grad, config, rng, "cetc-stage1", records)
 
-    targets = cetc_targets(clf, corpus, config.cetc, n_classes)
+    targets = cetc_targets(clf, corpus, config.cetc)
     if not targets:
         raise TrainingDivergedError("cetc: no utterance produced guided targets")
 

@@ -8,6 +8,9 @@ word-timing objects scored by the package's timing_metrics, and the object
 path of scoring (read_timings_objects to object_gridsearch_offset), which
 scores word timings as one TimedWord per word and one WordPair per matched
 word. TimedWord checks one word by the rule WordTimes applies to each.
+cetc_boundaries_loop and guided_targets_loop are the per-token and
+per-frame loops that built CETC boundaries and guided targets before the
+package built them as arrays.
 """
 from __future__ import annotations
 
@@ -400,6 +403,55 @@ def token_spans_flatnonzero(
         column = [float(posteriors[t, token]) for t in range(start, end + 1)]
         spans.append((start, end, start + column.index(max(column))))
     return np.array(spans, dtype=np.int64).T
+
+
+def cetc_boundaries_loop(
+    peaks, n_frames: int, alpha_left: float, alpha_right: float
+) -> list[tuple[int, int]]:
+    """Each token's (start, end) frames from its peak, one token at a time:
+    the start alpha_left of the way to the previous peak, the end
+    alpha_right of the way to the next (virtual neighbors at frames 0 and
+    T-1), rounded half-up and clipped to include the peak; when
+    alpha_left + alpha_right < 1 each end is pulled back below the next
+    token's (clipped) start."""
+    peaks = np.asarray(peaks, dtype=np.float64)
+    prev = np.concatenate(([0.0], peaks[:-1]))
+    nxt = np.concatenate((peaks[1:], [float(n_frames - 1)]))
+    starts = np.floor(peaks - alpha_left * (peaks - prev) + 0.5).astype(np.int64)
+    ends = np.floor(peaks + alpha_right * (nxt - peaks) + 0.5).astype(np.int64)
+    out = []
+    for u, (start, peak, end) in enumerate(zip(starts, peaks.astype(np.int64), ends)):
+        start, end = int(min(start, peak)), int(max(end, peak))
+        if alpha_left + alpha_right < 1.0 and u + 1 < len(starts):
+            end = max(peak, min(end, int(min(starts[u + 1], peaks[u + 1])) - 1))
+        out.append((start, end))
+    return out
+
+
+def guided_targets_loop(
+    tokens: tuple[int, ...], peaks, boundaries, beta: float, n_frames: int, n_vocab: int
+) -> np.ndarray:
+    """T x V guided targets filled one frame at a time: each frame goes to
+    the last token whose (start, end) covers it, and takes that token's ramp
+    ((t-start)/(peak-start))**beta up to the peak (1 on a zero-length left
+    side) and ((end-t)/(end-peak))**beta after it; the blank column (id 0)
+    gets the rest of each frame's mass."""
+    owner = np.full(n_frames, -1, dtype=np.int64)
+    for u, (start, end) in enumerate(boundaries):
+        owner[start : end + 1] = u
+    targets = np.zeros((n_frames, n_vocab))
+    for u, (start, end) in enumerate(boundaries):
+        peak = int(peaks[u])
+        for t in range(start, end + 1):
+            if owner[t] != u:
+                continue
+            if t <= peak:
+                value = 1.0 if peak == start else ((t - start) / (peak - start)) ** beta
+            else:
+                value = ((end - t) / (end - peak)) ** beta
+            targets[t, tokens[u]] = value
+    targets[:, 0] = np.clip(1.0 - targets[:, 1:].sum(axis=1), 0.0, 1.0)
+    return targets
 
 
 # The object path of scoring, kept as the package had it before it scored

@@ -20,7 +20,7 @@ from ctctiming.ctc import (
     log_softmax_rows,
     prior_ctc_grad,
 )
-from ctctiming.boundary import GuidedTargets, guided_ce_grad
+from ctctiming.boundary import guided_ce_grad
 from ctctiming.metrics import edit_distance, timing_metrics
 from ctctiming.pfr import PfrParams, pfr_loss_grad
 from ctctiming.synth import (
@@ -146,7 +146,7 @@ def test_criterion_2_gradient_correctness():
     for _ in range(100):
         n_frames, n_vocab = int(rng.integers(1, 6)), int(rng.integers(2, 5))
         logits = rng.normal(size=(n_frames, n_vocab))
-        targets = GuidedTargets(rng.uniform(size=(n_frames, n_vocab)))
+        targets = rng.uniform(size=(n_frames, n_vocab))
         _, grad = guided_ce_grad(LogitMatrix("u", logits, 10.0), targets)
         fd = central_difference_grad(
             lambda x: guided_ce_grad(LogitMatrix("u", x, 10.0), targets)[0], logits

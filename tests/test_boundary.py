@@ -8,7 +8,6 @@ import pytest
 from ctctiming import boundary, cli, dataio
 from ctctiming.boundary import (
     CetcParams,
-    GuidedTargets,
     WordMap,
     WordTimes,
     cetc_boundaries,
@@ -23,9 +22,9 @@ from ctctiming.ctc import LabelSequence, LogitMatrix
 from ctctiming.synth import (Classifier, CorpusSpec, _sweep_scores, generate_corpus,
                              split_corpus)
 
-from oracles import (TimedWord, central_difference_grad, grad_relative_error,
-                     gridsearch_rebuilt, log_softmax, object_match_words, word_objects,
-                     word_rows, word_times)
+from oracles import (TimedWord, cetc_boundaries_loop, central_difference_grad,
+                     grad_relative_error, gridsearch_rebuilt, guided_targets_loop, log_softmax,
+                     object_match_words, word_objects, word_rows, word_times)
 
 
 def spans(*extents):
@@ -33,19 +32,24 @@ def spans(*extents):
     return np.array([(start, end, start) for start, end in extents], dtype=np.int64).T
 
 
+def bounds(*extents):
+    """cetc_boundaries' (2, U) array of (start, end) frame pairs."""
+    return np.array(extents, dtype=np.int64).T
+
+
 class TestCetcBoundaries:
     def test_middle_token_direct(self):
-        bounds = cetc_boundaries([10, 20, 30], 40)
-        assert bounds[1] == (18, 27)
+        frames = cetc_boundaries([10, 20, 30], 40)
+        assert frames[:, 1].tolist() == [18, 27]
 
     def test_single_token_virtual_neighbors(self):
-        bounds = cetc_boundaries([5], 10)
+        frames = cetc_boundaries([5], 10)
         # left neighbor 0, right neighbor T-1=9: start 5-0.2*5=4, end 5+0.7*4=7.8->8
-        assert bounds == [(4, 8)]
+        assert frames.tolist() == [[4], [8]]
 
     def test_zero_alphas_collapse_to_peaks(self):
         params = CetcParams(alpha_left=0.0, alpha_right=0.0)
-        assert cetc_boundaries([3, 9, 14], 20, params) == [(3, 3), (9, 9), (14, 14)]
+        assert cetc_boundaries([3, 9, 14], 20, params).tolist() == [[3, 9, 14], [3, 9, 14]]
 
     def test_non_increasing_peaks_rejected(self):
         with pytest.raises(ValueError):
@@ -60,56 +64,91 @@ class TestCetcBoundaries:
         for _ in range(200):
             n = int(rng.integers(1, 8))
             peaks = np.sort(rng.choice(np.arange(60), size=n, replace=False))
-            bounds = cetc_boundaries(peaks, 64)
-            for (s0, e0), (s1, e1) in zip(bounds, bounds[1:]):
-                assert e0 < s1
-            for (s, e), p in zip(bounds, peaks):
-                assert s <= p <= e
+            starts, ends = cetc_boundaries(peaks, 64)
+            assert np.all(ends[:-1] < starts[1:])
+            assert np.all((starts <= peaks) & (peaks <= ends))
 
 
 class TestGuidedTargets:
     def test_peak_frame_is_one(self):
         labels = LabelSequence((1,))
-        gt = cetc_guided_targets(labels, [5], [(3, 8)], 0.5, 10, 3)
-        assert gt.targets[5, 1] == 1.0
+        gt = cetc_guided_targets(labels, [5], bounds((3, 8)), 0.5, 10, 3)
+        assert gt[5, 1] == 1.0
 
     def test_left_midpoint_value(self):
         labels = LabelSequence((2,))
-        gt = cetc_guided_targets(labels, [4], [(2, 6)], 0.5, 8, 3)
-        assert math.isclose(gt.targets[3, 2], math.sqrt(0.5))
+        gt = cetc_guided_targets(labels, [4], bounds((2, 6)), 0.5, 8, 3)
+        assert math.isclose(gt[3, 2], math.sqrt(0.5))
 
     def test_right_ramp_decreases(self):
         labels = LabelSequence((1,))
-        gt = cetc_guided_targets(labels, [2], [(0, 6)], 0.5, 8, 2)
-        right = gt.targets[2:7, 1]
+        gt = cetc_guided_targets(labels, [2], bounds((0, 6)), 0.5, 8, 2)
+        right = gt[2:7, 1]
         assert np.all(np.diff(right) < 0) and right[0] == 1.0
 
     def test_outside_spans_blank_one(self):
         labels = LabelSequence((1,))
-        gt = cetc_guided_targets(labels, [5], [(4, 6)], 0.5, 10, 3)
-        assert gt.targets[0, 1] == 0.0 and gt.targets[0, 2] == 0.0
-        assert gt.targets[0, 0] == 1.0
+        gt = cetc_guided_targets(labels, [5], bounds((4, 6)), 0.5, 10, 3)
+        assert gt[0, 1] == 0.0 and gt[0, 2] == 0.0
+        assert gt[0, 0] == 1.0
 
     def test_blank_row_complements(self):
         labels = LabelSequence((1, 2))
-        gt = cetc_guided_targets(labels, [3, 8], [(2, 5), (6, 9)], 0.5, 12, 3)
-        non_blank = gt.targets[:, 1:].sum(axis=1)
-        assert np.allclose(gt.targets[:, 0], 1.0 - non_blank)
-        assert gt.targets.min() >= 0.0 and gt.targets.max() <= 1.0
+        gt = cetc_guided_targets(labels, [3, 8], bounds((2, 5), (6, 9)), 0.5, 12, 3)
+        non_blank = gt[:, 1:].sum(axis=1)
+        assert np.allclose(gt[:, 0], 1.0 - non_blank)
+        assert gt.min() >= 0.0 and gt.max() <= 1.0
 
     def test_zero_length_left_side(self):
         labels = LabelSequence((1,))
-        gt = cetc_guided_targets(labels, [2], [(2, 5)], 0.5, 8, 2)
-        assert gt.targets[2, 1] == 1.0
+        gt = cetc_guided_targets(labels, [2], bounds((2, 5)), 0.5, 8, 2)
+        assert gt[2, 1] == 1.0
 
     def test_overlap_later_token_wins(self, caplog):
         labels = LabelSequence((1, 2))
         with caplog.at_level("WARNING", logger="ctctiming.boundary"):
-            gt = cetc_guided_targets(labels, [2, 4], [(1, 5), (3, 6)], 1.0, 8, 3)
+            gt = cetc_guided_targets(labels, [2, 4], bounds((1, 5), (3, 6)), 1.0, 8, 3)
         assert "contested" in caplog.text
         # frames 3..5 belong to token 1 now; token 0 contributes nothing there
-        assert np.all(gt.targets[3:6, 1] == 0.0)
-        assert gt.targets[4, 2] == 1.0
+        assert np.all(gt[3:6, 1] == 0.0)
+        assert gt[4, 2] == 1.0
+
+
+class TestCetcArrays:
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: cetc_boundaries([-3, 2], 10), ValueError,
+         r"peaks must increase strictly within \[0, T=10\), got \[-3, 2\]"),
+        (lambda: cetc_boundaries([2.7, 5], 10), TypeError, r"peaks must be integer"),
+        (lambda: cetc_guided_targets(LabelSequence((5,)), [2], bounds((1, 3)), 0.5, 10, 3),
+         ValueError, r"label id 5 out of range for V=3"),
+        (lambda: cetc_guided_targets(LabelSequence((1,)), [7], bounds((1, 3)), 0.5, 10, 3),
+         ValueError, r"token 0: .* peak 7"),
+        (lambda: cetc_guided_targets(LabelSequence((1,)), [0], bounds((1, 3)), 0.5, 10, 3),
+         ValueError, r"token 0: .* peak 0"),
+    ], ids=["negative-peak", "float-peak", "label-id", "peak-after-end", "peak-before-start"])
+    def test_bad_input_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_match_the_loops(self):
+        rng = np.random.default_rng(27)
+        alphas, betas = (0.0, 0.2, 0.5, 0.7, 1.0), (0.3, 0.5, 0.7, 1.0, 2.0)
+        contested = 0
+        for _ in range(2000):
+            n_frames = int(rng.integers(1, 81))
+            n_tokens = int(rng.integers(1, min(12, n_frames) + 1))
+            peaks = np.sort(rng.choice(n_frames, size=n_tokens, replace=False))
+            params = CetcParams(*(float(rng.choice(values)) for values in (alphas, alphas, betas)))
+            tokens = tuple(int(k) for k in rng.integers(1, 5, size=n_tokens))
+            frames = cetc_boundaries(peaks, n_frames, params)
+            loop = cetc_boundaries_loop(peaks, n_frames, params.alpha_left, params.alpha_right)
+            assert frames.tobytes() == np.array(loop, dtype=np.int64).T.tobytes()
+            contested += int(np.any(frames[1, :-1] >= frames[0, 1:]))
+            got = cetc_guided_targets(LabelSequence(tokens), peaks, frames, params.beta,
+                                      n_frames, 5)
+            want = guided_targets_loop(tokens, peaks, loop, params.beta, n_frames, 5)
+            assert got.tobytes() == want.tobytes()
+        assert contested > 100
 
 
 class TestGuidedCeGrad:
@@ -118,14 +157,14 @@ class TestGuidedCeGrad:
         targets[:, 2] = 1.0
         logits = np.full((3, 4), -30.0)
         logits[:, 2] = 30.0
-        loss, _ = guided_ce_grad(LogitMatrix("u", logits, 10.0), GuidedTargets(targets))
+        loss, _ = guided_ce_grad(LogitMatrix("u", logits, 10.0), targets)
         assert loss < 1e-9
 
     def test_uniform_targets_closed_form(self):
         rng = np.random.default_rng(21)
         n_frames, n_vocab = 5, 4
         logits = rng.normal(size=(n_frames, n_vocab))
-        targets = GuidedTargets(np.full((n_frames, n_vocab), 1.0 / n_vocab))
+        targets = np.full((n_frames, n_vocab), 1.0 / n_vocab)
         _, grad = guided_ce_grad(LogitMatrix("u", logits, 10.0), targets)
         expected = (np.exp(log_softmax(logits)) - 1.0 / n_vocab) / n_frames
         assert np.allclose(grad, expected)
@@ -136,7 +175,7 @@ class TestGuidedCeGrad:
             n_frames = int(rng.integers(1, 6))
             n_vocab = int(rng.integers(2, 5))
             logits = rng.normal(size=(n_frames, n_vocab))
-            targets = GuidedTargets(rng.uniform(size=(n_frames, n_vocab)))
+            targets = rng.uniform(size=(n_frames, n_vocab))
             _, grad = guided_ce_grad(LogitMatrix("u", logits, 10.0), targets)
             fd = central_difference_grad(
                 lambda x: guided_ce_grad(LogitMatrix("u", x, 10.0), targets)[0], logits
@@ -146,7 +185,7 @@ class TestGuidedCeGrad:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             guided_ce_grad(
-                LogitMatrix("u", np.zeros((3, 4)), 10.0), GuidedTargets(np.zeros((3, 5)))
+                LogitMatrix("u", np.zeros((3, 4)), 10.0), np.zeros((3, 5))
             )
 
 

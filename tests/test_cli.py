@@ -1143,18 +1143,20 @@ class TestHoldout:
         assert "--holdout-every" in capsys.readouterr().err
         assert not (tmp_path / "out.npz").exists()
 
-    def test_summary_line_names_the_applied_offset(self, trained, tmp_path, capsys):
+    @pytest.mark.parametrize("offset, shown", [("-35", "-35"), ("-0", "0")], ids=["-35", "-0"])
+    def test_summary_line_names_the_applied_offset(self, trained, tmp_path, capsys,
+                                                   offset, shown):
         corpus_dir, model = trained
         dumps = {name: str(tmp_path / f"{name}.jsonl") for name in ("hyp", "ref")}
         capsys.readouterr()
         assert main(["synth", "eval", "--corpus-dir", str(corpus_dir), "--model", str(model),
-                     "--offset-ms", "-35", "--thresholds", "20", "--dump-hyp", dumps["hyp"],
+                     "--offset-ms", offset, "--thresholds", "20", "--dump-hyp", dumps["hyp"],
                      "--dump-ref", dumps["ref"]]) == 0
         eval_line = capsys.readouterr().out
         assert main(["metrics", "--hyp", dumps["hyp"], "--ref", dumps["ref"],
                      "--thresholds", "20"]) == 0
         metrics_line = capsys.readouterr().out
-        assert eval_line.endswith("  offset -35\n") and metrics_line.endswith("  offset 0\n")
+        assert eval_line.endswith(f"  offset {shown}\n") and metrics_line.endswith("  offset 0\n")
         assert eval_line.rsplit("offset", 1)[0] == metrics_line.rsplit("offset", 1)[0]
 
     def test_eval_aligns_each_utterance_once(self, trained, tmp_path, monkeypatch):

@@ -562,15 +562,15 @@ class TestCetcTargets:
         config = TrainConfig(method="peaky", epochs=25, learning_rate=0.1,
                              batch_size=64, seed=2)
         clf, _ = train(config, corpus)
-        targets = cetc_targets(clf, corpus, CetcParams(), n_classes=5)
+        targets = cetc_targets(clf, corpus, CetcParams())
         assert set(targets) == {u.utt_id for u in corpus}
         by_id = {u.utt_id: u for u in corpus}
         for utt_id, gt in targets.items():
-            assert gt.targets.min() >= 0.0 and gt.targets.max() <= 1.0
+            assert gt.min() >= 0.0 and gt.max() <= 1.0
             # apex: each token contributes at least one full-confidence frame
             utt = by_id[utt_id]
             for token in set(utt.labels.tokens):
-                assert gt.targets[:, token].max() == pytest.approx(1.0)
+                assert gt[:, token].max() == pytest.approx(1.0)
 
     def test_fused_training_targets_come_from_fused_inputs(self, monkeypatch):
         from ctctiming import synth
@@ -581,8 +581,8 @@ class TestCetcTargets:
         seen = []
         real = synth.cetc_targets
 
-        def spy(clf, utts, params, n_classes):
-            targets = real(clf, utts, params, n_classes)
+        def spy(clf, utts, params):
+            targets = real(clf, utts, params)
             seen.append((clf, targets))
             return targets
 
@@ -602,4 +602,4 @@ class TestCetcTargets:
             want = cetc_guided_targets(
                 utt.labels, peaks, bounds, config.cetc.beta, utt.n_frames, 5
             )
-            assert np.array_equal(targets[utt.utt_id].targets, want.targets)
+            assert np.array_equal(targets[utt.utt_id], want)
