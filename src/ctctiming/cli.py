@@ -26,10 +26,12 @@ from .metrics import peak_histogram, peak_items, timing_metrics
 from .synth import (
     FRAME_MS,
     METHODS,
+    Classifier,
     CorpusSpec,
     SynthUtterance,
     TrainConfig,
     TrainingDivergedError,
+    check_sweep_spec,
     corpus_blank_occupancy,
     generate_corpus,
     inputs_for,
@@ -365,7 +367,8 @@ def cmd_gridsearch(args) -> int:
     hyp, ref = _read_hyp_ref(args)
     lo, hi, step = args.range
     best, report, curve = gridsearch_offset(hyp, ref, (lo, hi), step, args.threshold)
-    dataio.write_curve_csv(args.out, curve)
+    rows = [{"offset_ms": offset, "score": score} for offset, score in curve]
+    Path(args.out).write_text(dataio.rows_to_csv(rows), encoding="utf-8")
     if args.report:
         dataio.write_metrics_json(
             args.report, report, extra={"best_offset_ms": best},
@@ -384,12 +387,13 @@ def cmd_analyze_peaks(args) -> int:
         label_map = dataio.read_labels_jsonl(args.labels)
         ref = dataio.read_timings_jsonl(args.ref)
         job = _AlignJob(args.logits, args.frame_ms, args.gamma_inf, label_map, refs=ref)
-        items = []
         with _alignments(job, failures) as results:
-            for utt, frame_ms, _, spans in results:
-                items.append(peak_items(spans, label_map[utt][1], ref[utt], frame_ms))
+            items = [peak_items(spans, label_map[utt][1], ref[utt], frame_ms)
+                     for utt, frame_ms, _, spans in results]
         hist = peak_histogram(items, args.bins, (args.range_lo, args.range_hi))
-        dataio.write_histogram_csv(args.out, hist.counts, hist.bin_edges)
+        rows = [{"bin_lo": lo, "bin_hi": hi, "count": count}
+                for lo, hi, count in zip(hist.bin_edges, hist.bin_edges[1:], hist.counts)]
+        Path(args.out).write_text(dataio.rows_to_csv(rows), encoding="utf-8")
     mean = "nan" if hist.mean_rel_pos is None else f"{hist.mean_rel_pos:.6g}"
     print(f"mean_rel_pos {mean}  scored {hist.n_scored}  skipped {hist.n_skipped}")
     return 0
@@ -448,14 +452,9 @@ def _train_config_from_args(args) -> TrainConfig:
 
 def _write_corpus(corpus: list[SynthUtterance], out_dir: Path, vocab_size: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataio.write_logits_jsonl(
-        out_dir / "features_lo.jsonl",
-        (LogitMatrix(u.utt_id, u.features_lo, FRAME_MS) for u in corpus),
-    )
-    dataio.write_logits_jsonl(
-        out_dir / "features_hi.jsonl",
-        (LogitMatrix(u.utt_id, u.features_hi, FRAME_MS) for u in corpus),
-    )
+    for stream in ("features_lo", "features_hi"):  # each file named after its field
+        mats = (LogitMatrix(u.utt_id, getattr(u, stream), FRAME_MS) for u in corpus)
+        dataio.write_logits_jsonl(out_dir / f"{stream}.jsonl", mats)
     dataio.write_labels_jsonl(
         out_dir / "labels.jsonl", ((u.utt_id, u.labels, u.word_map) for u in corpus)
     )
@@ -500,9 +499,10 @@ def _holdout_split(corpus: list[SynthUtterance], holdout_every: int):
 
 def cmd_synth_train(args) -> int:
     corpus, _ = _holdout_split(_read_corpus(args.corpus_dir), args.holdout_every)
+    n_classes = len(dataio.read_vocab(Path(args.corpus_dir) / "vocab.txt"))
     config = _train_config_from_args(args)
-    clf, records = train(config, corpus)
-    dataio.save_classifier(args.model_out, clf)
+    clf, records = train(config, corpus, n_classes)
+    clf.save(args.model_out)
     print(
         f"trained {config.method}: final loss {records[-1].mean_loss:.4f}, "
         f"blank occupancy {corpus_blank_occupancy(clf, corpus):.3f}; model at {args.model_out}"
@@ -512,7 +512,7 @@ def cmd_synth_train(args) -> int:
 
 def cmd_synth_eval(args) -> int:
     _, corpus = _holdout_split(_read_corpus(args.corpus_dir), args.holdout_every)
-    clf = dataio.load_classifier(args.model)
+    clf = Classifier.load(args.model)
     hyp = predict_timings(clf, corpus, args.gamma_inf, args.offset_ms)
     ref = reference_timings(corpus)
     report = timing_metrics(hyp, ref, args.thresholds)
@@ -533,7 +533,12 @@ def cmd_synth_sweep(args) -> int:
     if args.preset is None:
         args.preset = "pfr" if args.kind == "pfr" else "default"
     sweep = sweep_gamma if args.kind == "gamma" else sweep_pfr
-    csv_text = dataio.sweep_rows_to_csv(sweep(spec=_corpus_spec_from_args(args)))
+    spec = _corpus_spec_from_args(args)
+    try:
+        check_sweep_spec(spec)
+    except ValueError as err:
+        raise UsageError(f"--n-utts: {err}") from err
+    csv_text = dataio.rows_to_csv(sweep(spec=spec))
     Path(args.out).write_text(csv_text, encoding="utf-8")
     print(csv_text, end="")
     return 0

@@ -12,7 +12,6 @@ is one float64 array that starts out holding its own emissions, so a
 """
 from __future__ import annotations
 
-import bisect
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -218,9 +217,11 @@ def _forward_backward(log_probs: list[np.ndarray], labels: list[LabelSequence]):
     cells (higher states, later frames), so every real cell is computed by
     the same operations as an unpadded single-utterance recursion.
 
-    Returns (results, live, lattice): results holds the NoValidPathError of
-    each utterance without a valid path and None elsewhere; live lists
-    (i, forward row, backward row, log-likelihood) for the others.
+    Returns (results, live): results holds the NoValidPathError of each
+    utterance without a valid path and None elsewhere; live lists
+    (i, log_alpha, log_beta, log-likelihood) for the others, whose two
+    lattices are (2U+1, T_i) views into the padded one, the backward one
+    turned back into state and time order.
     """
     results: list = [None] * len(log_probs)
     todo = []
@@ -231,7 +232,7 @@ def _forward_backward(log_probs: list[np.ndarray], labels: list[LabelSequence]):
         except NoValidPathError as err:
             results[i] = err
     if not todo:
-        return results, [], None
+        return results, []
     n_rows = len(todo)
     ends = np.array([(len(log_probs[i]), 2 * len(labels[i]) + 1) for i in todo])
     lattice = np.full((ends[:, 0].max(), 2 * n_rows, ends[:, 1].max() + 2), NEG_INF)
@@ -248,12 +249,13 @@ def _forward_backward(log_probs: list[np.ndarray], labels: list[LabelSequence]):
     last = (ends[:, 0] - 1, np.arange(n_rows))
     log_likes = np.logaddexp(lattice[(*last, ends[:, 1] + 1)], lattice[(*last, ends[:, 1])])
     live = []
-    for k, (i, log_like) in enumerate(zip(todo, log_likes.tolist())):
+    for k, (i, (t, s), log_like) in enumerate(zip(todo, ends.tolist(), log_likes.tolist())):
         if np.isfinite(log_like):
-            live.append((i, k, n_rows + k, log_like))
+            live.append((i, lattice[:t, k, 2 : 2 + s].T,
+                         lattice[t - 1 :: -1, n_rows + k, 1 + s : 1 : -1].T, log_like))
         else:
             results[i] = NoValidPathError("no valid path: zero total path probability")
-    return results, live, lattice
+    return results, live
 
 
 def _segment_sums(array: np.ndarray, bounds: list[int]) -> np.ndarray:
@@ -282,9 +284,8 @@ def _stacked(logits: list[LogitMatrix], gamma: float) -> tuple[list[int], np.nda
     if gamma:
         frames = _minus_prior(frames, bounds, gamma)
         if not np.isfinite(frames).all():
-            row, vocab = np.argwhere(~np.isfinite(frames))[0]
-            j = bisect.bisect_right(bounds, row) - 1
-            raise NonFiniteError(logits[j].utt_id, int(row) - bounds[j], int(vocab))
+            for x, lo, hi in zip(logits, bounds, bounds[1:]):
+                _check_finite(x.utt_id, frames[lo:hi])
     return bounds, frames
 
 
@@ -311,18 +312,15 @@ def ctc_grad_batch(
     grad = np.exp(lp)
     log_probs = [lp[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    results, live, lattice = _forward_backward(log_probs, labels)
-    for i, fwd, bwd, log_like in live:
-        topology = labels[i]._topology
-        t, s = len(log_probs[i]), len(topology.syms)
-        alpha = lattice[:t, fwd, 2 : 2 + s].T
-        beta = lattice[t - 1 :: -1, bwd, 1 + s : 1 : -1].T
-        post = np.add(alpha, beta, out=np.empty((s, t)))
-        post -= log_probs[i][:, topology.syms].T
+    results, live = _forward_backward(log_probs, labels)
+    for i, log_alpha, log_beta, log_like in live:
+        syms = labels[i]._topology.syms
+        post = np.add(log_alpha, log_beta, out=np.empty(log_alpha.shape))
+        post -= log_probs[i][:, syms].T
         post -= log_like
         # a column's occupancy: its states' posteriors, added in state order
-        occ = np.zeros((grad.shape[1], t))
-        np.add.at(occ, topology.syms, np.exp(post, out=post))
+        occ = np.zeros((grad.shape[1], post.shape[1]))
+        np.add.at(occ, syms, np.exp(post, out=post))
         rows = grad[bounds[i] : bounds[i + 1]]
         rows -= occ.T
         results[i] = (-log_like, rows)
@@ -355,12 +353,12 @@ def ctc_loss(
     Raises NoValidPathError when labels have no valid path.
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
-    (error,), live, lattice = _forward_backward([log_probs], [labels])
+    (error,), live = _forward_backward([log_probs], [labels])
     if error is not None:
         raise error
-    [(_, fwd, bwd, log_like)] = live
+    [(_, log_alpha, log_beta, log_like)] = live
     # copies, C-contiguous, that do not hold on to the padded lattice
-    return -log_like, (lattice[:, fwd, 2:].T.copy(), lattice[::-1, bwd, :1:-1].T.copy())
+    return -log_like, (log_alpha.copy(), log_beta.copy())
 
 
 def ctc_grad(logits: LogitMatrix, labels: LabelSequence) -> tuple[float, np.ndarray]:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .boundary import WordMap, WordTimes
 from .ctc import LabelSequence, LogitMatrix
-from .synth import Classifier
 
 BLANK_TOKEN = "<blank>"
 
@@ -129,9 +128,9 @@ def numbered_logits(path: str | Path, frame_ms: float | None = None,
         yield lineno, logits
 
 
-def iter_logits_jsonl(path: str | Path, frame_ms: float | None = None) -> Iterator[LogitMatrix]:
+def iter_logits_jsonl(path: str | Path) -> Iterator[LogitMatrix]:
     """Stream a logits file's records as LogitMatrix values (see numbered_logits)."""
-    for _, logits in numbered_logits(path, frame_ms):
+    for _, logits in numbered_logits(path):
         yield logits
 
 
@@ -251,32 +250,17 @@ def write_vocab(path: str | Path, non_blank_tokens: Iterable[str]) -> None:
             handle.write(token + "\n")
 
 
-def write_histogram_csv(path: str | Path, counts, bin_edges) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("bin_lo,bin_hi,count\n")
-        for lo, hi, count in zip(bin_edges[:-1], bin_edges[1:], counts):
-            handle.write(f"{lo:.6g},{hi:.6g},{int(count)}\n")
-
-
-def write_curve_csv(path: str | Path, curve: list[tuple[float, float]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("offset_ms,score\n")
-        for offset, score in curve:
-            handle.write(f"{offset:.6g},{score:.6g}\n")
-
-
-def sweep_rows_to_csv(rows: list[dict]) -> str:
-    """Render sweep rows with a stable column order and '.' decimals."""
+def rows_to_csv(rows: list[dict]) -> str:
+    """CSV text of rows, one line each under a header of the first row's
+    keys, in their order: floats as .6g with '.' decimals, anything else as
+    its str. No rows give the empty string."""
     if not rows:
         return ""
-    columns = list(rows[0].keys())
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            value = row[col]
-            cells.append(f"{value:.6g}" if isinstance(value, float) else str(value))
-        lines.append(",".join(cells))
+    def cell(value) -> str:
+        return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+    columns = list(rows[0])
+    lines = [",".join(columns)] + [",".join(cell(row[c]) for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -290,13 +274,3 @@ def write_metrics_json(path: str | Path, report, extra: dict | None = None,
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def save_classifier(path: str | Path, clf) -> None:
-    with open(path, "wb") as handle:  # given a name, np.savez would add ".npz" to it
-        np.savez(handle, **clf.params())
-
-
-def load_classifier(path: str | Path) -> Classifier:
-    with np.load(path) as data:
-        return Classifier(**{k: data[k].copy() for k in Classifier.PARAMS})

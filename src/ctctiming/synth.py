@@ -14,7 +14,9 @@ label prior, guided cross-entropy retargeting, and the peak regularizer.
 from __future__ import annotations
 
 import logging
+import zipfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -183,8 +185,12 @@ def generate_corpus(spec: CorpusSpec) -> list[SynthUtterance]:
     return utts
 
 
+# split_corpus's default, the sweeps' split: every fifth utterance is held out
+HOLDOUT_EVERY = 5
+
+
 def split_corpus(
-    corpus: list[SynthUtterance], holdout_every: int = 5
+    corpus: list[SynthUtterance], holdout_every: int = HOLDOUT_EVERY
 ) -> tuple[list[SynthUtterance], list[SynthUtterance]]:
     """Deterministic train/heldout split: every holdout_every-th utterance
     is held out."""
@@ -227,6 +233,27 @@ class Classifier:
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.PARAMS}
+
+    def save(self, path: str | Path) -> None:
+        """Write the parameters to exactly path as an .npz archive."""
+        with open(path, "wb") as handle:  # given a name, np.savez would add ".npz" to it
+            np.savez(handle, **self.params())
+
+    @classmethod
+    def load(cls, path: str | Path) -> "Classifier":
+        """The classifier that save wrote to path. A file that is not an .npz
+        archive holding all six parameters raises ValueError naming path."""
+        with open(path, "rb") as handle:  # closed here: the archive does not own it
+            try:
+                data = np.load(handle)  # a pickle raises ValueError: allow_pickle is off
+                # an .npy file gives a bare array, which has no files
+                missing = [name for name in cls.PARAMS if name not in getattr(data, "files", ())]
+                if not missing:
+                    return cls(**{name: data[name].copy() for name in cls.PARAMS})
+            except (ValueError, EOFError, zipfile.BadZipFile) as err:
+                # numpy's message for a pickle would advise unpickling the file
+                raise ValueError(f"{path}: not a saved classifier: no .npz archive") from err
+        raise ValueError(f"{path}: not a saved classifier: no {', '.join(missing)} in it")
 
     def apply_update(self, grads: dict[str, np.ndarray], learning_rate: float) -> None:
         for name, param in self.params().items():
@@ -464,9 +491,10 @@ def cetc_targets(
 
 
 def train(
-    config: TrainConfig, corpus: list[SynthUtterance], n_classes: int | None = None
+    config: TrainConfig, corpus: list[SynthUtterance], n_classes: int
 ) -> tuple[Classifier, list[EpochStats]]:
-    """Train a classifier on the corpus with the configured method.
+    """Train a classifier of n_classes outputs (the vocabulary, blank
+    included) on the corpus with the configured method.
 
     peaky: plain CTC. npc: CTC on label-prior-adjusted logits. pfr: the npc
     loss plus the weighted peak regularizer. cetc: a peaky first stage whose
@@ -475,8 +503,6 @@ def train(
     """
     if not corpus:
         raise ValueError("corpus is empty")
-    if n_classes is None:
-        n_classes = max(max(u.labels.tokens) for u in corpus) + 1
     input_dim = corpus[0].features_lo.shape[1] * (2 if config.fuse_features else 1)
     rng = np.random.default_rng(config.seed)
     clf = Classifier.init(input_dim, config.hidden, n_classes, config.seed)
@@ -582,6 +608,13 @@ def _sweep_scores(
     return row
 
 
+def check_sweep_spec(spec: CorpusSpec) -> None:
+    """Raise ValueError when the spec's corpus is too small for split_corpus
+    to hold an utterance out: the sweeps score on the held-out split."""
+    if spec.n_utts < HOLDOUT_EVERY:
+        raise ValueError(f"need n_utts >= {HOLDOUT_EVERY} for a held-out split, got {spec.n_utts}")
+
+
 def _sweep(
     spec: CorpusSpec,
     grid: list[tuple[dict, TrainConfig]],
@@ -590,7 +623,9 @@ def _sweep(
 ) -> list[dict]:
     """One training per (columns, config) in grid, on the training split of
     the spec's corpus, and one row per (columns, gamma_inf) in decodes for
-    each training, scored by _sweep_scores."""
+    each training, scored by _sweep_scores. A spec that check_sweep_spec
+    refuses raises its ValueError before any training."""
+    check_sweep_spec(spec)
     corpus = generate_corpus(spec)
     train_split, heldout = split_corpus(corpus)
     rows = []

@@ -39,7 +39,7 @@ from ctctiming.synth import (
 )
 from ctctiming import dataio
 from ctctiming.cli import main as cli_main
-from ctctiming.dataio import sweep_rows_to_csv
+from ctctiming.dataio import rows_to_csv
 
 from oracles import (
     brute_force_ctc_loss,
@@ -314,10 +314,10 @@ def test_criterion_8_metrics_exactness():
 
 
 def test_criterion_9_determinism(gamma_sweep, pfr_sweep):
-    gamma_csv = sweep_rows_to_csv(gamma_sweep[0])
-    pfr_csv = sweep_rows_to_csv(pfr_sweep[0])
-    gamma_again = sweep_rows_to_csv(sweep_gamma())
-    pfr_again = sweep_rows_to_csv(sweep_pfr())
+    gamma_csv = rows_to_csv(gamma_sweep[0])
+    pfr_csv = rows_to_csv(pfr_sweep[0])
+    gamma_again = rows_to_csv(sweep_gamma())
+    pfr_again = rows_to_csv(sweep_pfr())
     report(
         "9 determinism",
         gamma_csv == gamma_again and pfr_csv == pfr_again,
@@ -330,6 +330,6 @@ def test_default_sweep_csvs_pinned(gamma_sweep, pfr_sweep):
     """The default sweeps' CSVs, byte for byte (md5 of the UTF-8 text). A
     change that moves them, even in low bits, updates these digests and
     records the CSVs before and after it."""
-    digests = [hashlib.md5(sweep_rows_to_csv(rows).encode("utf-8")).hexdigest()
+    digests = [hashlib.md5(rows_to_csv(rows).encode("utf-8")).hexdigest()
                for rows, _ in (gamma_sweep, pfr_sweep)]
     assert digests == ["0a1a2e6b865c84321138ebe6d7b66b41", "4c656170a996f64bbb9715091c933d33"]

@@ -480,8 +480,8 @@ class TestGridsearchOffset:
         clf = Classifier.init(corpus[0].features_hi.shape[1], 8, spec.vocab_size + 1, seed=0)
         corpus_dir = tmp_path / "corpus"
         assert cli.main(["synth", "gen", "--n-utts", "6", "--out-dir", str(corpus_dir)]) == 0
-        dataio.save_classifier(tmp_path / "m.npz", Classifier.init(
-            corpus[0].features_hi.shape[1], 8, CorpusSpec().vocab_size + 1, seed=0))
+        Classifier.init(corpus[0].features_hi.shape[1], 8, CorpusSpec().vocab_size + 1,
+                        seed=0).save(tmp_path / "m.npz")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # count in this process
         walked = []
         number = boundary._number

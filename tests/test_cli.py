@@ -23,6 +23,7 @@ from ctctiming.boundary import WordMap, words_from_spans
 from ctctiming.metrics import _matched_times, peak_histogram, peak_items, timing_metrics
 from ctctiming.synth import (
     FRAME_MS,
+    Classifier,
     CorpusSpec,
     corpus_blank_occupancy,
     generate_corpus,
@@ -558,7 +559,8 @@ class TestObjectPathIdentity:
                                   timestamp=False)
         best, report, curve = object_gridsearch_offset(
             hyp_words, ref_words, (-150.0, 150.0), 10.0, 25.0)
-        dataio.write_curve_csv(want / "curve.csv", curve)
+        (want / "curve.csv").write_text(dataio.rows_to_csv(
+            [{"offset_ms": offset, "score": score} for offset, score in curve]))
         dataio.write_metrics_json(want / "grid.json", report, extra={"best_offset_ms": best},
                                   timestamp=False)
         for name in ("metrics.json", "curve.csv", "grid.json"):
@@ -956,12 +958,42 @@ class TestSynthCommands:
                    "--epochs", "2", "--holdout-every", "3", "--model-out", str(model)])
         assert rc == 0
         train_split, _ = split_corpus(generate_corpus(CorpusSpec(n_utts=6)), 3)
-        occupancy = corpus_blank_occupancy(dataio.load_classifier(model), train_split)
+        occupancy = corpus_blank_occupancy(Classifier.load(model), train_split)
         assert re.fullmatch(
             rf"trained npc: final loss \d+\.\d{{4}}, blank occupancy {re.escape(f'{occupancy:.3f}')}; "
             rf"model at {re.escape(str(model))}\n",
             capsys.readouterr().out,
         )
+
+    @pytest.mark.parametrize("kind", ["npz-without-b3", "npy", "text"])
+    def test_bad_model_file_exit_2(self, tmp_path, capsys, kind):
+        corpus_dir = tmp_path / "corpus"
+        assert main(["synth", "gen", "--n-utts", "4", "--out-dir", str(corpus_dir)]) == 0
+        params = Classifier.init(8, 4, 9, seed=0).params()
+        model = tmp_path / {"npz-without-b3": "m.npz", "npy": "m.npy", "text": "m.txt"}[kind]
+        with open(model, "wb") as handle:
+            if kind == "npz-without-b3":
+                np.savez(handle, **{k: v for k, v in params.items() if k != "b3"})
+            elif kind == "npy":
+                np.save(handle, params["w1"])
+            else:
+                handle.write(b"w1 b1 w2 b2 w3 b3\n")
+        capsys.readouterr()
+        rc = main(["synth", "eval", "--corpus-dir", str(corpus_dir), "--model", str(model)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {model}: ")
+
+    @pytest.mark.parametrize("kind", ["gamma", "pfr"])
+    def test_sweep_without_held_out_split_exit_1(self, tmp_path, monkeypatch, capsys, kind):
+        """Fewer than five utterances leave the sweeps' held-out split empty:
+        refused before any training."""
+        calls = []
+        monkeypatch.setattr(synth, "train", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "sweep.csv"
+        rc = main(["synth", "sweep", "--kind", kind, "--n-utts", "4", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --n-utts: need n_utts >= 5")
+        assert calls == [] and not out.exists()
 
     def test_gen_feature_dim_1_exit_1_without_output(self, tmp_path, capsys):
         rc = main(["synth", "gen", "--feature-dim", "1", "--out-dir", str(tmp_path / "corpus")])
@@ -1054,7 +1086,7 @@ class TestSynthCommands:
                    "--ref", str(corpus_dir / "ref_timings.jsonl"),
                    "--gamma-inf", "1.0", "--out", str(tmp_path / "hist.csv")])
         assert rc == 0
-        clf = dataio.load_classifier(tmp_path / "m.npz")
+        clf = Classifier.load(tmp_path / "m.npz")
         corpus = generate_corpus(CorpusSpec(n_utts=8))
         items = []
         for utt in corpus:
@@ -1120,6 +1152,23 @@ class TestHoldout:
         assert main(["synth", "train", "--corpus-dir", str(corpus_dir), "--method", "npc",
                      "--epochs", "2", "--model-out", str(model)]) == 0
         return corpus_dir, model
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_model_as_wide_as_vocab(self, tmp_path, seed):
+        """A training split without the vocabulary's last token still gives
+        a model as wide as vocab.txt, so the held-out split, which has that
+        token, evaluates."""
+        corpus_dir, model = tmp_path / "corpus", tmp_path / "m.npz"
+        assert main(["synth", "gen", "--n-utts", "4", "--corpus-seed", str(seed),
+                     "--out-dir", str(corpus_dir)]) == 0
+        n_vocab = len((corpus_dir / "vocab.txt").read_text().splitlines())
+        train_split, _ = split_corpus(generate_corpus(CorpusSpec(n_utts=4, seed=seed)), 2)
+        assert max(max(u.labels.tokens) for u in train_split) < n_vocab - 1
+        split = ["--corpus-dir", str(corpus_dir), "--holdout-every", "2"]
+        assert main(["synth", "train", *split, "--method", "npc", "--epochs", "2",
+                     "--model-out", str(model)]) == 0
+        assert main(["synth", "eval", *split, "--model", str(model)]) == 0
+        assert Classifier.load(model).w3.shape[1] == n_vocab
 
     def test_eval_with_nothing_held_out(self, trained, tmp_path, capsys):
         corpus_dir, model = trained
@@ -1240,7 +1289,7 @@ class TestConfigKeys:
         model = tmp_path / f"{tag}.npz"
         assert main(["synth", "train", "--corpus-dir", str(corpus_dir),
                      "--config", str(path), "--model-out", str(model)]) == 0
-        return dataio.load_classifier(model).params()
+        return Classifier.load(model).params()
 
     @pytest.mark.parametrize("key", TRAIN_KEYS)
     def test_every_key_changes_training(self, corpus_dir, tmp_path, key):

@@ -1,6 +1,8 @@
+import ast
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,11 +34,11 @@ class TestLogitsJsonl:
     def test_frame_ms_override(self, tmp_path):
         path = tmp_path / "logits.jsonl"
         dataio.write_logits_jsonl(path, [LogitMatrix("u", np.zeros((2, 2)), 40.0)])
-        back = next(iter(dataio.iter_logits_jsonl(path, frame_ms=10.0)))
+        [(_, back)] = dataio.numbered_logits(path, 10.0)
         assert back.frame_ms == 10.0
         # the override stands in for a record that has no frame_ms
         path.write_text(json.dumps({"utt": "u", "frames": [[0.0, 1.0]]}) + "\n")
-        back = next(iter(dataio.iter_logits_jsonl(path, frame_ms=10.0)))
+        [(_, back)] = dataio.numbered_logits(path, 10.0)
         assert back.frame_ms == 10.0
         assert np.array_equal(back.frames, [[0.0, 1.0]])
 
@@ -434,19 +436,18 @@ class TestVocab:
 
 
 class TestCsv:
-    def test_histogram(self, tmp_path):
-        path = tmp_path / "hist.csv"
-        dataio.write_histogram_csv(path, np.array([1, 2]), np.array([0.0, 0.5, 1.0]))
-        assert path.read_text() == "bin_lo,bin_hi,count\n0,0.5,1\n0.5,1,2\n"
+    def test_histogram(self):
+        rows = [{"bin_lo": 0.0, "bin_hi": 0.5, "count": 1},
+                {"bin_lo": 0.5, "bin_hi": 1.0, "count": 2}]
+        assert dataio.rows_to_csv(rows) == "bin_lo,bin_hi,count\n0,0.5,1\n0.5,1,2\n"
 
-    def test_curve(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        dataio.write_curve_csv(path, [(-10.0, 50.0), (0.0, 75.5)])
-        assert path.read_text() == "offset_ms,score\n-10,50\n0,75.5\n"
+    def test_curve(self):
+        rows = [{"offset_ms": -10.0, "score": 50.0}, {"offset_ms": 0.0, "score": 75.5}]
+        assert dataio.rows_to_csv(rows) == "offset_ms,score\n-10,50\n0,75.5\n"
 
     def test_sweep_rows(self):
         rows = [{"gamma_train": 0.0, "pct": 12.345678}, {"gamma_train": 0.25, "pct": 99.0}]
-        text = dataio.sweep_rows_to_csv(rows)
+        text = dataio.rows_to_csv(rows)
         assert text == "gamma_train,pct\n0,12.3457\n0.25,99\n"
 
 
@@ -456,8 +457,44 @@ class TestClassifierIo:
         clf = Classifier.init(4, 8, 5, seed=3)
         for name in ("model", "model.npz"):
             path = tmp_path / name
-            dataio.save_classifier(path, clf)
+            clf.save(path)
             assert {p.name for p in tmp_path.iterdir()} == {"model", name}
-            back = dataio.load_classifier(path)
+            back = Classifier.load(path)
             for key, value in clf.params().items():
                 assert np.array_equal(value, back.params()[key])
+
+    @pytest.mark.parametrize("kind", ["npz-without-b1", "npy", "text", "empty", "truncated-npz"])
+    def test_load_refuses_other_files(self, tmp_path, kind):
+        """Anything but an .npz archive holding all six parameters raises
+        ValueError naming the file."""
+        path = tmp_path / "model"
+        params = Classifier.init(4, 8, 5, seed=3).params()
+        with open(path, "wb") as handle:
+            if kind == "npz-without-b1":
+                np.savez(handle, **{k: v for k, v in params.items() if k != "b1"})
+            elif kind == "npy":
+                np.save(handle, params["w1"])
+            elif kind == "text":
+                handle.write(b"w1 b1 w2 b2 w3 b3\n")
+            elif kind == "truncated-npz":
+                np.savez(handle, **params)
+        if kind == "truncated-npz":
+            path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a saved classifier"):
+            Classifier.load(path)
+
+
+def test_imports_of_the_package_are_ctc_and_boundary():
+    """dataio reads and writes files of the values ctc and boundary define;
+    it depends on no other module of the package."""
+    tree = ast.parse(Path(dataio.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "ctctiming"):
+            module = (node.module or "").removeprefix("ctctiming").lstrip(".")
+            modules |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name.removeprefix("ctctiming.") for alias in node.names
+                        if alias.name.split(".")[0] == "ctctiming"}
+    assert modules == {"ctc", "boundary"}

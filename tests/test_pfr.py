@@ -120,8 +120,9 @@ class TestPfrTraining:
     def test_weight_zero_trains_as_npc(self):
         corpus = self.corpus()
         sgd = dict(epochs=3, batch_size=4, learning_rate=0.1, seed=5)
-        npc, npc_records = train(TrainConfig(method="npc", **sgd), corpus)
-        pfr, pfr_records = train(TrainConfig(method="pfr", lambda_pfr=0.0, **sgd), corpus)
+        npc, npc_records = train(TrainConfig(method="npc", **sgd), corpus, n_classes=5)
+        pfr, pfr_records = train(TrainConfig(method="pfr", lambda_pfr=0.0, **sgd), corpus,
+                                 n_classes=5)
         for name, value in npc.params().items():
             assert np.array_equal(pfr.params()[name], value), name
         assert [r.mean_loss for r in pfr_records] == [r.mean_loss for r in npc_records]
@@ -130,9 +131,9 @@ class TestPfrTraining:
     def test_recorded_loss_adds_weighted_pfr_loss(self, lam):
         corpus = self.corpus()
         sgd = dict(epochs=1, batch_size=4, learning_rate=0.0, seed=5)
-        clf, npc_records = train(TrainConfig(method="npc", **sgd), corpus)
+        clf, npc_records = train(TrainConfig(method="npc", **sgd), corpus, n_classes=5)
         config = TrainConfig(method="pfr", lambda_pfr=lam, tau=3.0, **sgd)
-        _, pfr_records = train(config, corpus)
+        _, pfr_records = train(config, corpus, n_classes=5)
         pfr_losses = [
             pfr_loss_grad(model_forward(clf, inputs_for(clf, utt), utt.utt_id)[0], config.pfr)[0]
             for utt in corpus

@@ -251,7 +251,7 @@ class TestTrain:
     def test_zero_learning_rate_freezes(self):
         corpus = generate_corpus(small_spec())
         config = TrainConfig(method="peaky", epochs=3, learning_rate=0.0, batch_size=4, seed=1)
-        clf, records = train(config, corpus)
+        clf, records = train(config, corpus, n_classes=5)
         losses = [r.mean_loss for r in records]
         assert np.ptp(losses) < 1e-12
         assert np.allclose(clf.w1, Classifier.init(clf.input_dim, 64, clf.n_classes, 1).w1)
@@ -266,7 +266,7 @@ class TestTrain:
         ]:
             config = TrainConfig(method=method, epochs=20, learning_rate=0.05,
                                  batch_size=8, seed=2, **extra)
-            _, records = train(config, corpus)
+            _, records = train(config, corpus, n_classes=5)
             stages = {r.stage for r in records}
             for stage in stages:
                 recs = [r for r in records if r.stage == stage]
@@ -275,8 +275,8 @@ class TestTrain:
     def test_training_deterministic(self):
         corpus = generate_corpus(small_spec())
         config = TrainConfig(method="npc", epochs=5, batch_size=4, seed=9)
-        clf_a, rec_a = train(config, corpus)
-        clf_b, rec_b = train(config, corpus)
+        clf_a, rec_a = train(config, corpus, n_classes=5)
+        clf_b, rec_b = train(config, corpus, n_classes=5)
         assert np.array_equal(clf_a.w3, clf_b.w3)
         assert [r.mean_loss for r in rec_a] == [r.mean_loss for r in rec_b]
 
@@ -293,7 +293,8 @@ class TestTrain:
     ], ids=["peaky", "npc", "pfr", "cetc"])
     def test_trained_bytes_pinned(self, settings, digest):
         corpus = generate_corpus(small_spec(n_utts=7))
-        clf, records = train(TrainConfig(epochs=3, batch_size=3, seed=1, **settings), corpus)
+        config = TrainConfig(epochs=3, batch_size=3, seed=1, **settings)
+        clf, records = train(config, corpus, n_classes=5)
         h = hashlib.sha256()
         for name, value in clf.params().items():
             h.update(name.encode())
@@ -314,7 +315,7 @@ class TestTrain:
 
         monkeypatch.setattr(synth, "model_forward", counting)
         corpus = generate_corpus(small_spec())
-        train(TrainConfig(method="npc", epochs=3, batch_size=4, seed=1), corpus)
+        train(TrainConfig(method="npc", epochs=3, batch_size=4, seed=1), corpus, n_classes=5)
         assert len(calls) == 3 * len(corpus)
 
     def test_pfr_requires_params(self):
@@ -386,7 +387,7 @@ class TestTrain:
         corpus = generate_corpus(small_spec())
         config = TrainConfig(method="peaky", epochs=60, learning_rate=1e160, batch_size=4, seed=1)
         with pytest.raises(TrainingDivergedError, match="batch"):
-            train(config, corpus)
+            train(config, corpus, n_classes=5)
 
     @pytest.mark.parametrize("method", ["peaky", "npc", "pfr"])
     def test_unalignable_utterance_skipped_rest_of_batch_updates(self, method, caplog):
@@ -415,7 +416,7 @@ class TestTrain:
         corpus[3].features_hi[2, 0] = np.nan
         config = TrainConfig(method="npc", epochs=2, batch_size=2, seed=1)
         with pytest.raises(TrainingDivergedError, match=r"synth-0003 \(epoch 0, batch \d\)"):
-            train(config, corpus)
+            train(config, corpus, n_classes=5)
 
     def test_pfr_overflowing_temperature_reported_as_divergence(self):
         # logits / tau overflow to inf. The warnings are silenced so that the
@@ -426,11 +427,11 @@ class TestTrain:
                              lambda_pfr=1.0, tau=1e-308)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError):
-                train(config, corpus)
+                train(config, corpus, n_classes=5)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            train(TrainConfig(method="peaky"), [])
+            train(TrainConfig(method="peaky"), [], n_classes=5)
 
 
 class TestEvaluate:
@@ -460,7 +461,7 @@ class TestEvaluate:
     def test_offset_translation_equivariance(self):
         corpus = generate_corpus(small_spec())
         config = TrainConfig(method="npc", epochs=10, batch_size=8, seed=3)
-        clf, _ = train(config, corpus)
+        clf, _ = train(config, corpus, n_classes=5)
         base = predict_timings(clf, corpus, 1.0, offset_ms=0.0)
         shifted = predict_timings(clf, corpus, 1.0, offset_ms=30.0)
         for utt_id in base:
@@ -494,7 +495,7 @@ class TestEvaluate:
 
         corpus = generate_corpus(small_spec(gap_frames=(4, 6)))
         config = TrainConfig(method="npc", epochs=15, batch_size=8, seed=3)
-        clf, _ = train(config, corpus)
+        clf, _ = train(config, corpus, n_classes=5)
 
         def evaluate(utts, offset_ms):
             pred = predict_timings(clf, utts, 1.0, offset_ms)
@@ -553,6 +554,17 @@ class TestSweeps:
             for row in rows[i * per_training : (i + 1) * per_training]:
                 assert row["blank_occupancy"] == want
 
+    @pytest.mark.parametrize("kind", ["gamma", "pfr"])
+    def test_no_held_out_split_refused_before_training(self, monkeypatch, kind):
+        from ctctiming import synth
+
+        calls = []
+        monkeypatch.setattr(synth, "train", lambda *args, **kwargs: calls.append(args))
+        sweep = synth.sweep_gamma if kind == "gamma" else synth.sweep_pfr
+        with pytest.raises(ValueError, match=r"^need n_utts >= 5 .*, got 4$"):
+            sweep(small_spec(n_utts=4), epochs=1)
+        assert calls == []
+
 
 class TestCetcTargets:
     def test_stage2_targets_valid_for_all_utterances(self):
@@ -561,7 +573,7 @@ class TestCetcTargets:
         corpus = generate_corpus(small_spec(n_utts=10))
         config = TrainConfig(method="peaky", epochs=25, learning_rate=0.1,
                              batch_size=64, seed=2)
-        clf, _ = train(config, corpus)
+        clf, _ = train(config, corpus, n_classes=5)
         targets = cetc_targets(clf, corpus, CetcParams())
         assert set(targets) == {u.utt_id for u in corpus}
         by_id = {u.utt_id: u for u in corpus}
