@@ -172,8 +172,7 @@ def cetc_guided_targets(
     if peaks.shape != (len(labels),) or boundaries.shape != (2, len(labels)):
         raise ValueError("peaks and boundaries must have one entry per label token")
     starts, ends = boundaries
-    if max(labels.tokens) >= n_vocab:
-        raise ValueError(f"label id {max(labels.tokens)} out of range for V={n_vocab}")
+    labels.check_vocab(n_vocab)
     bad = np.flatnonzero((starts < 0) | (starts > peaks) | (peaks > ends) | (ends >= n_frames))
     if len(bad):
         u = bad[0]
@@ -223,24 +222,23 @@ def words_from_spans(
     word_map: WordMap,
     frame_ms: float,
     offset_ms: float = 0.0,
-    n_frames: int | None = None,
+    *,
+    n_frames: int,
 ) -> WordTimes:
     """Word timings from per-piece spans: first piece start to last piece end.
 
     spans is token_spans' (3, U) array, or any array whose first two rows are
     the pieces' start and end frames. The end time uses the exclusive frame
     edge ((end frame + 1) * frame_ms); both ends are shifted by offset_ms and
-    clamped to [0, n_frames*frame_ms] (upper clamp skipped when n_frames is
-    unknown).
+    clamped to [0, n_frames*frame_ms].
     """
     if spans.shape[1] != word_map.n_pieces:
         raise ValueError(
             f"word map references {word_map.n_pieces} pieces but {spans.shape[1]} spans given"
         )
-    hi = float("inf") if n_frames is None else n_frames * frame_ms
     texts, firsts, lasts = zip(*word_map.words)
     frames = np.array((spans[0, firsts], spans[1, lasts] + 1), dtype=np.float64)
-    times = np.minimum(np.maximum(frames * frame_ms + offset_ms, 0.0), hi)
+    times = np.minimum(np.maximum(frames * frame_ms + offset_ms, 0.0), n_frames * frame_ms)
     return WordTimes(texts, times)
 
 

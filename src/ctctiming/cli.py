@@ -299,7 +299,7 @@ def cmd_align(args) -> int:
     n_written = 0
     with _sidecar(args.out) as failures:
         n_vocab = len(dataio.read_vocab(args.vocab))
-        label_map = dataio.read_labels_jsonl(args.labels)
+        label_map = dataio.read_labels_jsonl(args.labels, n_vocab)
         job = _AlignJob(args.logits, args.frame_ms, args.gamma_inf, label_map, n_vocab=n_vocab)
         target = Path(args.out)
         if target.exists() and not target.is_file():  # a device or a FIFO: written in place
@@ -462,11 +462,14 @@ def _write_corpus(corpus: list[SynthUtterance], out_dir: Path, vocab_size: int) 
     dataio.write_vocab(out_dir / "vocab.txt", (token_text(i) for i in range(1, vocab_size + 1)))
 
 
-def _read_corpus(corpus_dir: str) -> list[SynthUtterance]:
+def _read_corpus(corpus_dir: str) -> tuple[list[SynthUtterance], int]:
+    """The corpus directory's utterances and the width of its vocabulary,
+    which every label id must fit."""
     root = Path(corpus_dir)
+    n_vocab = len(dataio.read_vocab(root / "vocab.txt"))
     lo = {m.utt_id: m for m in dataio.iter_logits_jsonl(root / "features_lo.jsonl")}
     hi = {m.utt_id: m for m in dataio.iter_logits_jsonl(root / "features_hi.jsonl")}
-    labels = dataio.read_labels_jsonl(root / "labels.jsonl")
+    labels = dataio.read_labels_jsonl(root / "labels.jsonl", n_vocab)
     refs = dataio.read_timings_jsonl(root / "ref_timings.jsonl")
     missing = set(lo) ^ set(hi) | set(lo) ^ set(labels) | set(lo) ^ set(refs)
     if missing:
@@ -477,7 +480,7 @@ def _read_corpus(corpus_dir: str) -> list[SynthUtterance]:
         corpus.append(
             SynthUtterance(utt_id, mat.frames, hi[utt_id].frames, seq, word_map, refs[utt_id])
         )
-    return corpus
+    return corpus, n_vocab
 
 
 def cmd_synth_gen(args) -> int:
@@ -498,8 +501,8 @@ def _holdout_split(corpus: list[SynthUtterance], holdout_every: int):
 
 
 def cmd_synth_train(args) -> int:
-    corpus, _ = _holdout_split(_read_corpus(args.corpus_dir), args.holdout_every)
-    n_classes = len(dataio.read_vocab(Path(args.corpus_dir) / "vocab.txt"))
+    corpus, n_classes = _read_corpus(args.corpus_dir)
+    corpus, _ = _holdout_split(corpus, args.holdout_every)
     config = _train_config_from_args(args)
     clf, records = train(config, corpus, n_classes)
     clf.save(args.model_out)
@@ -511,8 +514,12 @@ def cmd_synth_train(args) -> int:
 
 
 def cmd_synth_eval(args) -> int:
-    _, corpus = _holdout_split(_read_corpus(args.corpus_dir), args.holdout_every)
+    corpus, n_vocab = _read_corpus(args.corpus_dir)
+    _, corpus = _holdout_split(corpus, args.holdout_every)
     clf = Classifier.load(args.model)
+    if clf.n_classes != n_vocab:
+        raise ValueError(f"{args.model}: {clf.n_classes} outputs, but "
+                         f"{Path(args.corpus_dir) / 'vocab.txt'} has {n_vocab} entries")
     hyp = predict_timings(clf, corpus, args.gamma_inf, args.offset_ms)
     ref = reference_timings(corpus)
     report = timing_metrics(hyp, ref, args.thresholds)

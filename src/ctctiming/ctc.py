@@ -112,7 +112,6 @@ class _Topology(NamedTuple):
     # for the states in order and for the lattice reversed in states and time
     skip: np.ndarray
     skip_reversed: np.ndarray
-    max_id: int
 
 
 @dataclass(frozen=True)
@@ -130,6 +129,12 @@ class LabelSequence:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+    def check_vocab(self, n_vocab: int) -> None:
+        """Raise ValueError unless every label id is below n_vocab, the
+        vocabulary's width."""
+        if max(self.tokens) >= n_vocab:
+            raise ValueError(f"label id {max(self.tokens)} out of range for V={n_vocab}")
 
     @cached_property
     def n_repeats(self) -> int:
@@ -149,7 +154,7 @@ class LabelSequence:
         skip_reversed[4:] = skip[:3:-1]
         for array in (syms, skip, skip_reversed):
             array.flags.writeable = False  # shared by every lattice of this sequence
-        return _Topology(syms, skip, skip_reversed, max(self.tokens))
+        return _Topology(syms, skip, skip_reversed)
 
 
 def log_softmax_rows(frames: np.ndarray) -> np.ndarray:
@@ -165,16 +170,14 @@ def _symbols(log_probs: np.ndarray, labels: LabelSequence) -> np.ndarray:
     log-prob matrix. Raises ValueError for a label id >= V, then
     NoValidPathError when T < U + repeats, the fewest frames a path needs."""
     n_frames, n_vocab = log_probs.shape
-    topology = labels._topology
-    if topology.max_id >= n_vocab:
-        raise ValueError(f"label id {topology.max_id} out of range for V={n_vocab}")
+    labels.check_vocab(n_vocab)
     needed = len(labels) + labels.n_repeats
     if n_frames < needed:
         raise NoValidPathError(
             f"no valid path: T={n_frames} < U + repeats = {needed} "
             f"for labels of length {len(labels)}"
         )
-    return topology.syms
+    return labels._topology.syms
 
 
 def _recursion(lattice: np.ndarray, jump_mask: np.ndarray, combine) -> np.ndarray:
@@ -258,15 +261,6 @@ def _forward_backward(log_probs: list[np.ndarray], labels: list[LabelSequence]):
     return results, live
 
 
-def _segment_sums(array: np.ndarray, bounds: list[int]) -> np.ndarray:
-    """(B, V) column sums of array's row segments; segment j is rows
-    bounds[j]:bounds[j + 1]."""
-    sums = np.empty((len(bounds) - 1, array.shape[1]))
-    for row, lo, hi in zip(sums, bounds, bounds[1:]):
-        np.add.reduce(array[lo:hi], axis=0, out=row)
-    return sums
-
-
 def _stacked(logits: list[LogitMatrix], gamma: float) -> tuple[list[int], np.ndarray]:
     """A batch's logits, all of one vocab width, stacked as one (sum T, V)
     array and label-prior-adjusted when gamma is not 0. Returns (row bounds,
@@ -300,9 +294,10 @@ def ctc_grad_batch(
     Entries are (loss, grad) or the utterance's NoValidPathError.
 
     The batch's logits are stacked into one (sum T, V) array, so the prior,
-    softmax, exp and chain-rule correction each run once over it; each
-    utterance's log-probs and returned gradient are row slices of the
-    stacked arrays, and one padded recursion fills every lattice.
+    softmax and exp each run once over it; each utterance's log-probs and
+    returned gradient are row slices of the stacked arrays, and one padded
+    recursion fills every lattice. Each gradient is finished, the prior's
+    chain rule included, in its utterance's turn of the loop.
     """
     if not logits:
         return []
@@ -323,13 +318,10 @@ def ctc_grad_batch(
         np.add.at(occ, syms, np.exp(post, out=post))
         rows = grad[bounds[i] : bounds[i + 1]]
         rows -= occ.T
+        if gamma_train:
+            # d/dO[t, v] = g[t, v] - (gamma/T) * sum_t' g[t', v]
+            rows -= gamma_train / len(rows) * rows.sum(axis=0)
         results[i] = (-log_like, rows)
-
-    if gamma_train:
-        # d/dO[t, v] = g[t, v] - (gamma/T) * sum_t' g[t', v], per utterance
-        n_frames = np.diff(bounds)
-        sums = _segment_sums(grad, bounds)
-        grad -= np.repeat((gamma_train / n_frames)[:, None] * sums, n_frames, axis=0)
     return results
 
 
@@ -374,8 +366,10 @@ def _minus_prior(frames: np.ndarray, bounds: list[int], gamma: float) -> np.ndar
     is rows bounds[j]:bounds[j + 1]. The one form of the label prior."""
     if not np.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    prior = _segment_sums(frames, bounds)
     n_frames = np.diff(bounds)
+    prior = np.empty((len(n_frames), frames.shape[1]))
+    for row, lo, hi in zip(prior, bounds, bounds[1:]):
+        np.add.reduce(frames[lo:hi], axis=0, out=row)
     prior /= n_frames[:, None]  # ndarray.mean's own sum and division
     prior *= gamma
     return frames - np.repeat(prior, n_frames, axis=0)

@@ -162,11 +162,16 @@ def _word_object(word):
     return word
 
 
-def read_labels_jsonl(path: str | Path) -> dict[str, tuple[LabelSequence, WordMap]]:
+def read_labels_jsonl(
+    path: str | Path, n_vocab: int | None = None
+) -> dict[str, tuple[LabelSequence, WordMap]]:
     """{"utt", "pieces", "words": [{"w", "first", "last"}]} records; pieces
-    and words are JSON arrays, and each word is a JSON object."""
+    and words are JSON arrays, and each word is a JSON object. Given n_vocab,
+    the vocabulary's width, every piece id must be below it."""
     def build(utt: str, record: dict, _raw: bytes) -> tuple[LabelSequence, WordMap]:
         labels = LabelSequence(tuple(_json_array(record, "pieces")))
+        if n_vocab is not None:
+            labels.check_vocab(n_vocab)
         words = [_word_object(w) for w in _json_array(record, "words")]
         word_map = WordMap(tuple((w["w"], w["first"], w["last"]) for w in words))
         if word_map.n_pieces != len(labels):

@@ -467,7 +467,9 @@ def _align_corpus(
 
 def _word_timings(aligned: dict, offset_ms: float = 0.0) -> dict[str, WordTimes]:
     return {
-        utt.utt_id: words_from_spans(spans, utt.word_map, FRAME_MS, offset_ms, utt.n_frames)
+        utt.utt_id: words_from_spans(
+            spans, utt.word_map, FRAME_MS, offset_ms, n_frames=utt.n_frames
+        )
         for utt, spans in aligned.items()
     }
 

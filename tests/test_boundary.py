@@ -18,7 +18,7 @@ from ctctiming.boundary import (
     offset_count,
     words_from_spans,
 )
-from ctctiming.ctc import LabelSequence, LogitMatrix
+from ctctiming.ctc import LabelSequence, LogitMatrix, _symbols
 from ctctiming.synth import (Classifier, CorpusSpec, _sweep_scores, generate_corpus,
                              split_corpus)
 
@@ -130,6 +130,22 @@ class TestCetcArrays:
         with pytest.raises(error, match=match):
             call()
 
+    @pytest.mark.parametrize("tokens, n_vocab", [((5,), 3), ((1, 4, 2), 4), ((2, 9, 9), 2)])
+    def test_label_range_message_is_the_lattices(self, tokens, n_vocab):
+        """The guided targets and the CTC lattice refuse a label id past the
+        vocabulary with the message of the one check, LabelSequence's."""
+        labels = LabelSequence(tokens)
+        peaks = 3 * np.arange(len(tokens)) + 1
+        with pytest.raises(ValueError) as check:
+            labels.check_vocab(n_vocab)
+        with pytest.raises(ValueError) as lattice:
+            _symbols(np.zeros((12, n_vocab)), labels)
+        with pytest.raises(ValueError) as targets:
+            cetc_guided_targets(labels, peaks, np.array((peaks - 1, peaks + 1)), 0.5, 12, n_vocab)
+        want = f"label id {max(tokens)} out of range for V={n_vocab}"
+        assert str(check.value) == str(lattice.value) == str(targets.value) == want
+        labels.check_vocab(max(tokens) + 1)
+
     def test_match_the_loops(self):
         rng = np.random.default_rng(27)
         alphas, betas = (0.0, 0.2, 0.5, 0.7, 1.0), (0.3, 0.5, 0.7, 1.0, 2.0)
@@ -204,7 +220,7 @@ class TestWordsFromSpans:
         assert shifted.times[1, 0] == base.times[1, 0] + 40.0
 
     def test_single_piece_at_origin(self):
-        words = words_from_spans(spans((0, 0)), WordMap((("a", 0, 0),)), 10.0)
+        words = words_from_spans(spans((0, 0)), WordMap((("a", 0, 0),)), 10.0, n_frames=1)
         assert word_rows(words) == [("a", 0.0, 10.0)]
 
     def test_clamping(self):
@@ -214,9 +230,13 @@ class TestWordsFromSpans:
         words = words_from_spans(pieces, WordMap((("a", 0, 0),)), 10.0, 30.0, n_frames=10)
         assert words.times[1, 0] == 100.0
 
+    def test_frame_count_required(self):
+        with pytest.raises(TypeError, match="n_frames"):
+            words_from_spans(spans((0, 0)), WordMap((("a", 0, 0),)), 10.0)
+
     def test_piece_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            words_from_spans(spans((0, 1)), WordMap((("ab", 0, 1),)), 10.0)
+            words_from_spans(spans((0, 1)), WordMap((("ab", 0, 1),)), 10.0, n_frames=2)
 
     def test_offset_equivariance(self):
         rng = np.random.default_rng(23)
@@ -224,8 +244,8 @@ class TestWordsFromSpans:
         word_map = WordMap((("x", 0, 1), ("y", 2, 2)))
         for _ in range(20):
             delta = float(rng.uniform(-20, 20))
-            a = words_from_spans(pieces, word_map, 10.0, 50.0)
-            b = words_from_spans(pieces, word_map, 10.0, 50.0 + delta)
+            a = words_from_spans(pieces, word_map, 10.0, 50.0, n_frames=100)
+            b = words_from_spans(pieces, word_map, 10.0, 50.0 + delta, n_frames=100)
             for ta, tb in zip(a.times.T.tolist(), b.times.T.tolist()):
                 assert math.isclose(tb[0] - ta[0], delta)
                 assert math.isclose(tb[1] - ta[1], delta)
@@ -245,14 +265,14 @@ class TestWordsFromSpans:
         frame_ms = float(rng.choice([10.0, 20.0, 40.0, 33.3]))
         n_frames = int(edges[-1]) + 1 - int(rng.integers(0, 3))
         for offset_ms in (0.0, -55.5, 17.25, float(rng.uniform(-500, 500))):
-            for frames in (n_frames, None):
-                hi = float("inf") if frames is None else frames * frame_ms
+            for frames in (n_frames, n_frames + 1000):  # the second clamps no end
+                hi = frames * frame_ms
                 want = []
                 for word, first, last in word_map.words:
                     start = int(pieces[0, first]) * frame_ms + offset_ms
                     end = (int(pieces[1, last]) + 1) * frame_ms + offset_ms
                     want.append((word, min(max(start, 0.0), hi), min(max(end, 0.0), hi)))
-                words = words_from_spans(pieces, word_map, frame_ms, offset_ms, frames)
+                words = words_from_spans(pieces, word_map, frame_ms, offset_ms, n_frames=frames)
                 assert isinstance(words, WordTimes)
                 assert words.times.dtype == np.float64 and not words.times.flags.writeable
                 assert list(zip(words.texts, *words.times.tolist())) == want
@@ -260,7 +280,7 @@ class TestWordsFromSpans:
     def test_bad_spans_raise_the_word_error(self):
         """Spans whose word would end before it starts raise the word's error."""
         with pytest.raises(ValueError, match=re.escape("'ab': need 0 <= start <= end < inf")):
-            words_from_spans(spans((5, 5), (1, 1)), WordMap((("ab", 0, 1),)), 10.0)
+            words_from_spans(spans((5, 5), (1, 1)), WordMap((("ab", 0, 1),)), 10.0, n_frames=10)
 
     def test_start_and_end_rows_suffice(self):
         """A (2, U) array of start and end rows gives what its (3, U) array gives."""

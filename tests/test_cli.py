@@ -294,6 +294,24 @@ class TestAlign:
         ])
         assert rc == 2
 
+    def test_label_id_past_vocab_exit_2_before_aligning(self, tmp_path, monkeypatch, capsys):
+        """A label id equal to the vocabulary's length is refused by file and
+        line while the labels are read, before any utterance is aligned."""
+        write_fixture(tmp_path)
+        labels = tmp_path / "labels.jsonl"
+        records = [json.loads(line) for line in labels.read_text().splitlines()]
+        records[1]["pieces"][0] = 3  # vocab.txt has 3 lines: <blank>, t1, t2
+        labels.write_text("".join(json.dumps(record) + "\n" for record in records))
+        aligned = []
+        monkeypatch.setattr(cli, "align_spans", lambda *args: aligned.append(args))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # any alignment inline
+        capsys.readouterr()
+        rc = main(["align", "--logits", str(tmp_path / "logits.jsonl"), "--labels", str(labels),
+                   "--vocab", str(tmp_path / "vocab.txt"), "--out", str(tmp_path / "hyp.jsonl")])
+        assert rc == 2
+        assert f"error: {labels}:2: label id 3 out of range for V=3\n" in capsys.readouterr().err
+        assert aligned == [] and not (tmp_path / "hyp.jsonl").exists()
+
     def test_fifo_out_written_in_place(self, tmp_path, monkeypatch):
         write_fixture(tmp_path)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # no fork beside a thread
@@ -982,6 +1000,43 @@ class TestSynthCommands:
         rc = main(["synth", "eval", "--corpus-dir", str(corpus_dir), "--model", str(model)])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {model}: ")
+
+    def test_train_labels_past_vocab_exit_2(self, tmp_path, monkeypatch, capsys):
+        """A vocab.txt shorter than the labels need is refused by the labels
+        file's name and line, before any training."""
+        corpus_dir = tmp_path / "corpus"
+        assert main(["synth", "gen", "--n-utts", "4", "--corpus-seed", "3",
+                     "--out-dir", str(corpus_dir)]) == 0
+        dataio.write_vocab(corpus_dir / "vocab.txt", ["t1", "t2"])  # 3 lines with the blank
+        corpus = generate_corpus(CorpusSpec(n_utts=4, seed=3))
+        line, top = next((k + 1, max(u.labels.tokens)) for k, u in enumerate(corpus)
+                         if max(u.labels.tokens) >= 3)
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        capsys.readouterr()
+        model = tmp_path / "m.npz"
+        rc = main(["synth", "train", "--corpus-dir", str(corpus_dir), "--method", "npc",
+                   "--epochs", "1", "--model-out", str(model)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus_dir / 'labels.jsonl'}:{line}: label id {top} out of range for V=3\n"
+        )
+        assert trained == [] and not model.exists()
+
+    @pytest.mark.parametrize("extra", [1, -1], ids=["wider", "narrower"])
+    def test_eval_model_width_differs_from_vocab_exit_2(self, tmp_path, capsys, extra):
+        corpus_dir = tmp_path / "corpus"
+        assert main(["synth", "gen", "--n-utts", "4", "--out-dir", str(corpus_dir)]) == 0
+        n_vocab = len(dataio.read_vocab(corpus_dir / "vocab.txt"))
+        model = tmp_path / "m.npz"
+        Classifier.init(CorpusSpec().feature_dim, 4, n_vocab + extra, seed=0).save(model)
+        capsys.readouterr()
+        rc = main(["synth", "eval", "--corpus-dir", str(corpus_dir), "--model", str(model)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ")
+        assert err == (f"error: {model}: {n_vocab + extra} outputs, but "
+                       f"{corpus_dir / 'vocab.txt'} has {n_vocab} entries\n")
 
     @pytest.mark.parametrize("kind", ["gamma", "pfr"])
     def test_sweep_without_held_out_split_exit_1(self, tmp_path, monkeypatch, capsys, kind):

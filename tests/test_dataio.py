@@ -195,6 +195,20 @@ class TestLabelsJsonl:
             dataio.read_labels_jsonl(path)
         assert str(err.value) == f"{path}:1: {message}"
 
+    def test_label_ids_checked_against_a_given_vocab(self, tmp_path):
+        """Given the vocabulary's width, the first record with a piece id
+        past it is refused by file and line; without it, every id reads."""
+        path = tmp_path / "labels.jsonl"
+        dataio.write_labels_jsonl(path, [
+            (utt, LabelSequence(tokens), WordMap(tuple((f"w{u}", u, u) for u in range(3))))
+            for utt, tokens in (("a", (1, 2, 2)), ("b", (2, 3, 1)), ("c", (4, 1, 1)))
+        ])
+        assert dataio.read_labels_jsonl(path, 5)["c"][0].tokens == (4, 1, 1)
+        assert set(dataio.read_labels_jsonl(path)) == {"a", "b", "c"}
+        with pytest.raises(DataFormatError) as err:
+            dataio.read_labels_jsonl(path, 3)
+        assert str(err.value) == f"{path}:2: label id 3 out of range for V=3"
+
     def test_duplicate_utterance_rejected(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         record = {"utt": "a", "pieces": [1], "words": [{"w": "x", "first": 0, "last": 0}]}
