@@ -133,8 +133,13 @@ class LabelSequence:
     def check_vocab(self, n_vocab: int) -> None:
         """Raise ValueError unless every label id is below n_vocab, the
         vocabulary's width."""
-        if max(self.tokens) >= n_vocab:
-            raise ValueError(f"label id {max(self.tokens)} out of range for V={n_vocab}")
+        if self._max_id >= n_vocab:
+            raise ValueError(f"label id {self._max_id} out of range for V={n_vocab}")
+
+    @cached_property
+    def _max_id(self) -> int:
+        # taken once: the lattice checks it again for every batch it joins
+        return max(self.tokens)
 
     @cached_property
     def n_repeats(self) -> int:
